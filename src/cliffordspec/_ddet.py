@@ -103,18 +103,6 @@ def cdd_to_complex(x) -> np.ndarray:
     return (rh + rl) + 1j * (ih + il)
 
 
-def cdd_zeros(shape):
-    return tuple(np.zeros(shape) for _ in range(4))
-
-
-def cdd_copy(x):
-    return tuple(c.copy() for c in x)
-
-
-def cdd_neg(x):
-    return (-x[0], -x[1], -x[2], -x[3])
-
-
 def cdd_add(x, y):
     rh, rl = dd_add(x[0], x[1], y[0], y[1])
     ih, il = dd_add(x[2], x[3], y[2], y[3])

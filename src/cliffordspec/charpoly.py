@@ -1,16 +1,24 @@
 """Characteristic polynomials of Hermitian tuples.
 
-The polynomial lambda -> det(L_lambda) is reconstructed from black-box
-determinant evaluations on a tensor grid, one nested univariate Newton
-interpolation per variable.  The per-variable degree bound is the
-localizer side length (every entry is affine in each lambda_j).
+det L(lambda) of an affine pencil L(lambda) = L0 - sum_j lambda_j P_j has
+total degree at most the side of L, so it is reconstructed by Newton
+interpolation from its values on the lower set {alpha : |alpha| <= side} of
+a tensor node grid: C(side + d, d) determinants, a unisolvent set for that
+space (Dyn & Floater, J. Approx. Theory 2014).
 
-Exact tuples interpolate at integer nodes 0..degree with fraction-free
-integer determinants, so the result is exact.  Float tuples use centered
-half-integer nodes (better conditioned than one-sided ones) and run the
-determinants and transforms in double-double arithmetic; coefficients are
-then correct to roughly double precision even for the 12x12 reduced
-localizers, comfortably inside the 1e-9 comparison tolerances.
+Exact tuples use integer nodes 0..side and the Gaussian-integer
+determinants of den * L, den the lcm of the entry denominators: every
+divided difference is an exact integer division, the falling-factorial
+basis changes to monomials with integer (Stirling) coefficients, and
+1/den^side applies to the final terms only.  Float tuples are first divided
+by a power of two s >= max ||X_j||_2, which is exact in binary; their
+determinants and transforms run in double-double arithmetic at the nodes
+0, 1/2, -1/2, 1, -1, ..., so that the lower set sits around the origin, and
+each coefficient c_alpha is finally multiplied by s^(side - |alpha|).  Each
+coefficient is then correct to roughly double precision relative to its own
+size at that scale (tested for scales 1e-2 to 1e2), comfortably inside the
+1e-9 comparison tolerances.  A held-out determinant check validates every
+reconstruction.
 """
 
 from __future__ import annotations
@@ -24,10 +32,10 @@ import numpy as np
 from . import _ddet as dd
 from .cliffordrep import GammaRep, rep_for, standard_rep
 from .errors import ContractError, InterpolationError
+from .linalg import _gaussian_int_bareiss, exact_determinant, operator_norm
 from .localizer import build, build_reduced, laplace
 from .matrices import EXACT, FLOAT, HermitianTuple, exact_eye, kron, to_float
 from .multipoly import MultiPoly
-from .linalg import _gaussian_int_bareiss, exact_determinant
 from .parallel import ordered_chunk_map
 from .scalars import GaussianRational
 
@@ -36,68 +44,12 @@ REAL_COEFF_RTOL = 1e-9
 _CHUNK = 4096
 
 
-# ---------------------------------------------------------------------------
-# node sets and Newton-basis change matrices
-
-
-def _float_nodes(m: int) -> np.ndarray:
-    # half-integer spacing, centered: every node and node difference is an
-    # exact double, so only the determinant values carry rounding
-    return (np.arange(m + 1) - m / 2.0) * 0.5
-
-
-def _newton_basis_coeffs(nodes) -> list:
-    """B[i][k] = coefficient of x^i in prod_{j<k}(x - nodes[j]), exact."""
-    m = len(nodes) - 1
-    cols = [[Fraction(1)]]
-    for k in range(m):
-        prev = cols[-1]
-        nxt = [Fraction(0)] * (len(prev) + 1)
-        xk = Fraction(nodes[k])
-        for i, c in enumerate(prev):
-            nxt[i + 1] += c
-            nxt[i] -= c * xk
-        cols.append(nxt)
-    rows = [[Fraction(0)] * (m + 1) for _ in range(m + 1)]
-    for k, col in enumerate(cols):
-        for i, c in enumerate(col):
-            rows[i][k] = c
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# exact path
-
-
-def _interp_terms_exact(values: np.ndarray, m: int) -> dict:
-    """Nested Newton interpolation of an exact value grid (nodes 0..m)."""
-    d = values.ndim
-    basis = _newton_basis_coeffs(list(range(m + 1)))
-    work = values
-    for axis in range(d):
-        v = np.ascontiguousarray(np.moveaxis(work, axis, 0))
-        shape = v.shape
-        flat = v.reshape(m + 1, -1)
-        for k in range(1, m + 1):
-            for i in range(m, k - 1, -1):
-                flat[i] = (flat[i] - flat[i - 1]) / k
-        out = np.empty_like(flat)
-        for i in range(m + 1):
-            acc = None
-            for k in range(i, m + 1):
-                b = basis[i][k]
-                if not b:
-                    continue
-                t = flat[k] * GaussianRational(b)
-                acc = t if acc is None else acc + t
-            out[i] = acc if acc is not None else flat[0] * GaussianRational(0)
-        work = np.moveaxis(out.reshape(shape), 0, axis)
-    terms = {}
-    for expo in np.ndindex(*work.shape):
-        c = work[expo]
-        if not c.is_zero():
-            terms[expo] = c
-    return terms
+def _common_denominator(mats) -> int:
+    den = 1
+    for mat in mats:
+        for e in mat.reshape(-1):
+            den = math.lcm(den, e.re.denominator, e.im.denominator)
+    return den
 
 
 class _AffineFamily:
@@ -107,13 +59,11 @@ class _AffineFamily:
     def __init__(self, base: np.ndarray, parts: list, kind: str):
         self.kind = kind
         self.size = base.shape[0]
+        self.degree = self.size
         self.d = len(parts)
         if kind == EXACT:
-            den = 1
-            for mat in (base, *parts):
-                for e in mat.reshape(-1):
-                    den = math.lcm(den, e.re.denominator, e.im.denominator)
-            self.den = den
+            den = _common_denominator((base, *parts))
+            self.den_power = den**self.size
             self.base_re = [int(e.re * den) for e in base.reshape(-1)]
             self.base_im = [int(e.im * den) for e in base.reshape(-1)]
             self.part_re = [
@@ -126,10 +76,8 @@ class _AffineFamily:
             self.base_c = np.ascontiguousarray(base)
             self.parts_c = [np.ascontiguousarray(p) for p in parts]
 
-    # -- exact -------------------------------------------------------------
-
-    def det_scaled_at(self, node) -> GaussianRational:
-        """det of the scaled-integer matrix at integer node (no 1/den^size)."""
+    def det_scaled_at(self, node) -> tuple:
+        """(re, im) integer determinant of den * L at an integer node."""
         n = self.size
         re = list(self.base_re)
         im = list(self.base_im)
@@ -143,15 +91,7 @@ class _AffineFamily:
                 im[i] -= lam * pi[i]
         rows_re = [re[i * n : (i + 1) * n] for i in range(n)]
         rows_im = [im[i * n : (i + 1) * n] for i in range(n)]
-        dr, di = _gaussian_int_bareiss(rows_re, rows_im, n)
-        return GaussianRational(dr, di)
-
-    def exact_det_at(self, node) -> GaussianRational:
-        scale = Fraction(1, self.den**self.size)
-        v = self.det_scaled_at(node)
-        return GaussianRational(v.re * scale, v.im * scale)
-
-    # -- float ---------------------------------------------------------------
+        return _gaussian_int_bareiss(rows_re, rows_im, n)
 
     def _assemble_cdd(self, lam_chunk: np.ndarray):
         c = lam_chunk.shape[0]
@@ -172,95 +112,147 @@ class _AffineFamily:
         return complex(np.linalg.det(m))
 
 
-def _interp_terms_cdd(det_cdd, d: int, m: int, nodes: np.ndarray) -> dict:
-    """Nested Newton interpolation of a double-double value grid."""
-    shape = (m + 1,) * d
-    comps = [c.reshape(shape).copy() for c in det_cdd]
-    # half-integer nodes are exact binary fractions, so the change-of-basis
-    # matrix is computed exactly and rounds to float64 without error
-    basis_fr = _newton_basis_coeffs([Fraction(float(x)) for x in nodes])
-    basis = np.array([[float(b) for b in row] for row in basis_fr])
+class _LaplaceFamily:
+    """det(sum_j (X_j - lambda_j)^2), of total degree at most 2n."""
+
+    def __init__(self, tuple_: HermitianTuple):
+        self.kind = tuple_.kind
+        self.d = tuple_.d
+        self.degree = 2 * tuple_.n
+        self.tuple_ = tuple_
+        if self.kind == EXACT:
+            self.q = _common_denominator(tuple_.matrices)
+            self.scaled = HermitianTuple([m * self.q for m in tuple_.matrices])
+            self.den_power = self.q**self.degree
+
+    def det_scaled_at(self, node) -> tuple:
+        """(re, im) integer determinant of q^2 times the Laplace operator:
+        laplace(q X, q lambda) has Gaussian-integer entries."""
+        v = exact_determinant(laplace(self.scaled, [self.q * x for x in node]))
+        return int(v.re), int(v.im)
+
+    def float_det_chunk(self, lam_chunk: np.ndarray):
+        return dd.cdd_from_complex([self.float_det_single(pt) for pt in lam_chunk])
+
+    def float_det_single(self, lam) -> complex:
+        return complex(np.linalg.det(laplace(self.tuple_, lam)))
+
+
+# ---------------------------------------------------------------------------
+# lower-set Newton interpolation
+
+
+def _lower_set(d: int, m: int) -> np.ndarray:
+    """Exponents alpha with |alpha| <= m, one row each."""
+    return np.array(
+        [a for a in itertools.product(range(m + 1), repeat=d) if sum(a) <= m]
+    )
+
+
+def _newton_to_monomial(v: tuple, expo: np.ndarray, nodes, divided, horner):
+    """Turn values at the nodes nodes[alpha] (alpha a row of the lower set
+    expo) into monomial coefficients, in place.  ``v`` is a tuple of arrays
+    indexed like expo; ``divided(a, b, h)`` returns (a - b) / h and
+    ``horner(a, b, x)`` returns a - x * b, both in the arithmetic of v.
+
+    The tensor Newton basis N_alpha has leading monomial lambda^alpha, so
+    the Newton coefficients with |alpha| > m vanish, and c_alpha needs only
+    the values at nodes beta <= alpha, all inside the lower set.  Divided
+    differences therefore run along every axis before any axis changes to
+    the monomial basis; interleaving the two would read coefficients from
+    outside the set."""
+    n, d = expo.shape
+    m = len(nodes) - 1
+    # index of each exponent in expo; the padding row m + 1, also reached
+    # by index -1, marks exponents outside the lower set
+    where = np.full((m + 2,) * d, -1)
+    where[tuple(expo.T)] = np.arange(n)
+    unit = np.eye(d, dtype=int)
     for axis in range(d):
-        comps = [np.ascontiguousarray(np.moveaxis(c, axis, 0)) for c in comps]
-        vshape = comps[0].shape
-        flat = [c.reshape(m + 1, -1) for c in comps]
+        col = expo[:, axis]
+        prev = where[tuple((expo - unit[axis]).T)]
         for k in range(1, m + 1):
-            for i in range(m, k - 1, -1):
-                cur = dd.cdd_getitem(tuple(flat), i)
-                prev = dd.cdd_getitem(tuple(flat), i - 1)
-                diff = dd.cdd_sub(cur, prev)
-                step = float(nodes[i] - nodes[i - k])
-                rh, rl = dd.dd_div_d(diff[0], diff[1], step)
-                ih, il = dd.dd_div_d(diff[2], diff[3], step)
-                dd.cdd_setitem(tuple(flat), i, (rh, rl, ih, il))
-        out = [np.zeros_like(f) for f in flat]
-        for i in range(m + 1):
-            acc = dd.cdd_zeros(flat[0].shape[1])
-            for k in range(i, m + 1):
-                b = basis[i][k]
-                if b == 0.0:
-                    continue
-                acc = dd.cdd_add(acc, dd.cdd_mul_d(dd.cdd_getitem(tuple(flat), k), b))
-            dd.cdd_setitem(tuple(out), i, acc)
-        comps = [np.moveaxis(o.reshape(vshape), 0, axis) for o in out]
-    coeffs = dd.cdd_to_complex(tuple(comps))
-    terms = {}
-    for expo in np.ndindex(*coeffs.shape):
-        c = complex(coeffs[expo])
-        if c != 0:
-            terms[expo] = c
-    return terms
+            sel = np.nonzero(col >= k)[0]
+            h = nodes[col[sel]] - nodes[col[sel] - k]
+            new = divided(dd.cdd_getitem(v, sel), dd.cdd_getitem(v, prev[sel]), h)
+            dd.cdd_setitem(v, sel, new)
+    for axis in range(d):
+        col = expo[:, axis]
+        succ = where[tuple((expo + unit[axis]).T)]
+        for k in range(m - 1, -1, -1):
+            sel = np.nonzero((col >= k) & (succ >= 0))[0]
+            new = horner(dd.cdd_getitem(v, sel), dd.cdd_getitem(v, succ[sel]), nodes[k])
+            dd.cdd_setitem(v, sel, new)
 
 
-def _interpolate_affine(family: _AffineFamily, threads=None) -> MultiPoly:
-    m = family.size
+def _exact_divided(a, b, h):
+    out = []
+    for x, y in zip(a, b):
+        diff = x - y
+        quot = diff // h
+        if np.any(diff - quot * h):
+            raise InterpolationError(
+                "divided difference is not a Gaussian integer: the determinant "
+                "exceeds its degree bound"
+            )
+        out.append(quot)
+    return out
+
+
+def _exact_horner(a, b, x):
+    return [p - x * q for p, q in zip(a, b)]
+
+
+def _dd_divided(a, b, h):
+    rh, rl, ih, il = dd.cdd_sub(a, b)
+    return (*dd.dd_div_d(rh, rl, h), *dd.dd_div_d(ih, il, h))
+
+
+def _dd_horner(a, b, x):
+    return dd.cdd_sub(a, dd.cdd_mul_d(b, x))
+
+
+def _interpolate(family, threads=None) -> MultiPoly:
     d = family.d
+    m = family.degree
+    expo = _lower_set(d, m)
     if family.kind == EXACT:
-        values = np.empty((m + 1,) * d, dtype=object)
-        nodes = list(itertools.product(range(m + 1), repeat=d))
-
-        def run(chunk):
-            return [family.det_scaled_at(node) for node in chunk]
-
-        chunks = [nodes[i : i + 512] for i in range(0, len(nodes), 512)]
-        results = ordered_chunk_map(run, chunks, threads)
-        flatv = values.reshape(-1)
-        pos = 0
-        for block in results:
-            for v in block:
-                flatv[pos] = v
-                pos += 1
-        terms = _interp_terms_exact(values, m)
-        scale = Fraction(1, family.den**family.size)
+        nodes = np.arange(m + 1).astype(object)
+        dets = [family.det_scaled_at(tuple(map(int, a))) for a in expo]
+        v = tuple(np.array(c, dtype=object) for c in zip(*dets))
+        _newton_to_monomial(v, expo, nodes, _exact_divided, _exact_horner)
+        den = family.den_power
         terms = {
-            e: GaussianRational(c.re * scale, c.im * scale) for e, c in terms.items()
+            tuple(a): GaussianRational(Fraction(re, den), Fraction(im, den))
+            for a, re, im in zip(expo, *v)
         }
         poly = MultiPoly(d, terms, EXACT)
     else:
-        nodes = _float_nodes(m)
-        grids = np.array(list(itertools.product(nodes, repeat=d)))
-        chunks = [grids[i : i + _CHUNK] for i in range(0, len(grids), _CHUNK)]
+        nodes = np.array([(i + 1) // 2 * (0.5 if i % 2 else -0.5) for i in range(m + 1)])
+        points = nodes[expo]
+        chunks = [points[i : i + _CHUNK] for i in range(0, len(points), _CHUNK)]
         dets = ordered_chunk_map(family.float_det_chunk, chunks, threads)
-        det_cdd = tuple(np.concatenate([blk[i] for blk in dets]) for i in range(4))
-        terms = _interp_terms_cdd(det_cdd, d, m, nodes)
+        v = tuple(np.concatenate([blk[i] for blk in dets]) for i in range(4))
+        _newton_to_monomial(v, expo, nodes, _dd_divided, _dd_horner)
+        coeffs = dd.cdd_to_complex(v)
+        terms = {tuple(a): complex(c) for a, c in zip(expo, coeffs)}
         poly = MultiPoly(d, terms, FLOAT).pruned()
     _validate_interpolation(family, poly)
     return poly
 
 
-def _validate_interpolation(family: _AffineFamily, poly: MultiPoly) -> None:
+def _validate_interpolation(family, poly: MultiPoly) -> None:
     """Held-out consistency: the polynomial must reproduce determinants at
     points that were not interpolation nodes."""
     d = family.d
     if family.kind == EXACT:
-        probe = tuple(family.size + 1 + j for j in range(d))
-        want = family.exact_det_at(probe)
-        got = poly.evaluate(probe)
-        if got != want:
+        probe = tuple(family.degree + 1 + j for j in range(d))
+        want = GaussianRational(*family.det_scaled_at(probe))
+        if poly.evaluate(probe) * family.den_power != want:
             raise InterpolationError("exact interpolation failed held-out check")
         return
     rng = np.random.default_rng(20240917)
-    half_width = family.size / 4.0
+    half_width = family.degree / 4.0
     for _ in range(4):
         pt = rng.uniform(-0.8 * half_width, 0.8 * half_width, size=d)
         want = family.float_det_single(pt)
@@ -271,6 +263,32 @@ def _validate_interpolation(family: _AffineFamily, poly: MultiPoly) -> None:
                 f"interpolated polynomial residual {abs(got - want):.3e} "
                 f"exceeds {HELD_OUT_RTOL:.1e} * {scale:.3e} at held-out point"
             )
+
+
+def _normalised(tuple_: HermitianTuple):
+    """(tuple_ / s, s), s the least power of two >= max ||X_j||_2 for float
+    tuples (the division is exact in binary) and 1 for exact ones."""
+    if tuple_.kind == EXACT:
+        return tuple_, 1
+    norm = max(operator_norm(x) for x in tuple_.matrices)
+    if norm == 0.0:
+        return tuple_, 1
+    s = 2.0 ** math.ceil(math.log2(norm))
+    return HermitianTuple([x / s for x in tuple_.matrices]), s
+
+
+def _rescaled(poly: MultiPoly, s, degree: int) -> MultiPoly:
+    """The polynomial of the tuple s * X from that of X, each coefficient
+    c_alpha times s^(degree - |alpha|)."""
+    return MultiPoly(
+        poly.nvars,
+        {e: c * s ** (degree - sum(e)) for e, c in poly.terms.items()},
+        poly.kind,
+    )
+
+
+# ---------------------------------------------------------------------------
+# public polynomials
 
 
 def _gamma_parts(tuple_: HermitianTuple, blocks) -> list:
@@ -290,22 +308,24 @@ def char_poly(
     """
     if rep is None:
         rep = rep_for(tuple_.d)
-    loc0 = build(tuple_, rep)
-    parts = _gamma_parts(tuple_, list(rep.gammas))
-    family = _AffineFamily(loc0.matrix, parts, tuple_.kind)
-    poly = _interpolate_affine(family, threads)
-    return _force_real_coeffs(poly)
+    t, s = _normalised(tuple_)
+    loc0 = build(t, rep)
+    parts = _gamma_parts(t, list(rep.gammas))
+    family = _AffineFamily(loc0.matrix, parts, t.kind)
+    poly = _force_real_coeffs(_interpolate(family, threads))
+    return _rescaled(poly, s, family.degree)
 
 
 def reduced_char_poly(tuple_: HermitianTuple, *, threads=None) -> MultiPoly:
     """det of the half-size localizer for d = 4 (complex coefficients)."""
     if tuple_.d != 4:
         raise ContractError("the reduced characteristic polynomial needs d = 4")
-    red0 = build_reduced(tuple_)
+    t, s = _normalised(tuple_)
+    red0 = build_reduced(t)
     blocks = list(standard_rep(4).off_diagonal_blocks)
-    parts = _gamma_parts(tuple_, blocks)
-    family = _AffineFamily(red0.matrix, parts, tuple_.kind)
-    return _interpolate_affine(family, threads)
+    parts = _gamma_parts(t, blocks)
+    family = _AffineFamily(red0.matrix, parts, t.kind)
+    return _rescaled(_interpolate(family, threads), s, family.degree)
 
 
 def _force_real_coeffs(poly: MultiPoly) -> MultiPoly:
@@ -326,17 +346,7 @@ def _force_real_coeffs(poly: MultiPoly) -> MultiPoly:
 
 
 def laplace_det_poly(tuple_: HermitianTuple) -> MultiPoly:
-    """det(sum_j (X_j - lambda_j)^2) as a polynomial (degree 2n per variable)."""
-    d = tuple_.d
-    m = 2 * tuple_.n
-    if tuple_.kind == EXACT:
-        values = np.empty((m + 1,) * d, dtype=object)
-        for node in itertools.product(range(m + 1), repeat=d):
-            values[node] = exact_determinant(laplace(tuple_, node))
-        return MultiPoly(d, _interp_terms_exact(values, m), EXACT)
-    nodes = _float_nodes(m)
-    grid = list(itertools.product(nodes, repeat=d))
-    dets = np.array([np.linalg.det(laplace(tuple_, pt)) for pt in grid])
-    det_cdd = dd.cdd_from_complex(dets)
-    terms = _interp_terms_cdd(det_cdd, d, m, nodes)
-    return MultiPoly(d, terms, FLOAT).pruned()
+    """det(sum_j (X_j - lambda_j)^2) as a polynomial (total degree 2n)."""
+    t, s = _normalised(tuple_)
+    family = _LaplaceFamily(t)
+    return _rescaled(_interpolate(family), s, family.degree)

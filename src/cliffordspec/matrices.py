@@ -91,10 +91,6 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def transpose(m: np.ndarray) -> np.ndarray:
-    return m.T.copy()
-
-
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     check_same_kind(a, b)
     # np.matmul rejects object dtype; np.dot handles both kinds.

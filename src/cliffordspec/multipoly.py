@@ -111,11 +111,6 @@ class MultiPoly:
             kind or self.kind,
         )
 
-    def real_part(self) -> "MultiPoly":
-        if self.kind == EXACT:
-            return self.map_coefficients(lambda c: GaussianRational(c.re))
-        return self.map_coefficients(lambda c: complex(c.real))
-
     def imag_part(self) -> "MultiPoly":
         if self.kind == EXACT:
             return self.map_coefficients(lambda c: GaussianRational(c.im))

@@ -1,5 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from cliffordspec.charpoly import char_poly, laplace_det_poly, reduced_char_poly
 from cliffordspec.errors import ContractError
@@ -7,6 +13,7 @@ from cliffordspec.gallery import (
     direct_sum_char_reference,
     even_odd,
     even_odd_reduced_reference,
+    fuzzy_sphere_5,
     gamma_reduced_reference,
     gamma_tuple,
     lemniscate,
@@ -14,11 +21,13 @@ from cliffordspec.gallery import (
     pauli,
     scaled_gamma_reduced_reference,
     sphere_char_reference,
+    sykora_two_torus,
     torus_quadruple,
 )
 from cliffordspec.localizer import build
-from cliffordspec.matrices import HermitianTuple, exact_matrix, float_matrix
-from cliffordspec.multipoly import poly_equal, variables
+from cliffordspec.matrices import HermitianTuple, exact_matrix, float_matrix, to_float
+from cliffordspec.multipoly import MultiPoly, poly_equal, variables
+from cliffordspec.scalars import GaussianRational
 from conftest import random_tuple
 
 
@@ -177,3 +186,92 @@ def test_single_float_matrix_matches_numpy_poly(rng):
         want = ((-1) ** 5) * np.polyval(np_coeffs, lam)
         got = p.evaluate([lam]).real
         assert abs(got - want.real) <= 1e-9 * max(1.0, abs(want))
+
+
+def test_laplace_det_poly_float_matches_exact():
+    t = pauli()
+    two = HermitianTuple([t.matrices[0], t.matrices[1]])
+    eq, disc = poly_equal(laplace_det_poly(two.as_float()), laplace_det_poly(two), tol=1e-9)
+    assert eq, disc
+
+
+@pytest.mark.parametrize(
+    "tuple_, poly_fn",
+    [
+        (torus_quadruple(4, exact=True), reduced_char_poly),
+        (fuzzy_sphere_5(), char_poly),
+        (sykora_two_torus(), char_poly),
+    ],
+    ids=["torus_quadruple4", "fuzzy_sphere_5", "sykora_two_torus"],
+)
+def test_float_matches_exact_across_scales(tuple_, poly_fn):
+    # the polynomial of c * X has coefficients c^(side - |alpha|) times
+    # those of X; pulled back by that factor, every coefficient is compared
+    # at its own scale, not only against the largest one
+    exact = poly_fn(tuple_)
+    side = exact.total_degree
+    for c in (0.01, 0.1, 1.0, 10.0, 100.0):
+        got = poly_fn(HermitianTuple([to_float(x) * c for x in tuple_.matrices]))
+        back = MultiPoly(
+            got.nvars,
+            {e: v / c ** (side - sum(e)) for e, v in got.terms.items()},
+            got.kind,
+        )
+        eq, disc = poly_equal(back, exact, tol=1e-9)
+        assert eq, (c, disc)
+
+
+_PAULI = (
+    sympy.Matrix([[0, 1], [1, 0]]),
+    sympy.Matrix([[0, -sympy.I], [sympy.I, 0]]),
+    sympy.Matrix([[1, 0], [0, -1]]),
+)
+_ENTRY = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@st.composite
+def _gaussian_rational_triples(draw):
+    n = draw(st.integers(1, 2))
+    mats = []
+    for _ in range(3):
+        rows = [[None] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = (draw(_ENTRY), 0)
+            for j in range(i + 1, n):
+                re, im = draw(_ENTRY), draw(_ENTRY)
+                rows[i][j] = (re, im)
+                rows[j][i] = (re, -im)
+        mats.append(exact_matrix(rows))
+    return HermitianTuple(mats)
+
+
+def _sympy_matrix(m):
+    n = m.shape[0]
+    return sympy.Matrix(
+        n, n, lambda i, j: sympy.Rational(m[i, j].re) + sympy.I * sympy.Rational(m[i, j].im)
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(_gaussian_rational_triples())
+def test_exact_char_poly_matches_sympy_determinant(t):
+    lams = sympy.symbols("l0:3")
+    eye = sympy.eye(t.n)
+    loc = sympy.zeros(2 * t.n)
+    for g, x, lam in zip(_PAULI, t.matrices, lams):
+        loc += sympy.kronecker_product(g, _sympy_matrix(x) - lam * eye)
+    dm = DomainMatrix.from_Matrix(loc)  # entries in QQ_I[l0, l1, l2]
+    oracle = sympy.Poly(dm.domain.to_sympy(dm.det()), *lams)
+    terms = {}
+    for expo, coeff in oracle.terms():
+        re, im = coeff.as_real_imag()
+        terms[expo] = GaussianRational(Fraction(str(re)), Fraction(str(im)))
+    eq, disc = poly_equal(char_poly(t), MultiPoly(3, terms))
+    assert eq, disc
+
+
+def test_full_gamma4_char_poly_is_reduced_modulus_squared():
+    t = gamma_tuple()
+    red = reduced_char_poly(t)
+    eq, disc = poly_equal(char_poly(t), red * red.map_coefficients(lambda c: c.conjugate()))
+    assert eq, disc
