@@ -1,15 +1,18 @@
 """Command-line front end.
 
 Subcommands cover the package's capabilities with deterministic file
-outputs.  Exit codes: 2 config/usage error, 3 numeric failure, 4 lambda on
-the spectrum, 5 symmetry violation, 6 certified inequality violated.
+outputs.  Exit codes: 2 config/usage error, 3 numeric or other failure
+inside a computation, 4 lambda on the spectrum, 5 symmetry violation, 6
+certified inequality violated.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
+import traceback
 from fractions import Fraction
 
 import numpy as np
@@ -52,6 +55,18 @@ class _CliError(Exception):
         self.code = code
 
 
+@contextlib.contextmanager
+def _config_errors(what: str):
+    """Report a malformed or unknown input as a config error (exit 2);
+    errors raised by the computations themselves are not caught here."""
+    try:
+        yield
+    except ContractError:
+        raise
+    except (LookupError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise _CliError(EXIT_CONFIG, f"{what}: {exc}") from exc
+
+
 def _parse_param(text: str):
     try:
         return int(text)
@@ -63,8 +78,13 @@ def _parse_param(text: str):
 
 
 def _load_config_file(path: str) -> HermitianTuple:
-    with open(path) as fh:
+    with open(path) as fh, _config_errors(path):
         doc = json.load(fh)
+    with _config_errors(path):
+        return _tuple_from_doc(doc)
+
+
+def _tuple_from_doc(doc) -> HermitianTuple:
     if "example" in doc:
         params = {k: _parse_param(str(v)) for k, v in doc.get("params", {}).items()}
         return named_example(doc["example"], **params).tuple
@@ -95,8 +115,10 @@ def _load_tuple(args) -> HermitianTuple:
             key, _, value = spec.partition("=")
             if not value:
                 raise _CliError(EXIT_CONFIG, f"malformed --param {spec!r}; use key=value")
-            params[key] = _parse_param(value)
-        return named_example(args.example, **params).tuple
+            with _config_errors(f"--param {spec!r}"):
+                params[key] = _parse_param(value)
+        with _config_errors(f"example {args.example!r}"):
+            return named_example(args.example, **params).tuple
     if getattr(args, "config", None):
         return _load_config_file(args.config)
     raise _CliError(EXIT_CONFIG, "provide a JSON config path or --example NAME")
@@ -108,7 +130,6 @@ def _add_tuple_args(sub):
     sub.add_argument(
         "--param", action="append", metavar="KEY=VALUE", help="example parameter"
     )
-    sub.add_argument("--threads", type=int, default=None, help="worker cap")
 
 
 def _cmd_list_examples(args) -> int:
@@ -122,9 +143,9 @@ def _cmd_charpoly(args) -> int:
     if args.reduced:
         if tup.d != 4:
             raise _CliError(EXIT_CONFIG, "--reduced needs a 4-tuple")
-        poly = reduced_char_poly(tup, threads=args.threads)
+        poly = reduced_char_poly(tup)
     else:
-        poly = char_poly(tup, threads=args.threads)
+        poly = char_poly(tup)
     text = to_text(poly)
     if args.out:
         with open(args.out, "w") as fh:
@@ -162,7 +183,8 @@ def _grid_spec_from_args(args, d: int) -> GridSpec:
         key, _, value = spec.partition("=")
         if not value:
             raise _CliError(EXIT_CONFIG, f"malformed --fix {spec!r}; use axis=value")
-        fixed[int(key)] = float(value)
+        with _config_errors(f"--fix {spec!r}"):
+            fixed[int(key)] = float(value)
     lo, hi = args.range
     return GridSpec.cube(d, lo, hi, args.res, fixed)
 
@@ -251,6 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         sp = subs.add_parser(name, help=help_text)
         _add_tuple_args(sp)
+        sp.add_argument("--threads", type=int, default=None, help="worker cap")
         sp.add_argument("--range", nargs=2, type=float, default=(-2.0, 2.0))
         sp.add_argument("--res", type=int, default=41)
         sp.add_argument("--indicator", choices=INDICATORS, default=SIGMA_MIN)
@@ -260,6 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("grid", help="raw indicator field (CSV)")
     _add_tuple_args(sp)
+    sp.add_argument("--threads", type=int, default=None, help="worker cap")
     sp.add_argument("--range", nargs=2, type=float, default=(-2.0, 2.0))
     sp.add_argument("--res", type=int, default=21)
     sp.add_argument("--indicator", choices=INDICATORS, default=SIGMA_MIN)
@@ -305,19 +329,18 @@ def main(argv=None) -> int:
     except TheoremViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_THEOREM
-    except InterpolationError as exc:
+    except (InterpolationError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ZeroDivisionError as exc:
-        # malformed fractions like "1/0" are config errors
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # input errors were turned into _CliError where they were parsed, so
+        # anything else is a failure inside a computation
+        traceback.print_exc()
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -16,7 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .matrices import FLOAT, dagger, exact_eye, exact_matrix, kind_of, kron, matmul, to_float
+from .matrices import (
+    FLOAT,
+    dagger,
+    exact_eye,
+    exact_matrix,
+    kind_of,
+    kron,
+    matmul,
+    max_abs,
+    to_float,
+)
 from .scalars import GaussianRational
 
 # Pauli matrices, exact kind.
@@ -140,13 +150,6 @@ def rep_for(d: int) -> GammaRep:
     return standard_rep(d) if d <= 4 else generated_rep(d)
 
 
-def _max_abs(m: np.ndarray) -> float:
-    worst = 0.0
-    for e in m.reshape(-1):
-        worst = max(worst, abs(e.to_complex()) if isinstance(e, GaussianRational) else abs(e))
-    return worst
-
-
 def validate(rep: GammaRep, float_tol: float = 1e-12) -> RelationReport:
     """Check Hermiticity, involution, and pairwise anticommutation.
 
@@ -158,21 +161,21 @@ def validate(rep: GammaRep, float_tol: float = 1e-12) -> RelationReport:
     cut = float_tol if is_float else 0.0
     eye = np.eye(rep.g, dtype=complex) if is_float else exact_eye(rep.g)
     for j, gm in enumerate(rep.gammas):
-        h = _max_abs(gm - dagger(gm))
+        h = max_abs(gm - dagger(gm))
         if h > cut:
             bad.append(RelationViolation("hermitian", (j,), h))
-        s = _max_abs(matmul(gm, gm) - eye)
+        s = max_abs(matmul(gm, gm) - eye)
         if s > cut:
             bad.append(RelationViolation("involution", (j,), s))
     for j in range(rep.d):
         for k in range(j + 1, rep.d):
             a = matmul(rep.gammas[j], rep.gammas[k]) + matmul(rep.gammas[k], rep.gammas[j])
-            m = _max_abs(a)
+            m = max_abs(a)
             if m > cut:
                 bad.append(RelationViolation("anticommutation", (j, k), m))
     if rep.off_diagonal_blocks is not None and not is_float:
         for j, (gm, blk) in enumerate(zip(rep.gammas, rep.off_diagonal_blocks)):
-            m = _max_abs(gm - _embed_off_diagonal(blk))
+            m = max_abs(gm - _embed_off_diagonal(blk))
             if m:
                 bad.append(RelationViolation("off_diagonal_split", (j,), m))
     return RelationReport(tuple(bad))

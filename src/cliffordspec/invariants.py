@@ -31,6 +31,7 @@ from .matrices import (
     kind_of,
     kron,
     matmul,
+    max_abs,
     to_float,
 )
 from .scalars import GaussianRational
@@ -132,25 +133,13 @@ def dual(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _defect(m: np.ndarray) -> float:
-    if kind_of(m) == EXACT:
-        return max((abs(e.to_complex()) for e in m.reshape(-1)), default=0.0)
-    return float(np.max(np.abs(m))) if m.size else 0.0
-
-
-def _scale(m: np.ndarray) -> float:
-    if kind_of(m) == EXACT:
-        return max((abs(e.to_complex()) for e in m.reshape(-1)), default=0.0) or 1.0
-    return float(np.max(np.abs(m))) or 1.0
-
-
 def _check_flag(m: np.ndarray, flag: str, grading) -> float:
     if flag == "symmetric":
-        return _defect(m - m.T)
+        return max_abs(m - m.T)
     if flag == "anti-symmetric":
-        return _defect(m + m.T)
+        return max_abs(m + m.T)
     if flag == "self-dual":
-        return _defect(m - dual(m))
+        return max_abs(m - dual(m))
     if flag in ("even", "odd"):
         if grading is None:
             raise ContractError("even/odd flags need a grading matrix")
@@ -159,7 +148,7 @@ def _check_flag(m: np.ndarray, flag: str, grading) -> float:
         )
         mg = matmul(m, g)
         gm = matmul(g, m)
-        return _defect(mg - gm) if flag == "even" else _defect(mg + gm)
+        return max_abs(mg - gm) if flag == "even" else max_abs(mg + gm)
     raise ContractError(f"unknown symmetry flag {flag!r}")
 
 
@@ -169,7 +158,7 @@ def validate_symmetry(tuple_: HermitianTuple, profile: SymmetryProfile) -> Symme
         raise ContractError("profile must carry one flag set per matrix")
     results = []
     for k, (m, flags) in enumerate(zip(tuple_.matrices, profile.flags)):
-        scale = _scale(m)
+        scale = max_abs(m) or 1.0
         for flag in sorted(flags):
             v = _check_flag(m, flag, profile.grading)
             ok = v == 0.0 if tuple_.kind == EXACT else v <= FLAG_RTOL * scale

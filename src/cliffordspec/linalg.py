@@ -78,12 +78,19 @@ def signature(m: np.ndarray, tol: float | None = None) -> int:
 # determinants
 
 
+def _common_denominator(mats) -> int:
+    """lcm of the entry denominators of exact matrices."""
+    den = 1
+    for mat in mats:
+        for e in mat.reshape(-1):
+            den = math.lcm(den, e.re.denominator, e.im.denominator)
+    return den
+
+
 def _scale_to_gaussian_integers(m: np.ndarray):
     """Return (den, re_rows, im_rows) with den*m having integer entries."""
     n = m.shape[0]
-    den = 1
-    for e in m.reshape(-1):
-        den = math.lcm(den, e.re.denominator, e.im.denominator)
+    den = _common_denominator((m,))
     re_rows = [[int(m[i, j].re * den) for j in range(n)] for i in range(n)]
     im_rows = [[int(m[i, j].im * den) for j in range(n)] for i in range(n)]
     return den, re_rows, im_rows

@@ -122,15 +122,16 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return matmul(a, b) - matmul(b, a)
 
 
+def max_abs(m: np.ndarray) -> float:
+    """Largest entry magnitude as a float, 0.0 for an empty matrix."""
+    if kind_of(m) == FLOAT:
+        return float(np.max(np.abs(m))) if m.size else 0.0
+    return max((abs(e.to_complex()) for e in m.reshape(-1)), default=0.0)
+
+
 def hermiticity_defect(m: np.ndarray) -> float:
     """Max |M - M*| entry, as a float (exact matrices measured exactly)."""
-    d = m - dagger(m)
-    if kind_of(m) == FLOAT:
-        return float(np.max(np.abs(d))) if d.size else 0.0
-    worst = 0.0
-    for e in d.reshape(-1):
-        worst = max(worst, abs(e.to_complex()))
-    return worst
+    return max_abs(m - dagger(m))
 
 
 def is_hermitian(m: np.ndarray) -> bool:

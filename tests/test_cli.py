@@ -264,3 +264,28 @@ def test_threads_env_fallback(monkeypatch):
     assert worker_count(2) == 2
     monkeypatch.delenv("CLIFFORDSPEC_THREADS")
     assert worker_count(None) >= 1
+
+
+def test_error_inside_computation_exits_3(monkeypatch, capsys):
+    from cliffordspec import cli
+
+    def broken(*args, **kwargs):
+        raise TypeError("internal fault")
+
+    monkeypatch.setattr(cli, "char_poly", broken)
+    code, _, err = run(capsys, "charpoly", "--example", "pauli")
+    assert code == 3
+    assert "internal fault" in err
+
+
+def test_unknown_example_param_exits_2(capsys):
+    code, _, _ = run(capsys, "charpoly", "--example", "bad_plot", "--param", "nope=1")
+    assert code == 2
+
+
+def test_malformed_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    for text in ("{", '{"kind": "exact"}', '{"matrices": [[["x"]]]}'):
+        path.write_text(text)
+        code, _, _ = run(capsys, "charpoly", str(path))
+        assert code == 2, text
