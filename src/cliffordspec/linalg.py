@@ -193,24 +193,37 @@ def _pfaffian_expand(m: np.ndarray, rows: list) -> GaussianRational:
     return total
 
 
-def _pfaffian_parlett_reid(m: np.ndarray) -> complex:
-    a = np.array(m, dtype=complex)
-    n = a.shape[0]
-    value = 1.0 + 0.0j
+def _pfaffian_parlett_reid(a: np.ndarray) -> np.ndarray:
+    """Pfaffians of a (B, n, n) complex skew stack by Parlett-Reid with partial
+    pivoting, overwriting the stack.  The product is kept in real and imaginary
+    parts: numpy's complex array multiply can differ in the last bit from the
+    scalar one.  Members with a zero pivot get 0 and divide by 1 from then on."""
+    b, n = a.shape[0], a.shape[1]
+    members = np.arange(b)
+    re, im = np.ones(b), np.zeros(b)
+    singular = np.zeros(b, dtype=bool)
     for k in range(0, n - 1, 2):
-        pivot_row = k + 1 + int(np.argmax(np.abs(a[k + 1 :, k])))
-        if pivot_row != k + 1:
-            a[[k + 1, pivot_row], :] = a[[pivot_row, k + 1], :]
-            a[:, [k + 1, pivot_row]] = a[:, [pivot_row, k + 1]]
-            value = -value
-        if a[k + 1, k] == 0:
-            return 0.0j
-        value *= a[k, k + 1]
+        pivot_row = k + 1 + np.argmax(np.abs(a[:, k + 1 :, k]), axis=1)
+        swap = pivot_row != k + 1
+        if swap.any():
+            a[members, pivot_row], a[:, k + 1] = a[:, k + 1].copy(), a[members, pivot_row]
+            a[members, :, pivot_row], a[..., k + 1] = a[..., k + 1].copy(), a[members, :, pivot_row]
+            np.negative(re, out=re, where=swap)
+            np.negative(im, out=im, where=swap)
+        pivot = a[:, k + 1, k]
+        singular |= pivot == 0
+        top_re, top_im = a[:, k, k + 1].real, a[:, k, k + 1].imag
+        re, im = re * top_re - im * top_im, re * top_im + im * top_re
         if k + 2 < n:
-            tau = a[k + 2 :, k] / a[k + 1, k]
-            col = a[k + 2 :, k + 1]
-            a[k + 2 :, k + 2 :] += np.outer(tau, col) - np.outer(col, tau)
-    return complex(value)
+            tau = a[:, k + 2 :, k] / np.where(singular, 1.0, pivot)[:, None]
+            col = a[:, k + 2 :, k + 1].copy()
+            update = tau[:, :, None] * col[:, None, :]
+            update -= col[:, :, None] * tau[:, None, :]
+            a[:, k + 2 :, k + 2 :] += update
+    out = re.astype(complex)
+    out.imag = im
+    out[singular] = 0.0
+    return out
 
 
 def pfaffian(m: np.ndarray):
@@ -225,4 +238,4 @@ def pfaffian(m: np.ndarray):
                 "exact pfaffian limited to side <= 12; use the float path"
             )
         return _pfaffian_expand(m, list(range(n)))
-    return _pfaffian_parlett_reid(m)
+    return complex(_pfaffian_parlett_reid(np.array(m, dtype=complex)[None])[0])

@@ -13,19 +13,22 @@ Three indicator fields are supported:
 
 Isosurfaces use marching tetrahedra on the Kuhn 6-tetrahedron cube split:
 the split tiles space consistently, has no ambiguous cases, and closed
-level sets yield closed meshes.
+level sets yield closed meshes.  Every stage runs on whole arrays: fields
+per chunk of grid nodes (Pfaffians by a stacked Parlett-Reid), crossed
+edges from a 6 x 16 case table, one vertex per grid edge numbered by first
+encounter, and topology from unique-edge and component-label arrays.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cliffordrep import GammaRep, rep_for
 from .errors import ContractError, SymmetryError
-from .invariants import _conjugation_unitary, require_self_dual_triple
+from .invariants import SKEW_CHECK_RTOL, _conjugation_unitary, require_self_dual_triple
 from .linalg import _pfaffian_parlett_reid, operator_norm
 from .localizer import build
 from .matrices import HermitianTuple, kron
@@ -98,37 +101,35 @@ class SpectrumMesh:
     @property
     def is_closed(self) -> bool:
         """Every edge borders exactly two triangles."""
-        if len(self.triangles) == 0:
-            return True
-        counts: dict = {}
-        for tri in self.triangles:
-            for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[0], tri[2])):
-                key = (min(a, b), max(a, b))
-                counts[key] = counts.get(key, 0) + 1
-        return all(c == 2 for c in counts.values())
+        _, counts = _edge_counts(self.triangles)
+        return bool(np.all(counts == 2))
+
+
+def _edge_counts(triangles: np.ndarray):
+    """Unique undirected edges of a triangle list, as (lo, hi), and their triangle counts."""
+    tris = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
+    a = tris[:, [0, 1, 0]].reshape(-1)
+    b = tris[:, [1, 2, 2]].reshape(-1)
+    base = int(tris.max()) + 1 if tris.size else 1
+    keys, counts = np.unique(np.minimum(a, b) * base + np.maximum(a, b), return_counts=True)
+    return np.divmod(keys, base), counts
 
 
 def _lambda_grid(spec: GridSpec, d: int) -> np.ndarray:
     """All grid nodes as an (N, d) array, row-major in axis order."""
-    axis_nodes = [a.nodes() for a in spec.axes]
-    mesh = np.array(list(itertools.product(*axis_nodes)))
-    out = np.zeros((mesh.shape[0], d))
-    for value_col, axis in enumerate(spec.axes):
-        out[:, axis.index] = mesh[:, value_col]
+    out = np.zeros((math.prod(a.count for a in spec.axes), d))
+    columns = np.meshgrid(*[a.nodes() for a in spec.axes], indexing="ij")
+    for axis, column in zip(spec.axes, columns):
+        out[:, axis.index] = column.reshape(-1)
     for i, v in spec.fixed:
         out[:, i] = v
     return out
 
 
-def _field_det_sign(l0, parts, lam):
-    mats = l0[None, :, :] - np.tensordot(lam, parts, axes=(1, 0))
-    return np.linalg.det(mats).real
-
-
-def _field_sigma_min(l0, parts, lam):
-    mats = l0[None, :, :] - np.tensordot(lam, parts, axes=(1, 0))
-    eigs = np.linalg.eigvalsh(mats)
-    return np.min(np.abs(eigs), axis=1)
+def _pencil(l0, parts, lam):
+    """L_0 - sum_j lambda_j P_j for each row of lam, in one buffer."""
+    mats = np.tensordot(lam, parts, axes=(1, 0))
+    return np.subtract(l0[None], mats, out=mats)
 
 
 def sample(
@@ -165,31 +166,31 @@ def sample(
         # reduces to skewness of the constant part and each lambda slope
         for m in (a0, *bj):
             scale = float(np.max(np.abs(m))) or 1.0
-            if float(np.max(np.abs(m + m.T))) > 1e-10 * scale:
+            if float(np.max(np.abs(m + m.T))) > SKEW_CHECK_RTOL * scale:
                 raise SymmetryError(
                     "conjugated localizer is not skew-symmetric; "
                     "the pfaffian indicator needs the standard triple representation"
                 )
 
         def run(chunk):
-            out = np.empty(chunk.shape[0])
-            for i, point in enumerate(chunk):
-                skew = a0.copy()
-                for j in range(d):
-                    if point[j]:
-                        skew = skew - point[j] * bj[j]
-                out[i] = _pfaffian_parlett_reid(skew).real
-            return out
+            skew = np.repeat(a0[None], chunk.shape[0], axis=0)
+            step = np.empty_like(skew)
+            for j in range(d):
+                # lambda_j == 0 leaves a0 as it is, signed zeros included
+                np.multiply(chunk[:, j, None, None], bj[j], out=step)
+                np.subtract(skew, step, out=skew, where=chunk[:, j, None, None] != 0)
+            del step  # freed before the elimination allocates its own
+            return _pfaffian_parlett_reid(skew).real
 
     elif indicator == DET_SIGN:
 
         def run(chunk):
-            return _field_det_sign(l0, parts, chunk)
+            return np.linalg.det(_pencil(l0, parts, chunk)).real
 
     else:
 
         def run(chunk):
-            return _field_sigma_min(l0, parts, chunk)
+            return np.min(np.abs(np.linalg.eigvalsh(_pencil(l0, parts, chunk))), axis=1)
 
     chunks = [lam[i : i + _CHUNK] for i in range(0, lam.shape[0], _CHUNK)]
     pieces = ordered_chunk_map(run, chunks, threads)
@@ -234,6 +235,29 @@ _CORNERS = np.array(
 _TETS = ((0, 1, 2, 6), (0, 2, 3, 6), (0, 3, 7, 6), (0, 7, 4, 6), (0, 4, 5, 6), (0, 5, 1, 6))
 
 
+def _case_table() -> np.ndarray:
+    """Per tet and 4-bit code (bit m set: tet corner m has f > 0), the
+    crossed edges as cube-corner pairs in encounter order, padded to 4: the
+    inside corners times the outside ones, the lone corner first when three
+    are inside."""
+    edges = np.zeros((len(_TETS), 16, 4, 2), dtype=np.int8)
+    for t, tet in enumerate(_TETS):
+        for code in range(1, 15):
+            ins = [c for m, c in enumerate(tet) if code >> m & 1]
+            outs = [c for c in tet if c not in ins]
+            if len(ins) == 3:
+                ins, outs = outs, ins
+            pairs = [(a, c) for a in ins for c in outs]
+            edges[t, code, : len(pairs)] = pairs
+    return edges
+
+
+_CASE_EDGES = _case_table()
+_CASE_EDGE_COUNT = np.array([(0, 3, 4, 3, 0)[bin(code).count("1")] for code in range(16)])
+# triangles as edge-list positions by list length less 3: (ac, ad, bd), (ac, bd, bc)
+_CASE_TRIANGLES = np.array([[[0, 1, 2], [0, 0, 0]], [[0, 1, 3], [0, 3, 2]]])
+
+
 def default_level(grid: SpectrumGrid) -> float:
     if grid.indicator == SIGMA_MIN:
         return SIGMA_MIN_LEVEL_FACTOR * grid.reference_norm
@@ -243,95 +267,66 @@ def default_level(grid: SpectrumGrid) -> float:
 def extract_isosurface(grid: SpectrumGrid, level: float | None = None) -> SpectrumMesh:
     """Triangulate {field = level}.  An empty mesh is a valid result (the
     null plot); for sigma-min fields the default level is a small positive
-    threshold since the field itself is nonnegative."""
+    threshold since the field itself is nonnegative.
+
+    Vertices are numbered in the order in which a walk over the candidate
+    cubes (row-major), their six tets and each case's edge list first meets
+    them.  A vertex on the grid edge from node a to node b, a the one with
+    the lower row-major index, lies at a + t (b - a), t = f(a) / (f(a) - f(b)).
+    """
     if len(grid.spec.axes) != 3:
         raise ContractError("isosurface extraction needs 3 sampled axes")
     if level is None:
         level = default_level(grid)
-    vals = grid.values
-    nx, ny, nz = vals.shape
-    axes_nodes = [a.nodes() for a in grid.spec.axes]
+    f = grid.values - level
+    nx, ny, nz = f.shape
+    flat_f = f.reshape(-1)
 
-    f = vals - level
     # candidate cubes: those whose corner values straddle 0
-    stack = np.stack(
-        [
-            f[dx : nx - 1 + dx, dy : ny - 1 + dy, dz : nz - 1 + dz]
-            for dx, dy, dz in _CORNERS
-        ]
-    )
-    cmin = stack.min(axis=0)
-    cmax = stack.max(axis=0)
+    views = [f[dx : nx - 1 + dx, dy : ny - 1 + dy, dz : nz - 1 + dz] for dx, dy, dz in _CORNERS]
+    cmin, cmax = views[0].copy(), views[0].copy()
+    for view in views[1:]:
+        np.minimum(cmin, view, out=cmin)
+        np.maximum(cmax, view, out=cmax)
     cand = np.argwhere((cmin <= 0.0) & (cmax > 0.0))
 
-    verts: list = []
-    vert_ids: dict = {}
-    tris: list = []
+    # row-major node index of each candidate cube's corners; each tet's code
+    offsets = (_CORNERS[:, 0] * ny + _CORNERS[:, 1]) * nz + _CORNERS[:, 2]
+    nodes = ((cand[:, 0] * ny + cand[:, 1]) * nz + cand[:, 2])[:, None] + offsets
+    codes = (flat_f[nodes] > 0.0)[:, _TETS] @ (1 << np.arange(4))
 
-    def node_flat(i, j, k):
-        return (i * ny + j) * nz + k
+    # crossed (cube, tet) pairs in walk order, and their edges as node pairs
+    cube, tet = np.nonzero(_CASE_EDGE_COUNT[codes])
+    code = codes[cube, tet]
+    n_edges = _CASE_EDGE_COUNT[code]
+    used = np.arange(4) < n_edges[:, None]
+    corners = _CASE_EDGES[tet, code]
+    ends = [nodes[cube[:, None], corners[:, :, e]][used] for e in (0, 1)]
+    lo, hi = np.minimum(*ends), np.maximum(*ends)
 
-    def edge_vertex(ca, cb, fa, fb):
-        key_a = node_flat(*ca)
-        key_b = node_flat(*cb)
-        if key_a > key_b:
-            key_a, key_b = key_b, key_a
-            ca, cb = cb, ca
-            fa, fb = fb, fa
-        key = (key_a, key_b)
-        hit = vert_ids.get(key)
-        if hit is not None:
-            return hit
-        t = fa / (fa - fb)
-        pos = tuple(
-            axes_nodes[m][ca[m]] + t * (axes_nodes[m][cb[m]] - axes_nodes[m][ca[m]])
-            for m in range(3)
-        )
-        vert_ids[key] = len(verts)
-        verts.append(pos)
-        return vert_ids[key]
+    # one vertex per grid edge, numbered by first encounter
+    _, first, inverse = np.unique(lo * f.size + hi, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.argsort(order)
+    slot_vertex = np.zeros(used.shape, dtype=np.int64)
+    slot_vertex[used] = rank[inverse]
 
-    for ci, cj, ck in cand:
-        corner_cells = [(ci + dx, cj + dy, ck + dz) for dx, dy, dz in _CORNERS]
-        fvals = [f[c] for c in corner_cells]
-        for tet in _TETS:
-            pos_side = [fvals[t] > 0.0 for t in tet]
-            n_pos = sum(pos_side)
-            if n_pos in (0, 4):
-                continue
-            ins = [tet[m] for m in range(4) if pos_side[m]]
-            outs = [tet[m] for m in range(4) if not pos_side[m]]
+    va, vb = lo[first[order]], hi[first[order]]
+    t = flat_f[va] / (flat_f[va] - flat_f[vb])
+    ia, ib = np.unravel_index(va, f.shape), np.unravel_index(vb, f.shape)
+    vertices = np.zeros((len(va), 3))
+    for m, axis in enumerate(grid.spec.axes):
+        x = axis.nodes()
+        vertices[:, m] = x[ia[m]] + t * (x[ib[m]] - x[ia[m]])
 
-            def ev(a, b):
-                return edge_vertex(
-                    corner_cells[a], corner_cells[b], fvals[a], fvals[b]
-                )
-
-            if n_pos == 1 or n_pos == 3:
-                lone, others = (
-                    (ins[0], outs) if n_pos == 1 else (outs[0], ins)
-                )
-                tris.append(
-                    (ev(lone, others[0]), ev(lone, others[1]), ev(lone, others[2]))
-                )
-            else:
-                a, b = ins
-                c, d = outs
-                v_ac, v_ad = ev(a, c), ev(a, d)
-                v_bc, v_bd = ev(b, c), ev(b, d)
-                tris.append((v_ac, v_ad, v_bd))
-                tris.append((v_ac, v_bd, v_bc))
-
-    vertices = np.array(verts) if verts else np.zeros((0, 3))
-    triangles = []
-    for tri in tris:
-        if len(set(tri)) < 3:
-            continue
-        p0, p1, p2 = vertices[list(tri)]
-        area = 0.5 * np.linalg.norm(np.cross(p1 - p0, p2 - p0))
-        if area > DEGENERATE_AREA:
-            triangles.append(tri)
-    triangles = np.array(triangles, dtype=int) if triangles else np.zeros((0, 3), dtype=int)
+    local = _CASE_TRIANGLES[n_edges - 3]
+    tris = slot_vertex[np.arange(len(code))[:, None, None], local]
+    tris = tris[np.arange(2) < (n_edges - 2)[:, None]]
+    p0, p1, p2 = (vertices[tris[:, k]] for k in range(3))
+    cross = np.cross(p1 - p0, p2 - p0)
+    # row dot products round like np.linalg.norm of one vector; norm(axis=1) does not
+    area = 0.5 * np.sqrt((cross[:, None, :] @ cross[:, :, None]).reshape(-1))
+    triangles = tris[area > DEGENERATE_AREA]
 
     channel = None
     if grid.spec.fixed:
@@ -346,26 +341,24 @@ def mesh_topology(mesh: SpectrumMesh):
 
     For clean sign-indicator contours this identifies the surface: a sphere
     has characteristic 2, a genus-g surface 2 - 2g.  Thin sigma-min shells
-    below grid resolution do not produce meaningful numbers.
+    below grid resolution do not produce meaningful numbers.  A vertex that
+    no triangle uses is a component of its own.
     """
     v_count = len(mesh.vertices)
-    parent = list(range(v_count))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    edges = set()
-    for tri in mesh.triangles:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[0], tri[2])):
-            edges.add((min(a, b), max(a, b)))
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-    components = len({find(i) for i in range(v_count)})
-    chi = v_count - len(edges) + len(mesh.triangles)
+    (a, b), counts = _edge_counts(mesh.triangles)
+    # each vertex takes the least label at its edges, then its label's label,
+    # until nothing changes: one root label per component
+    label = np.arange(v_count)
+    while True:
+        step = label.copy()
+        np.minimum.at(step, a, label[b])
+        np.minimum.at(step, b, label[a])
+        step = step[step]
+        if np.array_equal(step, label):
+            break
+        label = step
+    components = int(np.count_nonzero(label == np.arange(v_count)))
+    chi = v_count - len(counts) + len(mesh.triangles)
     return chi, components
 
 
@@ -449,18 +442,11 @@ def export_grid_csv(grid: SpectrumGrid, path) -> None:
     """CSV of every node, row-major in axis order, 17 significant digits."""
     d = len(grid.spec.axes) + len(grid.spec.fixed)
     header = ",".join([f"l{i + 1}" for i in range(d)] + ["value"])
-    axis_nodes = [a.nodes() for a in grid.spec.axes]
-    flat = grid.values.reshape(-1)
+    lam = _lambda_grid(grid.spec, d)
     try:
         with open(path, "w") as fh:
             fh.write(header + "\n")
-            for row_idx, combo in enumerate(itertools.product(*axis_nodes)):
-                lam = [0.0] * d
-                for axis, value in zip(grid.spec.axes, combo):
-                    lam[axis.index] = value
-                for i, v in grid.spec.fixed:
-                    lam[i] = v
-                cells = [_fmt(v) for v in lam] + [_fmt(flat[row_idx])]
-                fh.write(",".join(cells) + "\n")
+            for row, value in zip(lam, grid.values.reshape(-1)):
+                fh.write(",".join([_fmt(v) for v in row] + [_fmt(value)]) + "\n")
     except OSError as exc:
         raise OSError(f"writing CSV to {path}: {exc}") from exc

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cliffordspec.matrices import HermitianTuple, float_matrix
+
+# property tests run a fixed example sequence with no per-example deadline,
+# so a slow or busy host cannot make them flake
+settings.register_profile("cliffordspec", deadline=None, derandomize=True)
+settings.load_profile("cliffordspec")
 
 
 def random_hermitian(rng, n):

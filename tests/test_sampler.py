@@ -2,6 +2,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cliffordspec.charpoly import reduced_char_poly
 from cliffordspec.errors import ContractError
@@ -14,7 +17,12 @@ from cliffordspec.gallery import (
     torus_quadruple,
     torus_triple,
 )
-from cliffordspec.linalg import operator_norm, smallest_eigen_magnitude
+from cliffordspec.linalg import (
+    _pfaffian_parlett_reid,
+    operator_norm,
+    pfaffian,
+    smallest_eigen_magnitude,
+)
 from cliffordspec.localizer import build
 from cliffordspec.sampler import (
     DET_SIGN,
@@ -22,6 +30,8 @@ from cliffordspec.sampler import (
     PFAFFIAN_SIGN,
     SIGMA_MIN,
     AxisSpec,
+    SpectrumGrid,
+    default_level,
     export_grid_csv,
     export_mesh_obj,
     extract_isosurface,
@@ -30,6 +40,7 @@ from cliffordspec.sampler import (
     slice_4d,
     torus_radius_profile,
     SpectrumMesh,
+    mesh_topology,
 )
 
 
@@ -304,3 +315,248 @@ def test_mesh_topology_sphere_and_genus_two():
         sample(self_dual_path(0), GridSpec.cube(3, -1.5, 1.5, 41), PFAFFIAN_SIGN), 0.0
     )
     assert mesh_topology(pf_sphere) == (2, 1)
+
+
+# ---------------------------------------------------------------------------
+# reference implementations: the per-cube and per-matrix loops that the
+# array code replaced; the array code must reproduce them bit for bit
+
+_CORNERS = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)]
+_TETS = ((0, 1, 2, 6), (0, 2, 3, 6), (0, 3, 7, 6), (0, 7, 4, 6), (0, 4, 5, 6), (0, 5, 1, 6))
+
+
+def _extract_loop(grid, level):
+    vals = grid.values
+    nx, ny, nz = vals.shape
+    axes_nodes = [a.nodes() for a in grid.spec.axes]
+    f = vals - level
+    stack = np.stack(
+        [f[dx : nx - 1 + dx, dy : ny - 1 + dy, dz : nz - 1 + dz] for dx, dy, dz in _CORNERS]
+    )
+    cand = np.argwhere((stack.min(axis=0) <= 0.0) & (stack.max(axis=0) > 0.0))
+    verts, vert_ids, tris = [], {}, []
+
+    def edge_vertex(ca, cb, fa, fb):
+        key_a = (ca[0] * ny + ca[1]) * nz + ca[2]
+        key_b = (cb[0] * ny + cb[1]) * nz + cb[2]
+        if key_a > key_b:
+            key_a, key_b, ca, cb, fa, fb = key_b, key_a, cb, ca, fb, fa
+        if (key_a, key_b) not in vert_ids:
+            t = fa / (fa - fb)
+            verts.append(
+                tuple(
+                    axes_nodes[m][ca[m]] + t * (axes_nodes[m][cb[m]] - axes_nodes[m][ca[m]])
+                    for m in range(3)
+                )
+            )
+            vert_ids[(key_a, key_b)] = len(verts) - 1
+        return vert_ids[(key_a, key_b)]
+
+    for ci, cj, ck in cand:
+        cells = [(ci + dx, cj + dy, ck + dz) for dx, dy, dz in _CORNERS]
+        fvals = [f[c] for c in cells]
+        for tet in _TETS:
+            ins = [c for c in tet if fvals[c] > 0.0]
+            outs = [c for c in tet if not fvals[c] > 0.0]
+
+            def ev(a, b):
+                return edge_vertex(cells[a], cells[b], fvals[a], fvals[b])
+
+            if len(ins) in (1, 3):
+                lone, others = (ins[0], outs) if len(ins) == 1 else (outs[0], ins)
+                tris.append(tuple(ev(lone, o) for o in others))
+            elif len(ins) == 2:
+                (a, b), (c, d) = ins, outs
+                v_ac, v_ad, v_bc, v_bd = ev(a, c), ev(a, d), ev(b, c), ev(b, d)
+                tris += [(v_ac, v_ad, v_bd), (v_ac, v_bd, v_bc)]
+    vertices = np.array(verts) if verts else np.zeros((0, 3))
+    kept = []
+    for tri in tris:
+        p0, p1, p2 = vertices[list(tri)]
+        if len(set(tri)) == 3 and 0.5 * np.linalg.norm(np.cross(p1 - p0, p2 - p0)) > 1e-12:
+            kept.append(tri)
+    return vertices, np.array(kept, dtype=int).reshape(-1, 3)
+
+
+def _pfaffian_loop(m):
+    a = np.array(m, dtype=complex)
+    n = a.shape[0]
+    value = 1.0 + 0.0j
+    for k in range(0, n - 1, 2):
+        pivot_row = k + 1 + int(np.argmax(np.abs(a[k + 1 :, k])))
+        if pivot_row != k + 1:
+            a[[k + 1, pivot_row], :] = a[[pivot_row, k + 1], :]
+            a[:, [k + 1, pivot_row]] = a[:, [pivot_row, k + 1]]
+            value = -value
+        if a[k + 1, k] == 0:
+            return 0.0j
+        value *= a[k, k + 1]
+        if k + 2 < n:
+            tau = a[k + 2 :, k] / a[k + 1, k]
+            col = a[k + 2 :, k + 1]
+            a[k + 2 :, k + 2 :] += np.outer(tau, col) - np.outer(col, tau)
+    return complex(value)
+
+
+def _assert_same_mesh(mesh, vertices, triangles):
+    assert mesh.vertices.shape == vertices.shape
+    assert mesh.vertices.tobytes() == vertices.tobytes()  # signed zeros too
+    assert np.array_equal(mesh.triangles, triangles)
+
+
+# values with exact ties at both levels, signed zeros and arbitrary floats
+_FIELD_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, 2.0]),
+    st.floats(-4.0, 4.0, allow_nan=False),
+)
+
+
+@st.composite
+def _grids(draw):
+    shape = tuple(draw(st.integers(2, 5)) for _ in range(3))
+    values = draw(arrays(np.float64, shape, elements=_FIELD_VALUES))
+    fixed = draw(st.sampled_from([None, 0, 3]))
+    indices = [i for i in range(4) if i != fixed] if fixed is not None else [0, 1, 2]
+    axes = []
+    for index, count in zip(indices, shape):
+        lo = draw(st.floats(-3.0, 1.0))
+        # micro-sized axes put triangle areas near DEGENERATE_AREA (1e-12)
+        span = draw(st.one_of(st.floats(0.25, 4.0), st.sampled_from([2e-6, 5e-6])))
+        axes.append(AxisSpec(index, lo, lo + span, count))
+    fixed_coords = () if fixed is None else ((fixed, draw(st.floats(-1.0, 1.0))),)
+    return SpectrumGrid(GridSpec(tuple(axes), fixed_coords), DET_SIGN, values, 1.0)
+
+
+@settings(max_examples=150)
+@given(_grids(), st.sampled_from([0.0, 0.5, -0.0]))
+def test_extract_isosurface_matches_per_cube_loop(grid, level):
+    mesh = extract_isosurface(grid, level)
+    _assert_same_mesh(mesh, *_extract_loop(grid, level))
+    assert mesh.axis_indices == tuple(a.index for a in grid.spec.axes)
+    if grid.spec.fixed:
+        assert np.array_equal(mesh.channel, np.full(len(mesh.vertices), grid.spec.fixed[0][1]))
+    else:
+        assert mesh.channel is None
+
+
+@pytest.mark.parametrize("indicator", [DET_SIGN, SIGMA_MIN])
+def test_extract_isosurface_matches_per_cube_loop_on_sampled_fields(indicator):
+    spec = GridSpec(
+        (AxisSpec(0, -1.4, 1.4, 15), AxisSpec(1, -1.3, 1.3, 12), AxisSpec(2, -1.5, 1.2, 17))
+    )
+    grid = sample(pauli(), spec, indicator)
+    mesh = extract_isosurface(grid)
+    assert len(mesh.triangles) > 0
+    _assert_same_mesh(mesh, *_extract_loop(grid, default_level(grid)))
+
+
+def _random_skew_stack(rng, b, n):
+    a = rng.normal(size=(b, n, n)) + 1j * rng.normal(size=(b, n, n))
+    a = a - np.swapaxes(a, 1, 2)
+    a[::5] = np.round(a[::5])  # integer entries tie in the pivot search
+    a[1::7, :, 0] = 0.0  # singular: a zero first column and row
+    a[1::7, 0, :] = 0.0
+    a[2::9] = 0.0
+    return a
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_stacked_pfaffian_matches_per_matrix_results(rng, n):
+    stack = _random_skew_stack(rng, 40, n)
+    got = _pfaffian_parlett_reid(stack.copy())
+    want = np.array([_pfaffian_loop(m) for m in stack])
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(got, [pfaffian(m) for m in stack])
+    singular = np.all(stack[:, :, 0] == 0, axis=1)
+    assert singular.any() and np.all(got[singular] == 0)
+    det = np.linalg.det(stack)
+    assert np.all(np.abs(got**2 - det) <= 1e-9 * np.maximum(1.0, np.abs(det)))
+
+
+def _pfaffian_field_loop(tuple_, spec):
+    """The per-point pfaffian-sign sampler: assemble each skew matrix by
+    subtracting lambda_j B_j only where lambda_j is nonzero."""
+    from cliffordspec.cliffordrep import rep_for
+    from cliffordspec.invariants import _conjugation_unitary
+    from cliffordspec.matrices import kron
+    from cliffordspec.sampler import _lambda_grid
+
+    ft = tuple_.as_float()
+    rep = rep_for(3)
+    l0 = build(ft, rep, [0.0] * 3).matrix
+    q = _conjugation_unitary(ft.n, "float")
+    a0 = 0.5 * (q.conj().T @ l0 @ q)
+    bj = [0.5 * (q.conj().T @ kron(np.eye(ft.n, dtype=complex), g) @ q) for g in rep.as_float()]
+    out = []
+    for point in _lambda_grid(spec, 3):
+        skew = a0.copy()
+        for j in range(3):
+            if point[j]:
+                skew = skew - point[j] * bj[j]
+        out.append(_pfaffian_loop(skew).real)
+    return np.array(out).reshape(tuple(a.count for a in spec.axes))
+
+
+@settings(max_examples=20)
+@given(
+    arrays(np.int64, (3, 4, 4), elements=st.integers(-2, 2)),
+    arrays(np.int64, (3, 4, 4), elements=st.integers(-2, 2)),
+    st.integers(2, 6),
+)
+def test_pfaffian_sampling_matches_per_point_loop(re, im, count):
+    from cliffordspec.invariants import dual
+    from cliffordspec.matrices import HermitianTuple, float_matrix
+
+    mats = []
+    for k in range(3):
+        m = re[k] + 1j * im[k]
+        m = m + m.conj().T
+        mats.append(float_matrix(m + dual(m)))
+    t = HermitianTuple(mats)
+    spec = GridSpec.cube(3, -2.0, 2.0, count)  # odd counts put nodes on lambda_j = 0
+    got = sample(t, spec, PFAFFIAN_SIGN).values
+    assert got.tobytes() == _pfaffian_field_loop(t, spec).tobytes()
+
+
+def test_pfaffian_sampling_identical_across_threads():
+    spec = GridSpec.cube(3, -1.5, 1.5, 17)  # 4,913 nodes: two chunks
+    grids = [sample(self_dual_path(0), spec, PFAFFIAN_SIGN, threads=k) for k in (1, 2)]
+    assert grids[0].values.tobytes() == grids[1].values.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# topology of hand-built meshes
+
+_OCTAHEDRON_VERTICES = np.array(
+    [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]], dtype=float
+)
+_OCTAHEDRON_TRIANGLES = np.array(
+    [[0, 2, 4], [2, 1, 4], [1, 3, 4], [3, 0, 4], [2, 0, 5], [1, 2, 5], [3, 1, 5], [0, 3, 5]]
+)
+
+
+def test_topology_of_two_disjoint_octahedra():
+    mesh = SpectrumMesh(
+        np.vstack([_OCTAHEDRON_VERTICES, _OCTAHEDRON_VERTICES + 3.0]),
+        np.vstack([_OCTAHEDRON_TRIANGLES, _OCTAHEDRON_TRIANGLES + 6]),
+    )
+    assert mesh.is_closed
+    assert mesh_topology(mesh) == (4, 2)
+
+
+def test_topology_counts_an_unused_vertex_as_a_component():
+    mesh = SpectrumMesh(np.vstack([_OCTAHEDRON_VERTICES, [[5.0, 5, 5]]]), _OCTAHEDRON_TRIANGLES)
+    assert mesh.is_closed
+    assert mesh_topology(mesh) == (3, 2)
+
+
+def test_single_triangle_is_open():
+    mesh = SpectrumMesh(np.eye(3), np.array([[0, 1, 2]]))
+    assert not mesh.is_closed
+    assert mesh_topology(mesh) == (1, 1)
+
+
+def test_empty_mesh_topology():
+    mesh = SpectrumMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
+    assert mesh.is_closed
+    assert mesh_topology(mesh) == (0, 0)
