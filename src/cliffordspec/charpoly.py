@@ -10,7 +10,13 @@ Floater, J. Approx. Theory 2014).  The values are the Gaussian-integer
 determinants of den * L, den the lcm of the entry denominators, so every
 divided difference is an exact integer division, the falling-factorial
 basis changes to monomials with integer (Stirling) coefficients, and
-1/den^side applies to the final terms only.
+1/den^side applies to the final terms only.  The node determinants come
+from batched eliminations in int64, one per prime p = 1 (mod 4) and chunk
+of up to 4096 nodes, under both embeddings i -> +-sqrt(-1) of Z[i] into F_p, recombined
+by CRT once the primes exceed twice a Hadamard bound (Abbott, Bronstein &
+Mulders, ISSAC 1999).  The held-out check evaluates the integer
+coefficient numerators at the non-node (side + 1, side + 2, ...) and
+compares with a fraction-free Bareiss determinant there.
 
 Float tuples are first divided by s = max ||X_j||_2, so the pencil has unit
 scale.  det L is then sampled on the unit torus, lambda = omega^a for
@@ -21,13 +27,14 @@ exactly the coefficient array (Hromcik & Sebek, ECC 1999).  That transform
 is unitary, so the coefficients carry the rounding of the determinants,
 about 1e-12 relative to the largest one, well inside the 1e-9 comparison
 tolerances (tested for scales 1e-2 to 1e2 and for off-centre tuples).  Each
-coefficient c_alpha is finally multiplied by s^(side - |alpha|).  A
-held-out determinant check validates every reconstruction.
+coefficient c_alpha is finally multiplied by s^(side - |alpha|), and a
+held-out determinant check at random points validates the reconstruction.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -46,8 +53,8 @@ _CHUNK = 4096
 
 
 class _AffineFamily:
-    """Matrix family base - sum_j lambda_j * parts[j], with fast exact and
-    batched float determinant evaluation."""
+    """Matrix family base - sum_j lambda_j * parts[j], with a Gaussian-integer
+    pencil (exact) or batched float determinant evaluation."""
 
     def __init__(self, base: np.ndarray, parts: list, kind: str):
         self.kind = kind
@@ -57,34 +64,19 @@ class _AffineFamily:
         if kind == EXACT:
             den = _common_denominator((base, *parts))
             self.den_power = den**self.size
-            self.base_re = [int(e.re * den) for e in base.reshape(-1)]
-            self.base_im = [int(e.im * den) for e in base.reshape(-1)]
-            self.part_re = [
-                [int(e.re * den) for e in p.reshape(-1)] for p in parts
-            ]
-            self.part_im = [
-                [int(e.im * den) for e in p.reshape(-1)] for p in parts
-            ]
+            self.pencil = _integer_pencil((base, *parts), den)
         else:
             self.base_c = np.ascontiguousarray(base)
             self.parts_c = np.array(parts)
 
+    def coeffs(self, nodes: np.ndarray) -> np.ndarray:
+        return nodes
+
     def det_scaled_at(self, node) -> tuple:
         """(re, im) integer determinant of den * L at an integer node."""
-        n = self.size
-        re = list(self.base_re)
-        im = list(self.base_im)
-        for j, lam in enumerate(node):
-            if not lam:
-                continue
-            pr = self.part_re[j]
-            pi = self.part_im[j]
-            for i in range(n * n):
-                re[i] -= lam * pr[i]
-                im[i] -= lam * pi[i]
-        rows_re = [re[i * n : (i + 1) * n] for i in range(n)]
-        rows_im = [im[i * n : (i + 1) * n] for i in range(n)]
-        return _gaussian_int_bareiss(rows_re, rows_im, n)
+        c = np.array(node, dtype=object)[:, None, None]
+        re, im = (part[0] - (c * part[1:]).sum(axis=0) for part in self.pencil)
+        return _gaussian_int_bareiss(re.tolist(), im.tolist(), self.size)
 
     def float_dets(self, lam: np.ndarray) -> np.ndarray:
         """det L at each row of lam, complex points of shape (count, d)."""
@@ -106,12 +98,26 @@ class _LaplaceFamily:
         self.degree = 2 * tuple_.n
         self.tuple_ = tuple_
         if self.kind == EXACT:
-            self.q = _common_denominator(tuple_.matrices)
-            self.scaled = HermitianTuple([m * self.q for m in tuple_.matrices])
-            self.den_power = self.q**self.degree
+            # q^2 sum_j (X_j - lambda_j)^2 = S - sum_j lambda_j 2q (q X_j)
+            # - |lambda|^2 (-q^2 I), S = sum_j (q X_j)^2: an integer pencil
+            # in the coefficients (lambda, |lambda|^2)
+            q = self.q = _common_denominator(tuple_.matrices)
+            self.scaled = HermitianTuple([m * q for m in tuple_.matrices])
+            self.den_power = q**self.degree
+            self.pencil = _integer_pencil(
+                (
+                    laplace(self.scaled),
+                    *(m * (2 * q) for m in self.scaled.matrices),
+                    exact_eye(tuple_.n) * -(q * q),
+                ),
+                1,
+            )
         else:
             self.mats = np.array(tuple_.matrices)
             self.square_sum = sum(x @ x for x in self.mats)
+
+    def coeffs(self, nodes: np.ndarray) -> np.ndarray:
+        return np.column_stack([nodes, (nodes**2).sum(axis=1)])
 
     def det_scaled_at(self, node) -> tuple:
         """(re, im) integer determinant of q^2 times the Laplace operator:
@@ -132,6 +138,152 @@ class _LaplaceFamily:
 
     def float_det_single(self, lam) -> complex:
         return complex(np.linalg.det(laplace(self.tuple_, lam)))
+
+
+def _integer_pencil(mats, den: int) -> tuple:
+    """(re, im): den times the entries of exact n x n matrices, as (k, n, n)
+    object arrays of Python ints."""
+    shape = (len(mats), *mats[0].shape)
+    flat = [e for m in mats for e in m.reshape(-1)]
+    return tuple(
+        np.array([int(getattr(e, part) * den) for e in flat], dtype=object).reshape(shape)
+        for part in ("re", "im")
+    )
+
+
+# ---------------------------------------------------------------------------
+# multi-modular determinants
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with bases 2, 7 and 61: deterministic for odd
+    61 < n < 4,759,123,141 (Jaeschke 1993)."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in (2, 7, 61):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes():
+    """(p, s) for the primes 2^30 < p < 2^31 with p = 1 (mod 4), descending,
+    and s with s^2 = -1 (mod p): i maps to s and to -s in F_p.  For a
+    quadratic non-residue c, s = c^((p - 1) / 4)."""
+    for p in range(2**31 - 3, 2**30, -4):
+        if _is_prime(p):
+            c = 2
+            while pow(c, (p - 1) // 2, p) != p - 1:
+                c += 1
+            yield p, pow(c, (p - 1) // 4, p)
+
+
+def _hadamard_bits(pencil: tuple, coeffs: np.ndarray) -> float:
+    """An upper bound on log2 |det| over the members of the stack
+    pencil[0] - sum_k coeffs[:, k] pencil[k + 1]: by Hadamard's inequality
+    and the triangle inequality on each row,
+    |det| <= prod_i (|row_i of pencil[0]| + sum_k |c_k| |row_i of pencil[k + 1]|)."""
+    re, im = pencil
+    norms = np.array(
+        [math.isqrt(int(x)) + 1 for x in (re * re + im * im).sum(axis=2).reshape(-1)],
+        dtype=float,
+    ).reshape(re.shape[:2])
+    rows = norms[0] + np.abs(coeffs) @ norms[1:]
+    return float(np.log2(rows).sum(axis=1).max())
+
+
+def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x^(p - 2) mod p elementwise: the inverse of x in F_p, and 0 for 0."""
+    out = np.ones_like(x)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * x % p
+        x = x * x % p
+        e >>= 1
+    return out
+
+
+def _det_mod(a: np.ndarray, p: int) -> np.ndarray:
+    """Determinants mod p of a (B, n, n) int64 stack with entries in [0, p),
+    p < 2^31 so that every product fits in int64; overwrites the stack.
+
+    Step k multiplies the rows below the pivot by it instead of dividing, so
+    prod_k pivot_k = det * prod_k pivot_k^(n - 1 - k), and that factor is
+    the product over k < n - 1 of the running pivot products; one inverse
+    per member removes it.  A member whose column is zero from row k down
+    gets pivot 0 and determinant 0."""
+    b, n = a.shape[0], a.shape[1]
+    members = np.arange(b)
+    run = np.ones(b, dtype=np.int64)
+    factor = np.ones(b, dtype=np.int64)
+    flip = np.zeros(b, dtype=bool)
+    for k in range(n):
+        row = k + np.argmax(a[:, k:, k] != 0, axis=1)
+        swap = row != k
+        if swap.any():
+            a[members, row], a[:, k] = a[:, k].copy(), a[members, row]
+            flip ^= swap
+        pivot = a[:, k, k]
+        run = run * pivot % p
+        if k + 1 < n:
+            factor = factor * run % p
+            sub = a[:, k + 1 :, k + 1 :]
+            sub *= pivot[:, None, None]
+            sub -= a[:, k + 1 :, k, None] * a[:, k, None, k + 1 :]
+            sub %= p
+    det = run * _inverse_mod(factor, p) % p
+    return np.where(flip, (p - det) % p, det)
+
+
+def _modular_dets(pencil: tuple, coeffs: np.ndarray) -> tuple:
+    """Gaussian-integer determinants of pencil[0] - sum_k coeffs[:, k]
+    pencil[k + 1], one per row of the integer array coeffs, as (re, im)
+    object arrays of Python ints.
+
+    Each prime p = 1 (mod 4) has a square root s of -1, so Z[i] maps to F_p
+    by i -> s and by i -> -s.  The stack is eliminated mod p under both, and
+    d+ = re + s im, d- = re - s im give re and im mod p.  Primes are added
+    until their product M exceeds four times the Hadamard bound (twice, and
+    one bit for the rounding of its float logarithm), and the residues
+    combine by CRT into the symmetric range (-M/2, M/2] (Abbott, Bronstein &
+    Mulders, ISSAC 1999)."""
+    bits = _hadamard_bits(pencil, coeffs)
+    n = pencil[0].shape[1]
+    count = len(coeffs)
+    modulus = 1
+    value = (np.zeros(count, dtype=object), np.zeros(count, dtype=object))
+    for p, s in _primes():
+        re, im = ((part % p).astype(np.int64) for part in pencil)
+        c = coeffs % p
+        stack = np.empty((2, count, n, n), dtype=np.int64)
+        for members, root in zip(stack, (s, p - s)):
+            m = (re + root * im) % p
+            members[:] = m[0]
+            for k in range(1, len(m)):
+                members -= c[:, k - 1, None, None] * m[k]
+                members %= p
+        plus, minus = _det_mod(stack.reshape(2 * count, n, n), p).reshape(2, count)
+        half = (p + 1) // 2
+        residues = ((plus + minus) * half % p, (plus - minus) % p * pow(2 * s, -1, p) % p)
+        inv = pow(modulus, -1, p)
+        value = tuple(
+            x + ((r - (x % p).astype(np.int64)) % p * inv % p).astype(object) * modulus
+            for x, r in zip(value, residues)
+        )
+        modulus *= p
+        if modulus.bit_length() > bits + 3:
+            break
+    return tuple(np.where(x > modulus // 2, x - modulus, x) for x in value)
 
 
 # ---------------------------------------------------------------------------
@@ -190,38 +342,46 @@ def _interpolate(family) -> MultiPoly:
     m = family.degree
     expo = _lower_set(d, m)
     if family.kind == EXACT:
-        dets = [family.det_scaled_at(tuple(map(int, a))) for a in expo]
-        v = tuple(np.array(c, dtype=object) for c in zip(*dets))
+        coeffs = family.coeffs(expo)
+        chunks = [
+            _modular_dets(family.pencil, coeffs[i : i + _CHUNK])
+            for i in range(0, len(expo), _CHUNK)
+        ]
+        v = tuple(np.concatenate(part) for part in zip(*chunks))
         _newton_to_monomial(v, expo, m)
+        _validate_exact(family, expo, v)
         den = family.den_power
         terms = {
             tuple(a): GaussianRational(Fraction(re, den), Fraction(im, den))
             for a, re, im in zip(expo, *v)
         }
-        poly = MultiPoly(d, terms, EXACT)
-    else:
-        k = m + 1
-        torus = np.exp(2j * np.pi / k * np.indices((k,) * d).reshape(d, -1).T)
-        vals = np.concatenate(
-            [family.float_dets(torus[i : i + _CHUNK]) for i in range(0, len(torus), _CHUNK)]
-        )
-        coeffs = np.fft.fftn(vals.reshape((k,) * d)) / k**d
-        terms = {tuple(a): complex(coeffs[tuple(a)]) for a in expo}
-        poly = MultiPoly(d, terms, FLOAT).pruned()
+        return MultiPoly(d, terms, EXACT)
+    k = m + 1
+    torus = np.exp(2j * np.pi / k * np.indices((k,) * d).reshape(d, -1).T)
+    vals = np.concatenate(
+        [family.float_dets(torus[i : i + _CHUNK]) for i in range(0, len(torus), _CHUNK)]
+    )
+    coeffs = np.fft.fftn(vals.reshape((k,) * d)) / k**d
+    terms = {tuple(a): complex(coeffs[tuple(a)]) for a in expo}
+    poly = MultiPoly(d, terms, FLOAT).pruned()
     _validate_interpolation(family, poly)
     return poly
 
 
+def _validate_exact(family, expo: np.ndarray, v: tuple) -> None:
+    """Held-out check: the integer numerators v of the coefficients, den^side
+    times them, must give the Bareiss determinant of the scaled pencil at
+    (side + 1, side + 2, ...), which is not an interpolation node."""
+    probe = [family.degree + 1 + j for j in range(family.d)]
+    mono = (np.array(probe, dtype=object) ** expo.astype(object)).prod(axis=1)
+    if tuple(int((part * mono).sum()) for part in v) != family.det_scaled_at(probe):
+        raise InterpolationError("exact interpolation failed held-out check")
+
+
 def _validate_interpolation(family, poly: MultiPoly) -> None:
-    """Held-out consistency: the polynomial must reproduce determinants at
-    points that were not interpolation nodes."""
+    """Held-out consistency: the float polynomial must reproduce
+    determinants at points that were not interpolation nodes."""
     d = family.d
-    if family.kind == EXACT:
-        probe = tuple(family.degree + 1 + j for j in range(d))
-        want = GaussianRational(*family.det_scaled_at(probe))
-        if poly.evaluate(probe) * family.den_power != want:
-            raise InterpolationError("exact interpolation failed held-out check")
-        return
     rng = np.random.default_rng(20240917)
     half_width = family.degree / 4.0
     for _ in range(4):
@@ -251,6 +411,8 @@ def _normalised(tuple_: HermitianTuple):
 def _rescaled(poly: MultiPoly, s, degree: int) -> MultiPoly:
     """The polynomial of the tuple s * X from that of X, each coefficient
     c_alpha times s^(degree - |alpha|)."""
+    if s == 1:
+        return poly
     return MultiPoly(
         poly.nvars,
         {e: c * s ** (degree - sum(e)) for e, c in poly.terms.items()},

@@ -37,6 +37,7 @@ from .matrices import (
 from .scalars import GaussianRational
 
 SKEW_CHECK_RTOL = 1e-10
+GRADED_HERMITIAN_RTOL = 1e-10
 FLAG_RTOL = 1e-12
 
 
@@ -297,7 +298,7 @@ def graded_index(
     # the other; the two give opposite half-signatures
     herm = 1j * (red.matrix.conj().T @ gamma_block)
     scale = float(np.max(np.abs(herm))) or 1.0
-    if float(np.max(np.abs(herm - herm.conj().T))) > 1e-10 * scale:
+    if float(np.max(np.abs(herm - herm.conj().T))) > GRADED_HERMITIAN_RTOL * scale:
         raise SymmetryError("graded localizer is not Hermitian; grading invalid")
     herm = 0.5 * (herm + herm.conj().T)
     t = _gap_tolerance(herm, tol)

@@ -4,7 +4,10 @@ smallest eigenvalue magnitude, Pfaffians, operator norm.
 The exact determinant uses fraction-free Bareiss elimination.  Entries are
 first scaled to Gaussian integers (one lcm of all denominators), so the
 elimination runs on plain Python integer pairs; Bareiss guarantees every
-interior division is exact.  The float Pfaffian uses Parlett-Reid skew
+interior division is exact.  It serves single matrices: exact
+characteristic polynomials take their node determinants from a batched
+multi-modular kernel in ``charpoly`` and use Bareiss as the independent
+held-out validator.  The float Pfaffian uses Parlett-Reid skew
 tridiagonalization with partial pivoting; the exact Pfaffian expands along
 the first row, which is fine for the small self-dual blocks that arise.
 """

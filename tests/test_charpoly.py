@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -7,8 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
-from cliffordspec.charpoly import char_poly, laplace_det_poly, reduced_char_poly
-from cliffordspec.errors import ContractError
+from cliffordspec.charpoly import (
+    _AffineFamily,
+    _force_real_coeffs,
+    _gamma_parts,
+    _interpolate,
+    _is_prime,
+    _modular_dets,
+    _primes,
+    char_poly,
+    laplace_det_poly,
+    reduced_char_poly,
+)
+from cliffordspec.cliffordrep import rep_for
+from cliffordspec.errors import ContractError, InterpolationError
 from cliffordspec.gallery import (
     direct_sum_char_reference,
     even_odd,
@@ -24,8 +37,9 @@ from cliffordspec.gallery import (
     sykora_two_torus,
     torus_quadruple,
 )
+from cliffordspec.linalg import _gaussian_int_bareiss
 from cliffordspec.localizer import build
-from cliffordspec.matrices import HermitianTuple, exact_matrix, float_matrix, to_float
+from cliffordspec.matrices import EXACT, HermitianTuple, exact_matrix, float_matrix, to_float
 from cliffordspec.multipoly import MultiPoly, poly_equal, variables
 from cliffordspec.scalars import GaussianRational
 from conftest import random_tuple
@@ -224,18 +238,21 @@ _PAULI = (
     sympy.Matrix([[1, 0], [0, -1]]),
 )
 _ENTRY = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+# large numerators and denominators: the common denominator and the
+# determinants need many primes, and signs come from the symmetric CRT range
+_LARGE_ENTRY = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=997)
 
 
 @st.composite
-def _gaussian_rational_triples(draw):
+def _gaussian_rational_triples(draw, entry=_ENTRY):
     n = draw(st.integers(1, 2))
     mats = []
     for _ in range(3):
         rows = [[None] * n for _ in range(n)]
         for i in range(n):
-            rows[i][i] = (draw(_ENTRY), 0)
+            rows[i][i] = (draw(entry), 0)
             for j in range(i + 1, n):
-                re, im = draw(_ENTRY), draw(_ENTRY)
+                re, im = draw(entry), draw(entry)
                 rows[i][j] = (re, im)
                 rows[j][i] = (re, -im)
         mats.append(exact_matrix(rows))
@@ -249,24 +266,47 @@ def _sympy_matrix(m):
     )
 
 
-@settings(max_examples=25, deadline=None)
-@given(_gaussian_rational_triples())
-def test_exact_char_poly_matches_sympy_determinant(t):
-    lams = sympy.symbols("l0:3")
-    eye = sympy.eye(t.n)
-    loc = sympy.zeros(2 * t.n)
-    for g, x, lam in zip(_PAULI, t.matrices, lams):
-        loc += sympy.kronecker_product(g, _sympy_matrix(x) - lam * eye)
-    dm = DomainMatrix.from_Matrix(loc)  # entries in QQ_I[l0, l1, l2]
+def _sympy_det_poly(matrix, lams):
+    dm = DomainMatrix.from_Matrix(matrix)  # entries in QQ_I[l0, l1, l2]
     oracle = sympy.Poly(dm.domain.to_sympy(dm.det()), *lams)
     terms = {}
     for expo, coeff in oracle.terms():
         re, im = coeff.as_real_imag()
         terms[expo] = GaussianRational(Fraction(str(re)), Fraction(str(im)))
-    oracle_poly = MultiPoly(3, terms)
+    return MultiPoly(len(lams), terms)
+
+
+def _sympy_char_poly(t):
+    lams = sympy.symbols("l0:3")
+    eye = sympy.eye(t.n)
+    loc = sympy.zeros(2 * t.n)
+    for g, x, lam in zip(_PAULI, t.matrices, lams):
+        loc += sympy.kronecker_product(g, _sympy_matrix(x) - lam * eye)
+    return _sympy_det_poly(loc, lams)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_gaussian_rational_triples())
+def test_exact_char_poly_matches_sympy_determinant(t):
+    oracle_poly = _sympy_char_poly(t)
     eq, disc = poly_equal(char_poly(t), oracle_poly)
     assert eq, disc
     eq, disc = poly_equal(char_poly(t.as_float()), oracle_poly, tol=1e-9)
+    assert eq, disc
+
+
+@settings(max_examples=25, deadline=None)
+@given(_gaussian_rational_triples(_LARGE_ENTRY))
+def test_exact_char_and_laplace_polys_match_sympy_at_large_entries(t):
+    eq, disc = poly_equal(char_poly(t), _sympy_char_poly(t))
+    assert eq, disc
+    lams = sympy.symbols("l0:3")
+    eye = sympy.eye(t.n)
+    ops = sympy.zeros(t.n)
+    for x, lam in zip(t.matrices, lams):
+        shifted = _sympy_matrix(x) - lam * eye
+        ops += shifted * shifted
+    eq, disc = poly_equal(laplace_det_poly(t), _sympy_det_poly(ops, lams))
     assert eq, disc
 
 
@@ -275,3 +315,111 @@ def test_full_gamma4_char_poly_is_reduced_modulus_squared():
     red = reduced_char_poly(t)
     eq, disc = poly_equal(char_poly(t), red * red.map_coefficients(lambda c: c.conjugate()))
     assert eq, disc
+
+
+def test_primes_are_one_mod_four_with_a_root_of_minus_one():
+    for p, s in itertools.islice(_primes(), 30):
+        assert sympy.isprime(p) and p % 4 == 1 and p < 2**31
+        assert s * s % p == p - 1
+    # the small range holds strong pseudoprimes to base 2 (2047, 3277, ...)
+    for n in itertools.chain(range(63, 20001, 2), range(2**31 - 6001, 2**31, 2)):
+        assert _is_prime(n) == sympy.isprime(n)
+
+
+def _member(pencil, c, part):
+    """pencil[0] - sum_k c[k] pencil[k + 1] for one part (re or im), as rows
+    of Python ints."""
+    mats = pencil[part]
+    n = len(mats[0])
+    return [
+        [mats[0][i][j] - sum(ck * m[i][j] for ck, m in zip(c, mats[1:])) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def _bareiss_dets(pencil, coeffs):
+    n = len(pencil[0][0])
+    return [
+        _gaussian_int_bareiss(_member(pencil, c, 0), _member(pencil, c, 1), n)
+        for c in coeffs
+    ]
+
+
+def _object_pencil(pencil):
+    return tuple(np.array(part, dtype=object) for part in pencil)
+
+
+@st.composite
+def _integer_pencils(draw):
+    """A Gaussian-integer pencil of k + 1 matrices n x n, as (re, im) nested
+    lists, and rows of node coefficients.  The first row is zero, so the
+    first member is pencil[0], which may repeat a row (singular) or have a
+    zero leading entry (a row swap)."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(0, 2))
+    bound = draw(st.sampled_from((2, 10**9)))
+    entries = st.lists(st.integers(-bound, bound), min_size=n * n, max_size=n * n)
+    pencil = tuple(
+        [[flat[i * n : (i + 1) * n] for i in range(n)] for flat in (draw(entries) for _ in range(k + 1))]
+        for _ in range(2)
+    )
+    if n > 1 and draw(st.booleans()):
+        for part in pencil:
+            part[0][1] = list(part[0][0])
+    if draw(st.booleans()):
+        for part in pencil:
+            part[0][0][0] = 0
+    rows = draw(st.lists(st.lists(st.integers(0, 12), min_size=k, max_size=k), max_size=3))
+    return pencil, [[0] * k, *rows]
+
+
+@settings(max_examples=60)
+@given(_integer_pencils())
+def test_modular_dets_match_bareiss(case):
+    pencil, coeffs = case
+    k = len(pencil[0]) - 1
+    got = _modular_dets(_object_pencil(pencil), np.array(coeffs, dtype=np.int64).reshape(len(coeffs), k))
+    assert list(zip(*got)) == _bareiss_dets(pencil, coeffs)
+
+
+def test_modular_dets_beyond_two_primes():
+    # 12 x 12 entries near 1e9: |det| far above 2^62 > p1 * p2, so the
+    # Hadamard bound must call for a third prime and more
+    rng = np.random.default_rng(5)
+    pencil = tuple(
+        rng.integers(-(10**9), 10**9, size=(2, 12, 12)).tolist() for _ in range(2)
+    )
+    coeffs = [[0], [1], [7], [12]]
+    want = _bareiss_dets(pencil, coeffs)
+    assert min(max(abs(re), abs(im)) for re, im in want) > 2**62
+    assert any(re < 0 for re, _ in want) and any(im < 0 for _, im in want)
+    got = _modular_dets(_object_pencil(pencil), np.array(coeffs, dtype=np.int64))
+    assert list(zip(*got)) == want
+
+
+def test_exact_interpolation_checks_raise(monkeypatch):
+    t = pauli()
+    rep = rep_for(3)
+
+    def family():
+        return _AffineFamily(build(t, rep).matrix, _gamma_parts(t, list(rep.gammas)), EXACT)
+
+    # a degree bound one short still gives integer divided differences, so
+    # only the held-out determinant can tell
+    short = family()
+    short.degree -= 1
+    with pytest.raises(InterpolationError, match="held-out"):
+        _interpolate(short)
+    real = _modular_dets
+
+    def off_by_one(pencil, coeffs):
+        re, im = real(pencil, coeffs)
+        re[1] += 1
+        return re, im
+
+    monkeypatch.setattr("cliffordspec.charpoly._modular_dets", off_by_one)
+    with pytest.raises(InterpolationError, match="divided difference"):
+        _interpolate(family())
+    imaginary = MultiPoly(3, {(0, 0, 0): GaussianRational(1, 1)})
+    with pytest.raises(InterpolationError, match="imaginary"):
+        _force_real_coeffs(imaginary)
