@@ -1,7 +1,9 @@
 """Characteristic polynomials of Hermitian tuples.
 
 det L(lambda) of an affine pencil L(lambda) = L0 - sum_j lambda_j P_j has
-total degree at most the side of L.
+total degree at most the side of L.  It is ``localizer.Pencil``, of the
+gammas (char_poly) or the d = 4 off-diagonal blocks (reduced_char_poly): its
+Gaussian-integer stack for exact tuples, complex128 L0 and P_j for float ones.
 
 Exact tuples are interpolated by Newton divided differences on the lower
 set {alpha : |alpha| <= side} of the integer node grid 0..side:
@@ -41,52 +43,43 @@ import numpy as np
 
 from .cliffordrep import GammaRep, rep_for, standard_rep
 from .errors import ContractError, InterpolationError
-from .linalg import _common_denominator, _gaussian_int_bareiss, exact_determinant, operator_norm
-from .localizer import build, build_reduced, laplace
-from .matrices import EXACT, FLOAT, HermitianTuple, exact_eye, kron, to_float
+from .linalg import _gaussian_int_bareiss, exact_determinant, operator_norm
+from .localizer import Pencil, laplace
+from .matrices import EXACT, FLOAT, HermitianTuple, exact_eye, gaussian_integers
 from .multipoly import MultiPoly
 from .scalars import GaussianRational
+from .tolerances import HELD_OUT_RTOL, REAL_COEFF_RTOL
 
-HELD_OUT_RTOL = 1e-9
-REAL_COEFF_RTOL = 1e-9
 _CHUNK = 4096
 
 
 class _AffineFamily:
-    """Matrix family base - sum_j lambda_j * parts[j], with a Gaussian-integer
-    pencil (exact) or batched float determinant evaluation."""
+    """det of a localizer Pencil: its Gaussian-integer stack (exact) or
+    batched float determinants."""
 
-    def __init__(self, base: np.ndarray, parts: list, kind: str):
-        self.kind = kind
-        self.size = base.shape[0]
-        self.degree = self.size
-        self.d = len(parts)
-        if kind == EXACT:
-            den = _common_denominator((base, *parts))
-            self.den_power = den**self.size
-            self.pencil = _integer_pencil((base, *parts), den)
-        else:
-            self.base_c = np.ascontiguousarray(base)
-            self.parts_c = np.array(parts)
+    def __init__(self, pencil: Pencil):
+        self.source = pencil
+        self.kind = pencil.kind
+        self.size = self.degree = pencil.side
+        self.d = pencil.d
+        if self.kind == EXACT:
+            self.den_power = pencil.den**self.size
+            self.pencil = (pencil.re, pencil.im)
 
     def coeffs(self, nodes: np.ndarray) -> np.ndarray:
         return nodes
 
     def det_scaled_at(self, node) -> tuple:
         """(re, im) integer determinant of den * L at an integer node."""
-        c = np.array(node, dtype=object)[:, None, None]
-        re, im = (part[0] - (c * part[1:]).sum(axis=0) for part in self.pencil)
+        _, re, im = self.source.scaled_at(node)
         return _gaussian_int_bareiss(re.tolist(), im.tolist(), self.size)
 
     def float_dets(self, lam: np.ndarray) -> np.ndarray:
         """det L at each row of lam, complex points of shape (count, d)."""
-        return np.linalg.det(self.base_c - np.tensordot(lam, self.parts_c, axes=1))
+        return np.linalg.det(self.source.at_rows(lam))
 
     def float_det_single(self, lam) -> complex:
-        m = self.base_c.copy()
-        for j, part in enumerate(self.parts_c):
-            m = m - complex(lam[j]) * part
-        return complex(np.linalg.det(m))
+        return complex(np.linalg.det(self.source.at(lam)))
 
 
 class _LaplaceFamily:
@@ -101,17 +94,16 @@ class _LaplaceFamily:
             # q^2 sum_j (X_j - lambda_j)^2 = S - sum_j lambda_j 2q (q X_j)
             # - |lambda|^2 (-q^2 I), S = sum_j (q X_j)^2: an integer pencil
             # in the coefficients (lambda, |lambda|^2)
-            q = self.q = _common_denominator(tuple_.matrices)
+            q = self.q = gaussian_integers(tuple_.matrices)[0]
             self.scaled = HermitianTuple([m * q for m in tuple_.matrices])
             self.den_power = q**self.degree
-            self.pencil = _integer_pencil(
+            self.pencil = gaussian_integers(
                 (
                     laplace(self.scaled),
                     *(m * (2 * q) for m in self.scaled.matrices),
                     exact_eye(tuple_.n) * -(q * q),
-                ),
-                1,
-            )
+                )
+            )[1:]
         else:
             self.mats = np.array(tuple_.matrices)
             self.square_sum = sum(x @ x for x in self.mats)
@@ -138,17 +130,6 @@ class _LaplaceFamily:
 
     def float_det_single(self, lam) -> complex:
         return complex(np.linalg.det(laplace(self.tuple_, lam)))
-
-
-def _integer_pencil(mats, den: int) -> tuple:
-    """(re, im): den times the entries of exact n x n matrices, as (k, n, n)
-    object arrays of Python ints."""
-    shape = (len(mats), *mats[0].shape)
-    flat = [e for m in mats for e in m.reshape(-1)]
-    return tuple(
-        np.array([int(getattr(e, part) * den) for e in flat], dtype=object).reshape(shape)
-        for part in ("re", "im")
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -424,14 +405,6 @@ def _rescaled(poly: MultiPoly, s, degree: int) -> MultiPoly:
 # public polynomials
 
 
-def _gamma_parts(tuple_: HermitianTuple, blocks) -> list:
-    n = tuple_.n
-    eye = exact_eye(n) if tuple_.kind == EXACT else np.eye(n, dtype=complex)
-    if tuple_.kind == FLOAT:
-        blocks = [to_float(b) for b in blocks]
-    return [kron(eye, b) for b in blocks]
-
-
 def char_poly(tuple_: HermitianTuple, rep: GammaRep | None = None) -> MultiPoly:
     """det(L_lambda) as a polynomial in lambda_1..lambda_d.
 
@@ -440,9 +413,7 @@ def char_poly(tuple_: HermitianTuple, rep: GammaRep | None = None) -> MultiPoly:
     if rep is None:
         rep = rep_for(tuple_.d)
     t, s = _normalised(tuple_)
-    loc0 = build(t, rep)
-    parts = _gamma_parts(t, list(rep.gammas))
-    family = _AffineFamily(loc0.matrix, parts, t.kind)
+    family = _AffineFamily(Pencil(t, rep.gammas))
     poly = _force_real_coeffs(_interpolate(family))
     return _rescaled(poly, s, family.degree)
 
@@ -452,10 +423,7 @@ def reduced_char_poly(tuple_: HermitianTuple) -> MultiPoly:
     if tuple_.d != 4:
         raise ContractError("the reduced characteristic polynomial needs d = 4")
     t, s = _normalised(tuple_)
-    red0 = build_reduced(t)
-    blocks = list(standard_rep(4).off_diagonal_blocks)
-    parts = _gamma_parts(t, blocks)
-    family = _AffineFamily(red0.matrix, parts, t.kind)
+    family = _AffineFamily(Pencil(t, standard_rep(4).off_diagonal_blocks))
     return _rescaled(_interpolate(family), s, family.degree)
 
 

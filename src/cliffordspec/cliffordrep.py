@@ -28,6 +28,7 @@ from .matrices import (
     to_float,
 )
 from .scalars import GaussianRational
+from .tolerances import REP_RELATION_TOL
 
 # Pauli matrices, exact kind.
 SIGMA_X = exact_matrix([[0, 1], [1, 0]])
@@ -150,7 +151,7 @@ def rep_for(d: int) -> GammaRep:
     return standard_rep(d) if d <= 4 else generated_rep(d)
 
 
-def validate(rep: GammaRep, float_tol: float = 1e-12) -> RelationReport:
+def validate(rep: GammaRep, float_tol: float = REP_RELATION_TOL) -> RelationReport:
     """Check Hermiticity, involution, and pairwise anticommutation.
 
     Exact representations must satisfy every relation with no tolerance;

@@ -35,10 +35,7 @@ from .matrices import (
     to_float,
 )
 from .scalars import GaussianRational
-
-SKEW_CHECK_RTOL = 1e-10
-GRADED_HERMITIAN_RTOL = 1e-10
-FLAG_RTOL = 1e-12
+from .tolerances import FLAG_RTOL, GRADED_HERMITIAN_RTOL, SKEW_CHECK_RTOL
 
 
 @dataclass(frozen=True)

@@ -14,21 +14,19 @@ the first row, which is fine for the small self-dual blocks that arise.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import ContractError, SingularAtTolerance
-from .matrices import EXACT, FLOAT, kind_of, require_hermitian, to_float
+from .matrices import EXACT, FLOAT, gaussian_integers, kind_of, require_hermitian, to_float
 from .scalars import GaussianRational
-
-SKEW_RTOL = 1e-12
+from .tolerances import SINGULAR_RTOL, SKEW_RTOL
 
 
 def default_tolerance(m: np.ndarray) -> float:
-    """Shared singularity tolerance: 1e-8 * (1 + operator norm)."""
-    return 1e-8 * (1.0 + operator_norm(m))
+    """Shared singularity tolerance: SINGULAR_RTOL * (1 + operator norm)."""
+    return SINGULAR_RTOL * (1.0 + operator_norm(m))
 
 
 def hermitian_eigen(m: np.ndarray):
@@ -81,24 +79,6 @@ def signature(m: np.ndarray, tol: float | None = None) -> int:
 # determinants
 
 
-def _common_denominator(mats) -> int:
-    """lcm of the entry denominators of exact matrices."""
-    den = 1
-    for mat in mats:
-        for e in mat.reshape(-1):
-            den = math.lcm(den, e.re.denominator, e.im.denominator)
-    return den
-
-
-def _scale_to_gaussian_integers(m: np.ndarray):
-    """Return (den, re_rows, im_rows) with den*m having integer entries."""
-    n = m.shape[0]
-    den = _common_denominator((m,))
-    re_rows = [[int(m[i, j].re * den) for j in range(n)] for i in range(n)]
-    im_rows = [[int(m[i, j].im * den) for j in range(n)] for i in range(n)]
-    return den, re_rows, im_rows
-
-
 def _gaussian_int_bareiss(a_re, a_im, n):
     """Fraction-free elimination over Gaussian integers; returns det as an
     (re, im) integer pair.  Mutates its inputs."""
@@ -146,8 +126,8 @@ def exact_determinant(m: np.ndarray) -> GaussianRational:
     n = m.shape[0]
     if n == 0:
         return GaussianRational(1)
-    den, re_rows, im_rows = _scale_to_gaussian_integers(m)
-    dr, di = _gaussian_int_bareiss(re_rows, im_rows, n)
+    den, re, im = gaussian_integers((m,))
+    dr, di = _gaussian_int_bareiss(re[0].tolist(), im[0].tolist(), n)
     scale = Fraction(1, den**n)
     return GaussianRational(dr * scale, di * scale)
 

@@ -7,11 +7,16 @@ reduced localizer built from the upper-right gamma blocks, with
 |det L| = |det L_reduced|^2.  The Laplace operator sum (X_j - lambda_j)^2
 is also provided; its determinant's zero set is the (often empty) Laplace
 spectrum.
+
+Both localizers are members of one affine pencil, the internal
+:class:`Pencil`, which the characteristic polynomials and the sampler read too.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -21,43 +26,102 @@ from .matrices import (
     EXACT,
     FLOAT,
     HermitianTuple,
+    check_same_kind,
     commutator,
     exact_eye,
+    gaussian_integers,
     kron,
     matmul,
+    max_abs,
     to_float,
 )
 from .linalg import operator_norm
-from .scalars import as_gaussian, is_exact_scalar
+from .scalars import GaussianRational, as_gaussian
 
 
 def _coerce_lambda(tuple_: HermitianTuple, lam) -> list:
+    """Real lambda as GaussianRational (exact tuples) or float components."""
     if len(lam) != tuple_.d:
         raise ContractError(f"lambda must have length {tuple_.d}")
-    if tuple_.kind == EXACT:
-        out = []
-        for v in lam:
-            g = as_gaussian(v)
-            if g.im:
-                raise ContractError("lambda components must be real")
-            out.append(g)
-        return out
-    vals = []
+    out = []
     for v in lam:
-        if isinstance(v, complex):
-            if v.imag:
-                raise ContractError("lambda components must be real")
-            v = v.real
-        if is_exact_scalar(v):
-            v = float(v)
-        vals.append(float(v))
-    return vals
+        if tuple_.kind == EXACT or isinstance(v, GaussianRational):
+            v = as_gaussian(v)
+            v, imag = (v if tuple_.kind == EXACT else float(v.re)), v.im
+        else:
+            v = complex(v)
+            v, imag = v.real, v.imag
+        if imag:
+            raise ContractError("lambda components must be real")
+        out.append(v)
+    return out
 
 
-def _rep_gammas(tuple_: HermitianTuple, rep: GammaRep):
-    if tuple_.kind == FLOAT:
-        return rep.as_float()
-    return rep.gammas
+class Pencil:
+    """L(lambda) = L0 - sum_j lambda_j P_j, L0 = sum_j X_j (x) B_j and
+    P_j = I (x) B_j, for blocks B_j that are the gammas or, for the reduced
+    localizer, the d = 4 off-diagonal blocks.
+
+    Float pencils hold complex128 ``l0`` and give the P_j as ``parts``.
+    Exact ones hold ``re`` and ``im``, (d + 1, side, side)
+    object arrays of Python ints with L0 = (re[0] + i im[0]) / den and
+    P_j = (re[j] + i im[j]) / den, den the lcm of their entry denominators;
+    GaussianRational entries are formed only for a matrix ``at`` returns."""
+
+    def __init__(self, tuple_: HermitianTuple, blocks):
+        if len(blocks) != tuple_.d:
+            raise ContractError("representation rank must match tuple length")
+        self.kind = tuple_.kind
+        self.d = tuple_.d
+        self.side = tuple_.n * blocks[0].shape[0]
+        if self.kind == FLOAT:
+            self.blocks = tuple(to_float(b) for b in blocks)
+            self.eye = np.eye(tuple_.n, dtype=complex)
+            self.l0 = kron(tuple_.matrices[0], self.blocks[0])
+            for x, b in zip(tuple_.matrices[1:], self.blocks[1:]):
+                self.l0 = self.l0 + kron(x, b)
+            return
+        check_same_kind(tuple_.matrices[0], *blocks)
+        dx, xr, xi = gaussian_integers(tuple_.matrices)
+        db, br, bi = gaussian_integers(blocks)
+        l0_re = l0_im = 0
+        for j in range(self.d):
+            l0_re = l0_re + kron(xr[j], br[j]) - kron(xi[j], bi[j])
+            l0_im = l0_im + kron(xr[j], bi[j]) + kron(xi[j], br[j])
+        eye = np.eye(tuple_.n, dtype=int).astype(object) * dx
+        re = np.stack([l0_re, *(kron(eye, b) for b in br)])
+        im = np.stack([l0_im, *(kron(eye, b) for b in bi)])
+        # divide out what the lcm of the entry denominators does not need
+        common = math.gcd(dx * db, *re.reshape(-1), *im.reshape(-1))
+        self.den, self.re, self.im = dx * db // common, re // common, im // common
+
+    def at(self, lam) -> np.ndarray:
+        """L(lam) for coerced real lam: float, or GaussianRational entries."""
+        if self.kind == FLOAT:
+            shift = sum((v * b for v, b in zip(lam[1:], self.blocks[1:])), lam[0] * self.blocks[0])
+            return self.l0 - kron(self.eye, shift)
+        den, re, im = self.scaled_at([v.re for v in lam])
+        pairs = zip(re.flat, im.flat)
+        out = [GaussianRational(Fraction(x, den), Fraction(y, den)) for x, y in pairs]
+        return np.array(out, dtype=object).reshape(re.shape)
+
+    def scaled_at(self, lam) -> tuple:
+        """(den, re, im) with den * L(lam) = re + i im, Gaussian-integer
+        object arrays, at rational lam (exact pencils)."""
+        q = math.lcm(*(Fraction(v).denominator for v in lam))
+        c = np.array([int(v * q) for v in lam], dtype=object)[:, None, None]
+        re, im = (part[0] * q - (c * part[1:]).sum(axis=0) for part in (self.re, self.im))
+        return self.den * q, re, im
+
+    @property
+    def parts(self) -> np.ndarray:
+        """The float P_j as one (d, side, side) stack, formed when read (build never reads it)."""
+        return np.stack([kron(self.eye, b) for b in self.blocks])
+
+    def at_rows(self, lam: np.ndarray) -> np.ndarray:
+        """L(lambda) for each row of lam, shape (count, d), in one buffer."""
+        mats = np.tensordot(lam, self.parts, axes=(1, 0))
+        return np.subtract(self.l0[None], mats, out=mats)
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,42 +143,23 @@ def build(tuple_: HermitianTuple, rep: GammaRep | None = None, lam=None) -> Loca
     """Assemble L_lambda = sum (X_j - lambda_j) (x) gamma_j."""
     if rep is None:
         rep = rep_for(tuple_.d)
-    if rep.d != tuple_.d:
-        raise ContractError("representation rank must match tuple length")
-    if lam is None:
-        lam = [0] * tuple_.d
-    lam = _coerce_lambda(tuple_, lam)
-    shifted = tuple_.shifted(lam)
-    gammas = _rep_gammas(tuple_, rep)
-    total = kron(shifted.matrices[0], gammas[0])
-    for x, g in zip(shifted.matrices[1:], gammas[1:]):
-        total = total + kron(x, g)
-    return Localizer(tuple_, rep, tuple(lam), total)
+    pencil = Pencil(tuple_, rep.gammas)
+    lam = _coerce_lambda(tuple_, [0] * tuple_.d if lam is None else lam)
+    return Localizer(tuple_, rep, tuple(lam), pencil.at(lam))
 
 
 def build_reduced(tuple_: HermitianTuple, lam=None) -> ReducedLocalizer:
     """Half-size localizer from the upper-right gamma blocks (d = 4 only)."""
     if tuple_.d != 4:
         raise ContractError("the reduced localizer needs a 4-tuple")
-    rep = standard_rep(4)
-    if lam is None:
-        lam = [0] * 4
-    lam = _coerce_lambda(tuple_, lam)
-    shifted = tuple_.shifted(lam)
-    blocks = rep.off_diagonal_blocks
-    if tuple_.kind == FLOAT:
-        blocks = tuple(to_float(b) for b in blocks)
-    total = kron(shifted.matrices[0], blocks[0])
-    for x, b in zip(shifted.matrices[1:], blocks[1:]):
-        total = total + kron(x, b)
-    return ReducedLocalizer(tuple_, tuple(lam), total)
+    pencil = Pencil(tuple_, standard_rep(4).off_diagonal_blocks)
+    lam = _coerce_lambda(tuple_, [0] * 4 if lam is None else lam)
+    return ReducedLocalizer(tuple_, tuple(lam), pencil.at(lam))
 
 
 def laplace(tuple_: HermitianTuple, lam=None) -> np.ndarray:
     """sum_j (X_j - lambda_j)^2, a PSD Hermitian n x n matrix."""
-    if lam is None:
-        lam = [0] * tuple_.d
-    lam = _coerce_lambda(tuple_, lam)
+    lam = _coerce_lambda(tuple_, [0] * tuple_.d if lam is None else lam)
     shifted = tuple_.shifted(lam)
     total = matmul(shifted.matrices[0], shifted.matrices[0])
     for x in shifted.matrices[1:]:
@@ -131,19 +176,12 @@ def square_identity_residual(tuple_: HermitianTuple, rep: GammaRep | None = None
         rep = rep_for(tuple_.d)
     loc = build(tuple_, rep, lam)
     lsq = matmul(loc.matrix, loc.matrix)
-    gammas = _rep_gammas(tuple_, rep)
-    g = rep.g
-    eye = exact_eye(g) if tuple_.kind == EXACT else np.eye(g, dtype=complex)
+    gammas = rep.gammas if tuple_.kind == EXACT else rep.as_float()
+    eye = exact_eye(rep.g) if tuple_.kind == EXACT else np.eye(rep.g, dtype=complex)
     shifted = tuple_.shifted(loc.lam)
     rhs = kron(laplace(tuple_, loc.lam), eye)
     for j in range(tuple_.d):
         for k in range(j + 1, tuple_.d):
             comm = commutator(shifted.matrices[j], shifted.matrices[k])
             rhs = rhs + kron(comm, matmul(gammas[j], gammas[k]))
-    diff = lsq - rhs
-    if tuple_.kind == EXACT:
-        worst = 0.0
-        for e in diff.reshape(-1):
-            worst = max(worst, abs(e.to_complex()))
-        return worst
-    return operator_norm(diff)
+    return max_abs(lsq - rhs) if tuple_.kind == EXACT else operator_norm(lsq - rhs)

@@ -7,11 +7,15 @@ package-wide by :func:`kron`: the *second* factor indexes the blocks,
     kron(A, [[a, b], [c, d]]) = [[aA, bA], [cA, dA]],
 
 which is the opposite of ``numpy.kron``.  Every tensor product in the
-package routes through this one function.
+package routes through this one function, on float, GaussianRational or
+Python-int object arrays.  :func:`gaussian_integers` gives exact matrices
+their integer form, one common denominator and (re, im) arrays of Python
+ints, in which exact determinants and the localizer pencil compute.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -19,8 +23,7 @@ import numpy as np
 
 from .errors import ContractError, KindMismatchError
 from .scalars import EXACT, FLOAT, GaussianRational, as_gaussian
-
-HERMITIAN_RTOL = 1e-12
+from .tolerances import HERMITIAN_RTOL
 
 
 def exact_matrix(rows) -> np.ndarray:
@@ -55,11 +58,8 @@ def check_same_kind(*mats: np.ndarray) -> str:
 
 
 def exact_zeros(shape) -> np.ndarray:
-    out = np.empty(shape, dtype=object)
-    flat = out.reshape(-1)
-    for i in range(flat.size):
-        flat[i] = GaussianRational(0)
-    return out
+    zeros = [GaussianRational(0) for _ in range(math.prod(shape))]
+    return np.array(zeros, dtype=object).reshape(shape)
 
 
 def exact_eye(n: int) -> np.ndarray:
@@ -73,22 +73,13 @@ def to_float(m: np.ndarray) -> np.ndarray:
     """Explicit exact -> complex128 conversion (lossy for big fractions)."""
     if kind_of(m) == FLOAT:
         return m
-    out = np.empty(m.shape, dtype=complex)
-    flat_in = m.reshape(-1)
-    flat_out = out.reshape(-1)
-    for i in range(flat_in.size):
-        flat_out[i] = flat_in[i].to_complex()
-    return out
+    return np.array([e.to_complex() for e in m.reshape(-1)], dtype=complex).reshape(m.shape)
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
     if kind_of(m) == FLOAT:
         return m.conj().T
-    out = np.empty((m.shape[1], m.shape[0]), dtype=object)
-    for i in range(m.shape[0]):
-        for j in range(m.shape[1]):
-            out[j, i] = m[i, j].conjugate()
-    return out
+    return np.array([e.conjugate() for e in m.T.reshape(-1)], dtype=object).reshape(m.shape[::-1])
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -105,14 +96,20 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if kind_of(a) == FLOAT:
         out = np.einsum("kl,ij->kilj", b, a).reshape(r * p, s * q)
         return np.ascontiguousarray(out)
-    out = np.empty((r * p, s * q), dtype=object)
-    for k in range(r):
-        for l in range(s):
-            blk = b[k, l]
-            for i in range(p):
-                for j in range(q):
-                    out[k * p + i, l * q + j] = blk * a[i, j]
-    return out
+    return (b[:, None, :, None] * a[None, :, None, :]).reshape(r * p, s * q)
+
+
+def gaussian_integers(mats) -> tuple:
+    """(den, re, im) for exact matrices of one shape: den is the lcm of the
+    entry denominators and den * mats[k] = re[k] + i im[k], with re and im
+    (k, rows, cols) object arrays of Python ints."""
+    flat = [e for m in mats for e in m.reshape(-1)]
+    den = math.lcm(*(e.re.denominator for e in flat), *(e.im.denominator for e in flat))
+    shape = (len(mats), *mats[0].shape)
+    return den, *(
+        np.array([x.numerator * (den // x.denominator) for x in xs], dtype=object).reshape(shape)
+        for xs in ([e.re for e in flat], [e.im for e in flat])
+    )
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -129,11 +126,6 @@ def max_abs(m: np.ndarray) -> float:
     return max((abs(e.to_complex()) for e in m.reshape(-1)), default=0.0)
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Max |M - M*| entry, as a float (exact matrices measured exactly)."""
-    return max_abs(m - dagger(m))
-
-
 def is_hermitian(m: np.ndarray) -> bool:
     if m.shape[0] != m.shape[1]:
         return False
@@ -144,7 +136,7 @@ def is_hermitian(m: np.ndarray) -> bool:
             for j in range(i, m.shape[1])
         )
     scale = float(np.linalg.norm(m)) or 1.0
-    return hermiticity_defect(m) <= HERMITIAN_RTOL * scale
+    return max_abs(m - dagger(m)) <= HERMITIAN_RTOL * scale
 
 
 def require_hermitian(m: np.ndarray, what: str = "matrix") -> None:

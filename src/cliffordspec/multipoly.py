@@ -13,8 +13,7 @@ import numpy as np
 
 from .errors import ContractError, KindMismatchError
 from .scalars import EXACT, FLOAT, GaussianRational, as_gaussian, is_exact_scalar
-
-PRUNE_RTOL = 1e-12
+from .tolerances import POLY_EQUAL_SCALE_FLOOR, PRUNE_RTOL
 
 
 def _coerce_coeff(value, kind):
@@ -271,7 +270,7 @@ def poly_equal(a: MultiPoly, b: MultiPoly, tol: float = 0.0):
         return equal, worst
     af, bf = a.as_float(), b.as_float()
     keys = set(af.terms) | set(bf.terms)
-    scale = max(af.max_abs_coeff(), bf.max_abs_coeff(), 1e-300)
+    scale = max(af.max_abs_coeff(), bf.max_abs_coeff(), POLY_EQUAL_SCALE_FLOOR)
     worst = 0.0
     for k in keys:
         worst = max(worst, abs(af.terms.get(k, 0j) - bf.terms.get(k, 0j)))

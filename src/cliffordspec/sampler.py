@@ -28,12 +28,13 @@ import numpy as np
 
 from .cliffordrep import GammaRep, rep_for
 from .errors import ContractError, SymmetryError
-from .invariants import SKEW_CHECK_RTOL, _conjugation_unitary, require_self_dual_triple
+from .invariants import _conjugation_unitary, require_self_dual_triple
 from .linalg import _pfaffian_parlett_reid, operator_norm
-from .localizer import build
-from .matrices import HermitianTuple, kron
+from .localizer import Pencil
+from .matrices import HermitianTuple
 from .multipoly import MultiPoly, polar_radial_coefficients
 from .parallel import ordered_chunk_map
+from .tolerances import DEGENERATE_AREA, SKEW_CHECK_RTOL, TORUS_RESIDUAL_TOL
 
 DET_SIGN = "det-sign"
 SIGMA_MIN = "sigma-min"
@@ -41,7 +42,6 @@ PFAFFIAN_SIGN = "pfaffian-sign"
 INDICATORS = (DET_SIGN, SIGMA_MIN, PFAFFIAN_SIGN)
 
 SIGMA_MIN_LEVEL_FACTOR = 1e-2  # default isolevel: 1e-2 * ||L_0||
-DEGENERATE_AREA = 1e-12
 _CHUNK = 4096
 
 
@@ -126,12 +126,6 @@ def _lambda_grid(spec: GridSpec, d: int) -> np.ndarray:
     return out
 
 
-def _pencil(l0, parts, lam):
-    """L_0 - sum_j lambda_j P_j for each row of lam, in one buffer."""
-    mats = np.tensordot(lam, parts, axes=(1, 0))
-    return np.subtract(l0[None], mats, out=mats)
-
-
 def sample(
     tuple_: HermitianTuple,
     spec: GridSpec,
@@ -148,11 +142,8 @@ def sample(
     if rep is None:
         rep = rep_for(d)
     lam = _lambda_grid(spec, d)
-    gammas = rep.as_float()
-    eye = np.eye(ft.n, dtype=complex)
-    l0 = build(ft, rep, [0.0] * d).matrix
-    parts = np.stack([kron(eye, g) for g in gammas])
-    ref = operator_norm(l0)
+    pencil = Pencil(ft, rep.gammas)
+    ref = operator_norm(pencil.l0)
 
     if indicator == PFAFFIAN_SIGN:
         require_self_dual_triple(ft)
@@ -160,8 +151,8 @@ def sample(
             raise ContractError("the pfaffian indicator needs the d = 3 localizer")
         q = _conjugation_unitary(ft.n, "float")
         qh = q.conj().T
-        a0 = 0.5 * (qh @ l0 @ q)
-        bj = [0.5 * (qh @ parts[j] @ q) for j in range(d)]
+        a0 = 0.5 * (qh @ pencil.l0 @ q)
+        bj = [0.5 * (qh @ part @ q) for part in pencil.parts]
         # conjugation must produce a skew matrix for every lambda, which
         # reduces to skewness of the constant part and each lambda slope
         for m in (a0, *bj):
@@ -185,12 +176,12 @@ def sample(
     elif indicator == DET_SIGN:
 
         def run(chunk):
-            return np.linalg.det(_pencil(l0, parts, chunk)).real
+            return np.linalg.det(pencil.at_rows(chunk)).real
 
     else:
 
         def run(chunk):
-            return np.min(np.abs(np.linalg.eigvalsh(_pencil(l0, parts, chunk))), axis=1)
+            return np.min(np.abs(np.linalg.eigvalsh(pencil.at_rows(chunk))), axis=1)
 
     chunks = [lam[i : i + _CHUNK] for i in range(0, lam.shape[0], _CHUNK)]
     pieces = ordered_chunk_map(run, chunks, threads)
@@ -386,7 +377,7 @@ def torus_radius_profile(
     theta: float,
     phi: float,
     r_max: float = 2.0,
-    residual_tol: float = 1e-10,
+    residual_tol: float = TORUS_RESIDUAL_TOL,
 ) -> float:
     """Radius where the polar-substituted real part crosses zero.
 

@@ -1,0 +1,22 @@
+"""The numerical tolerance policy: every float tolerance of the package,
+imported from here by the module that applies it.  Exact-kind checks take
+none.  A ``_RTOL`` is relative to the scale named beside it, a ``_TOL``
+(and DEGENERATE_AREA) is absolute.
+"""
+
+HERMITIAN_RTOL = 1e-12  # input Hermiticity: max |M - M*| against ||M||_F
+SINGULAR_RTOL = 1e-8  # default_tolerance: |eigenvalue| <= this * (1 + ||M||_2) is zero
+SKEW_RTOL = 1e-12  # pfaffian input: max |M + M^T| against max |M|
+# (1/2) Q* L Q is two complex products from the tuple, so its skewness (against
+# max |entry|) and its Pfaffian's imaginary part (against max(1, |Pf|)) get more
+SKEW_CHECK_RTOL = 1e-10
+GRADED_HERMITIAN_RTOL = 1e-10  # graded_index: i L_red* (grading (x) I) against max |entry|
+FLAG_RTOL = 1e-12  # validate_symmetry: each float flag against max |X_j| (1 if zero)
+REP_RELATION_TOL = 1e-12  # cliffordrep.validate: roundoff in each float gamma relation
+HELD_OUT_RTOL = 1e-9  # held-out det residual against max(1, |det|, sum |c lambda^alpha|)
+REAL_COEFF_RTOL = 1e-9  # float char_poly imaginary part against its largest coefficient
+PRUNE_RTOL = 1e-12  # MultiPoly.pruned drops coefficients up to this * the largest
+POLY_EQUAL_SCALE_FLOOR = 1e-300  # poly_equal's scale floor, so zero polynomials compare
+DEGENERATE_AREA = 1e-12  # extract_isosurface drops triangles of no larger area
+TORUS_RESIDUAL_TOL = 1e-10  # torus_radius_profile: |f| at which bisection stops
+UNIT_TOL = 1e-12  # variance certificates: unit norms and nonnegative variances

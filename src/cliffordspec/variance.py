@@ -17,8 +17,7 @@ from .errors import ContractError
 from .linalg import hermitian_eigen, operator_norm
 from .localizer import Localizer, build
 from .matrices import HermitianTuple, commutator, to_float
-
-UNIT_TOL = 1e-12
+from .tolerances import UNIT_TOL
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,7 +11,6 @@ from sympy.polys.matrices import DomainMatrix
 from cliffordspec.charpoly import (
     _AffineFamily,
     _force_real_coeffs,
-    _gamma_parts,
     _interpolate,
     _is_prime,
     _modular_dets,
@@ -24,6 +23,7 @@ from cliffordspec.cliffordrep import rep_for
 from cliffordspec.errors import ContractError, InterpolationError
 from cliffordspec.gallery import (
     direct_sum_char_reference,
+    direct_sum_sphere,
     even_odd,
     even_odd_reduced_reference,
     fuzzy_sphere_5,
@@ -38,8 +38,8 @@ from cliffordspec.gallery import (
     torus_quadruple,
 )
 from cliffordspec.linalg import _gaussian_int_bareiss
-from cliffordspec.localizer import build
-from cliffordspec.matrices import EXACT, HermitianTuple, exact_matrix, float_matrix, to_float
+from cliffordspec.localizer import Pencil, build
+from cliffordspec.matrices import HermitianTuple, exact_matrix, to_float
 from cliffordspec.multipoly import MultiPoly, poly_equal, variables
 from cliffordspec.scalars import GaussianRational
 from conftest import random_tuple
@@ -78,26 +78,6 @@ def test_reduced_float_matches_exact_dual_path():
         reduced_char_poly(t_exact), reduced_char_poly(t_float), tol=1e-9
     )
     assert eq, disc
-
-
-def test_char_poly_invariant_under_unitary_conjugation(rng):
-    t = random_tuple(rng, 2, 3)
-    q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-    conj = HermitianTuple([float_matrix(q.conj().T @ m @ q) for m in t.matrices])
-    eq, disc = poly_equal(char_poly(t), char_poly(conj), tol=1e-9)
-    assert eq, disc
-
-
-def test_direct_sum_multiplicativity_exact():
-    whole = char_poly(HermitianTuple([m for m in pauli().matrices]).direct_sum(pauli()))
-    factor = char_poly(pauli())
-    eq, _ = poly_equal(whole, factor * factor)
-    assert eq
-    # and the worked 4x4 example equals the squared sphere polynomial
-    from cliffordspec.gallery import direct_sum_sphere
-
-    eq, _ = poly_equal(char_poly(direct_sum_sphere(0)), direct_sum_char_reference())
-    assert eq
 
 
 def test_reduced_char_gamma_families():
@@ -244,8 +224,8 @@ _LARGE_ENTRY = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator
 
 
 @st.composite
-def _gaussian_rational_triples(draw, entry=_ENTRY):
-    n = draw(st.integers(1, 2))
+def _gaussian_rational_triples(draw, entry=_ENTRY, max_n=2):
+    n = draw(st.integers(1, max_n))
     mats = []
     for _ in range(3):
         rows = [[None] * n for _ in range(n)]
@@ -308,6 +288,49 @@ def test_exact_char_and_laplace_polys_match_sympy_at_large_entries(t):
         ops += shifted * shifted
     eq, disc = poly_equal(laplace_det_poly(t), _sympy_det_poly(ops, lams))
     assert eq, disc
+
+
+_PHASES = tuple(GaussianRational(*u) for u in ((1, 0), (0, 1), (-1, 0), (0, -1)))
+
+
+@settings(max_examples=25)
+@given(_gaussian_rational_triples(max_n=3), st.data())
+def test_char_poly_invariant_under_unitary_conjugation(t, data):
+    # U = D P, a permutation P with phases D in {+-1, +-i}, keeps the tuple
+    # exact, so the exact polynomials must agree exactly
+    n = t.n
+    perm = data.draw(st.permutations(range(n)))
+    ph = [_PHASES[k] for k in data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))]
+    conj = HermitianTuple(
+        [
+            exact_matrix(
+                [[ph[a] * x[perm[a], perm[b]] * ph[b].conjugate() for b in range(n)] for a in range(n)]
+            )
+            for x in t.matrices
+        ]
+    )
+    want = char_poly(t)
+    eq, disc = poly_equal(char_poly(conj), want)
+    assert eq, disc
+    # a dense unitary leaves the float polynomial within its 1e-9 contract
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    dense = HermitianTuple([q.conj().T @ to_float(x) @ q for x in t.matrices])
+    eq, disc = poly_equal(char_poly(dense), want, tol=1e-9)
+    assert eq, disc
+
+
+@settings(max_examples=25)
+@given(_gaussian_rational_triples(), _gaussian_rational_triples())
+def test_direct_sum_multiplicativity_exact(x, y):
+    eq, disc = poly_equal(char_poly(x.direct_sum(y)), char_poly(x) * char_poly(y))
+    assert eq, disc
+
+
+def test_direct_sum_sphere_matches_worked_reference():
+    # the worked 4x4 example equals the squared sphere polynomial
+    eq, _ = poly_equal(char_poly(direct_sum_sphere(0)), direct_sum_char_reference())
+    assert eq
 
 
 def test_full_gamma4_char_poly_is_reduced_modulus_squared():
@@ -402,7 +425,7 @@ def test_exact_interpolation_checks_raise(monkeypatch):
     rep = rep_for(3)
 
     def family():
-        return _AffineFamily(build(t, rep).matrix, _gamma_parts(t, list(rep.gammas)), EXACT)
+        return _AffineFamily(Pencil(t, rep.gammas))
 
     # a degree bound one short still gives integer divided differences, so
     # only the held-out determinant can tell

@@ -1,14 +1,32 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from cliffordspec.cliffordrep import standard_rep
+from cliffordspec.cliffordrep import generated_rep, standard_rep
 from cliffordspec.errors import ContractError, KindMismatchError
 from cliffordspec.gallery import gamma_tuple, pauli, torus_quadruple
 from cliffordspec.linalg import operator_norm, smallest_eigen_magnitude
-from cliffordspec.localizer import build, build_reduced, laplace, square_identity_residual
-from cliffordspec.matrices import HermitianTuple, exact_matrix, float_matrix, to_float
+from cliffordspec.localizer import (
+    Pencil,
+    build,
+    build_reduced,
+    laplace,
+    square_identity_residual,
+)
+from cliffordspec.matrices import (
+    FLOAT,
+    HermitianTuple,
+    exact_eye,
+    exact_matrix,
+    float_matrix,
+    kron,
+    to_float,
+)
+from cliffordspec.scalars import GaussianRational
 from conftest import random_tuple
 
 
@@ -59,6 +77,18 @@ def test_exact_tuple_requires_exact_lambda():
     loc = build(pauli(), lam=[Fraction(1, 2), 0, 0])
     # upper-right block is (sigma_x - 1/2) - i sigma_y, so entry (0, 2) = -1/2
     assert loc.matrix[0, 2].re == Fraction(-1, 2)
+
+
+def test_float_tuple_takes_real_gaussian_lambda():
+    t = pauli().as_float()
+    loc = build(t, lam=[GaussianRational(Fraction(1, 2)), 0, 0])
+    assert loc.lam == (0.5, 0.0, 0.0)
+    assert np.array_equal(loc.matrix, build(t, lam=[0.5, 0, 0]).matrix)
+    for bad in (GaussianRational(0, 1), 1j):
+        with pytest.raises(ContractError, match="must be real"):
+            build(t, lam=[bad, 0, 0])
+    with pytest.raises(ContractError, match="must be real"):
+        build_reduced(gamma_tuple().as_float(), [0, GaussianRational(1, 1), 0, 0])
 
 
 def test_reduced_embedding_matches_full():
@@ -170,3 +200,142 @@ def test_d5_generated_rep_localizer(rng):
     norm0 = operator_norm(build(t).matrix)
     far = build(t, lam=[2 * norm0, 0, 0, 0, 0])
     assert smallest_eigen_magnitude(far.matrix) > 0
+
+
+# ---------------------------------------------------------------------------
+# the pencil against the former assembly, kept here as a test-only reference
+
+
+def _loop_kron(a, b):
+    """kron(a, b), blocks indexed by b, as the four-deep loop the exact
+    branch of matrices.kron used to be."""
+    (p, q), (r, s) = a.shape, b.shape
+    out = np.empty((r * p, s * q), dtype=object)
+    for k in range(r):
+        for l in range(s):
+            for i in range(p):
+                for j in range(q):
+                    out[k * p + i, l * q + j] = b[k, l] * a[i, j]
+    return out
+
+
+def _reference_localizer(tuple_, blocks, lam):
+    """sum_j kron(X_j - lambda_j I, B_j), summed left to right."""
+    if tuple_.kind == FLOAT:
+        blocks, product = [to_float(b) for b in blocks], kron
+    else:
+        product = _loop_kron
+    shifted = tuple_.shifted(lam).matrices
+    total = product(shifted[0], blocks[0])
+    for x, b in zip(shifted[1:], blocks[1:]):
+        total = total + product(x, b)
+    return total
+
+
+def _reference_integer_stack(tuple_, blocks):
+    """(den, re, im) of L0 and the P_j by the former route: GaussianRational
+    products, then scaling by the lcm of the entry denominators."""
+    mats = [
+        _reference_localizer(tuple_, blocks, [0] * tuple_.d),
+        *(_loop_kron(exact_eye(tuple_.n), b) for b in blocks),
+    ]
+    flat = [e for m in mats for e in m.reshape(-1)]
+    den = math.lcm(*(e.re.denominator for e in flat), *(e.im.denominator for e in flat))
+    shape = (len(mats), *mats[0].shape)
+    re, im = (
+        np.array([int(getattr(e, part) * den) for e in flat], dtype=object).reshape(shape)
+        for part in ("re", "im")
+    )
+    return den, re, im
+
+
+def _reps(d):
+    return [standard_rep(d), generated_rep(d)] if d <= 4 else [generated_rep(d)]
+
+
+_SCALES = st.floats(-3, 3).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 6), st.integers(1, 6), _SCALES, st.integers(0, 2**32 - 1))
+def test_float_pencil_equals_former_assembly(d, n, scale, seed):
+    rng = np.random.default_rng(seed)
+    t = HermitianTuple([x * scale for x in random_tuple(rng, d, n).matrices])
+    lam = [float(v) for v in rng.uniform(-2, 2, d) * scale]
+    for rep in _reps(d):
+        got = build(t, rep, lam).matrix
+        assert np.array_equal(got, _reference_localizer(t, rep.gammas, lam))
+    if d == 4:
+        blocks = standard_rep(4).off_diagonal_blocks
+        got = build_reduced(t, lam).matrix
+        assert np.array_equal(got, _reference_localizer(t, blocks, lam))
+
+
+_ENTRY = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def _exact_tuples(draw):
+    d, n = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    mats = []
+    for _ in range(d):
+        rows = [[None] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = (draw(_ENTRY), 0)
+            for j in range(i + 1, n):
+                re, im = draw(_ENTRY), draw(_ENTRY)
+                rows[i][j], rows[j][i] = (re, im), (re, -im)
+        mats.append(exact_matrix(rows))
+    lam = draw(st.lists(_ENTRY, min_size=d, max_size=d))
+    return HermitianTuple(mats), lam
+
+
+# sigma_x / 2 and sigma_y / 2: L0 = X1 (x) sigma_x + X2 (x) sigma_y has
+# integer entries, so the common denominator of the stack is 1, not 2
+_HALVES = HermitianTuple(
+    [
+        exact_matrix([[0, Fraction(1, 2)], [Fraction(1, 2), 0]]),
+        exact_matrix([[0, (0, Fraction(-1, 2))], [(0, Fraction(1, 2)), 0]]),
+        exact_matrix([[0, 0], [0, 0]]),
+    ]
+)
+
+
+@settings(max_examples=60)
+@given(_exact_tuples())
+@example((_HALVES, [Fraction(1, 3), 0, Fraction(-2, 5)]))
+def test_exact_pencil_equals_former_assembly(case):
+    t, lam = case
+    cases = [(rep, rep.gammas) for rep in _reps(t.d)]
+    if t.d == 4:
+        cases.append((None, standard_rep(4).off_diagonal_blocks))
+    for rep, blocks in cases:
+        got = build(t, rep, lam).matrix if rep else build_reduced(t, lam).matrix
+        want = _reference_localizer(t, blocks, lam)
+        assert got.shape == want.shape
+        assert all(a == b for a, b in zip(got.reshape(-1), want.reshape(-1)))
+        pencil = Pencil(t, blocks)
+        den, re, im = _reference_integer_stack(t, blocks)
+        assert pencil.den == den
+        assert np.array_equal(pencil.re, re) and np.array_equal(pencil.im, im)
+
+
+@settings(max_examples=150)
+@given(
+    st.integers(1, 6),
+    st.integers(1, 4),
+    _SCALES,
+    st.floats(-4, 1).map(lambda e: 10.0**e),
+    st.integers(0, 2**32 - 1),
+)
+def test_sigma_min_is_one_lipschitz_in_lambda(d, n, scale, step, seed):
+    # L(lam) - L(mu) = I (x) sum_j (mu_j - lam_j) gamma_j, whose square is
+    # |lam - mu|^2 I, so sigma_min moves by at most |lam - mu|
+    rng = np.random.default_rng(seed)
+    t = HermitianTuple([x * scale for x in random_tuple(rng, d, n).matrices])
+    lam = rng.uniform(-2, 2, d) * scale
+    mu = lam + rng.normal(size=d) * step * scale
+    a, b = build(t, lam=lam).matrix, build(t, lam=mu).matrix
+    slack = 1e-12 * (operator_norm(a) + operator_norm(b))
+    gap = abs(smallest_eigen_magnitude(a) - smallest_eigen_magnitude(b))
+    assert gap <= np.linalg.norm(lam - mu) + slack
