@@ -21,21 +21,35 @@ coefficient numerators at the non-node (side + 1, side + 2, ...) and
 compares with a fraction-free Bareiss determinant there.
 
 Float tuples are first divided by s = max ||X_j||_2, so the pencil has unit
-scale.  det L is then sampled on the unit torus, lambda = omega^a for
-a in {0..side}^d and omega = exp(2 pi i / (side + 1)), with batched
-complex128 determinants; since every variable has degree at most side, the
-d-dimensional FFT of those (side + 1)^d values divided by (side + 1)^d is
-exactly the coefficient array (Hromcik & Sebek, ECC 1999).  That transform
-is unitary, so the coefficients carry the rounding of the determinants,
-about 1e-12 relative to the largest one, well inside the 1e-9 comparison
-tolerances (tested for scales 1e-2 to 1e2 and for off-centre tuples).  Each
-coefficient c_alpha is finally multiplied by s^(side - |alpha|), and a
-held-out determinant check at random points validates the reconstruction.
+scale.  det L is then sampled on the unit torus along a rank-1 lattice,
+lambda_j = w^(t g_j) for t = 0..M - 1 and w = exp(2 pi i / M), with
+batched complex128 determinants.  There lambda^alpha = w^(t key_alpha),
+key_alpha = alpha . g mod M, and every monomial of det L lies in the lower
+set; when the keys are distinct on it, no two coefficients share a
+frequency, and the 1-D FFT of the M values divided by M holds each c_alpha
+alone at index key_alpha (Kammerer, SIAM J. Numer. Anal. 2013; the tensor
+torus FFT of Hromcik & Sebek, ECC 1999, is the case g_j = (side + 1)^j).
+The generator is g = (1, k, ..., k^(d - 1)) mod M, k the least integer
+>= side + 1 with k = 1 (mod d - 1) and M = (k^d - 1) / (d - 1).  Its keys
+are checked on every call, at O(|lower set| + M) cost; should two collide,
+or M not be below (side + 1)^d, the tensor torus is sampled instead, whose
+keys are the base-(side + 1) digits of alpha.  No collision occurs for
+d = 2..5 and side <= 16 (tested).  The reduced torus_quadruple polynomials
+for n = 3..6 (side 6 to 12) take 800, 3,333, 9,520 and 9,520 determinants
+instead of 2,401 to 28,561, d = 3 tuples of side 10 and 12 take 665 and
+1,098 instead of 1,331 and 2,197, and the full d = 4 localizer (side 16)
+43,440 instead of 83,521.  The transform is unitary, so the coefficients
+carry the rounding of the determinants, about 1e-12 relative to the
+largest one (2-3 times the error of the denser tensor torus, in the median
+over random conjugations of the d = 3 gallery tuples), well inside the
+1e-9 comparison tolerances (tested for scales 1e-2 to 1e2 and for
+off-centre tuples).  Each coefficient c_alpha is finally multiplied by
+s^(side - |alpha|), and a held-out determinant check at random points
+validates the reconstruction.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -272,10 +286,29 @@ def _modular_dets(pencil: tuple, coeffs: np.ndarray) -> tuple:
 
 
 def _lower_set(d: int, m: int) -> np.ndarray:
-    """Exponents alpha with |alpha| <= m, one row each."""
-    return np.array(
-        [a for a in itertools.product(range(m + 1), repeat=d) if sum(a) <= m]
-    )
+    """Exponents alpha with |alpha| <= m, one row each, in lexicographic
+    order."""
+    grid = np.indices((m + 1,) * d).reshape(d, -1).T
+    return grid[grid.sum(axis=1) <= m]
+
+
+def _lattice(expo: np.ndarray, m: int) -> tuple:
+    """(g, modulus, keys) of the rank-1 lattice of the module docstring
+    for the lower set expo of degree m, keys = expo @ g mod modulus: the
+    rule's generator when its keys are distinct on expo and its modulus is
+    below (m + 1)^d, else the tensor torus g_j = (m + 1)^j."""
+    d = expo.shape[1]
+    full = (m + 1) ** d
+    if d > 1:
+        k = m + 1 + (-m) % (d - 1)
+        modulus = (k**d - 1) // (d - 1)
+        if 0 < modulus < full:
+            g = np.array([pow(k, j, modulus) for j in range(d)], dtype=np.int64)
+            keys = expo @ g % modulus
+            if np.bincount(keys).max() <= 1:
+                return g, modulus, keys
+    g = (m + 1) ** np.arange(d, dtype=np.int64)
+    return g, full, expo @ g
 
 
 def _newton_to_monomial(v: tuple, expo: np.ndarray, m: int) -> None:
@@ -337,13 +370,15 @@ def _interpolate(family) -> MultiPoly:
             for a, re, im in zip(expo, *v)
         }
         return MultiPoly(d, terms, EXACT)
-    k = m + 1
-    torus = np.exp(2j * np.pi / k * np.indices((k,) * d).reshape(d, -1).T)
+    g, modulus, keys = _lattice(expo, m)
+    # the phase t g_j mod modulus is reduced exactly in int64 before exp
+    phase = np.arange(modulus, dtype=np.int64)[:, None] * g % modulus
+    points = np.exp(2j * np.pi / modulus * phase)
     vals = np.concatenate(
-        [family.float_dets(torus[i : i + _CHUNK]) for i in range(0, len(torus), _CHUNK)]
+        [family.float_dets(points[i : i + _CHUNK]) for i in range(0, modulus, _CHUNK)]
     )
-    coeffs = np.fft.fftn(vals.reshape((k,) * d)) / k**d
-    terms = {tuple(a): complex(coeffs[tuple(a)]) for a in expo}
+    coeffs = np.fft.fft(vals)[keys] / modulus
+    terms = {tuple(a): complex(c) for a, c in zip(expo.tolist(), coeffs)}
     poly = MultiPoly(d, terms, FLOAT).pruned()
     _validate_interpolation(family, poly)
     return poly

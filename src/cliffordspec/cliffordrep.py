@@ -30,11 +30,20 @@ from .matrices import (
 from .scalars import GaussianRational
 from .tolerances import REP_RELATION_TOL
 
-# Pauli matrices, exact kind.
-SIGMA_X = exact_matrix([[0, 1], [1, 0]])
-SIGMA_Y = exact_matrix([[(0, 0), (0, -1)], [(0, 1), (0, 0)]])
-SIGMA_Z = exact_matrix([[1, 0], [0, -1]])
-EYE_2 = exact_eye(2)
+
+def _read_only(*mats) -> tuple:
+    for m in mats:
+        m.setflags(write=False)
+    return mats
+
+
+# Pauli matrices, exact kind; read-only, like every matrix of STANDARD_REPS.
+SIGMA_X, SIGMA_Y, SIGMA_Z, EYE_2 = _read_only(
+    exact_matrix([[0, 1], [1, 0]]),
+    exact_matrix([[(0, 0), (0, -1)], [(0, 1), (0, 0)]]),
+    exact_matrix([[1, 0], [0, -1]]),
+    exact_eye(2),
+)
 
 
 def gamma_size(d: int) -> int:
@@ -81,26 +90,6 @@ class RelationReport:
         return max((v.magnitude for v in self.violations), default=0.0)
 
 
-def standard_rep(d: int) -> GammaRep:
-    """The fixed conventional representation for d in 1..4."""
-    if d == 1:
-        return GammaRep((exact_matrix([[1]]),))
-    if d == 2:
-        return GammaRep((SIGMA_X, SIGMA_Y))
-    if d == 3:
-        return GammaRep((SIGMA_X, SIGMA_Y, SIGMA_Z))
-    if d == 4:
-        # upper-right blocks of the conventional block off-diagonal choice;
-        # the second block carries a minus sign (the published 4x4 matrices
-        # are authoritative, and their reduced determinants match the
-        # tabulated torus polynomials only with this orientation)
-        i = GaussianRational(0, 1)
-        blocks = (i * SIGMA_X, -i * SIGMA_Y, i * SIGMA_Z, exact_eye(2))
-        gammas = tuple(_embed_off_diagonal(b) for b in blocks)
-        return GammaRep(gammas, off_diagonal_blocks=blocks)
-    raise ContractError("standard_rep covers d in 1..4; use generated_rep")
-
-
 def _embed_off_diagonal(block: np.ndarray) -> np.ndarray:
     """[[0, B], [B*, 0]] as an exact matrix."""
     m = block.shape[0]
@@ -114,6 +103,33 @@ def _embed_off_diagonal(block: np.ndarray) -> np.ndarray:
             out[i, m + j] = block[i, j]
             out[m + i, j] = bh[i, j]
     return out
+
+
+# upper-right blocks of the conventional block off-diagonal d = 4 choice;
+# the second block carries a minus sign (the published 4x4 matrices are
+# authoritative, and their reduced determinants match the tabulated torus
+# polynomials only with this orientation)
+_I = GaussianRational(0, 1)
+_BLOCKS_4 = _read_only(_I * SIGMA_X, -_I * SIGMA_Y, _I * SIGMA_Z, exact_eye(2))
+
+# the fixed conventional representations for d = 1..4, built once; every
+# matrix is read-only, since each call of standard_rep shares them
+STANDARD_REPS = {
+    1: GammaRep(_read_only(exact_matrix([[1]]))),
+    2: GammaRep((SIGMA_X, SIGMA_Y)),
+    3: GammaRep((SIGMA_X, SIGMA_Y, SIGMA_Z)),
+    4: GammaRep(
+        _read_only(*(_embed_off_diagonal(b) for b in _BLOCKS_4)),
+        off_diagonal_blocks=_BLOCKS_4,
+    ),
+}
+
+
+def standard_rep(d: int) -> GammaRep:
+    """The fixed conventional representation for d in 1..4."""
+    if d in STANDARD_REPS:
+        return STANDARD_REPS[d]
+    raise ContractError("standard_rep covers d in 1..4; use generated_rep")
 
 
 def generated_rep(d: int) -> GammaRep:

@@ -409,22 +409,27 @@ def torus_radius_profile(
 # export
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+# rows formatted per write: one block's Python floats and text stay small
+_WRITE_ROWS = 1024
+
+
+def _write_rows(fh, line: str, rows: np.ndarray) -> None:
+    """Write each row of the 2-D array rows through the %-format line, one
+    block of rows per write; '%.17g' % x is f"{x:.17g}"."""
+    for i in range(0, len(rows), _WRITE_ROWS):
+        block = rows[i : i + _WRITE_ROWS]
+        fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def export_mesh_obj(mesh: SpectrumMesh, path) -> None:
     """OBJ with 1-based faces; a per-vertex scalar channel, when present,
     is appended as a fourth value on each v line."""
+    channel = [] if mesh.channel is None else [mesh.channel]
+    vertices = np.column_stack([mesh.vertices, *channel])
     try:
         with open(path, "w") as fh:
-            for i, v in enumerate(mesh.vertices):
-                parts = ["v", _fmt(v[0]), _fmt(v[1]), _fmt(v[2])]
-                if mesh.channel is not None:
-                    parts.append(_fmt(mesh.channel[i]))
-                fh.write(" ".join(parts) + "\n")
-            for t in mesh.triangles:
-                fh.write(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}\n")
+            _write_rows(fh, "v" + " %.17g" * vertices.shape[1] + "\n", vertices)
+            _write_rows(fh, "f %d %d %d\n", np.asarray(mesh.triangles) + 1)
     except OSError as exc:
         raise OSError(f"writing OBJ to {path}: {exc}") from exc
 
@@ -433,11 +438,10 @@ def export_grid_csv(grid: SpectrumGrid, path) -> None:
     """CSV of every node, row-major in axis order, 17 significant digits."""
     d = len(grid.spec.axes) + len(grid.spec.fixed)
     header = ",".join([f"l{i + 1}" for i in range(d)] + ["value"])
-    lam = _lambda_grid(grid.spec, d)
+    rows = np.column_stack([_lambda_grid(grid.spec, d), grid.values.reshape(-1)])
     try:
         with open(path, "w") as fh:
             fh.write(header + "\n")
-            for row, value in zip(lam, grid.values.reshape(-1)):
-                fh.write(",".join([_fmt(v) for v in row] + [_fmt(value)]) + "\n")
+            _write_rows(fh, ",".join(["%.17g"] * (d + 1)) + "\n", rows)
     except OSError as exc:
         raise OSError(f"writing CSV to {path}: {exc}") from exc

@@ -10,16 +10,20 @@ from sympy.polys.matrices import DomainMatrix
 
 from cliffordspec.charpoly import (
     _AffineFamily,
+    _LaplaceFamily,
     _force_real_coeffs,
     _interpolate,
     _is_prime,
+    _lattice,
+    _lower_set,
     _modular_dets,
+    _normalised,
     _primes,
     char_poly,
     laplace_det_poly,
     reduced_char_poly,
 )
-from cliffordspec.cliffordrep import rep_for
+from cliffordspec.cliffordrep import rep_for, standard_rep
 from cliffordspec.errors import ContractError, InterpolationError
 from cliffordspec.gallery import (
     direct_sum_char_reference,
@@ -446,3 +450,111 @@ def test_exact_interpolation_checks_raise(monkeypatch):
     imaginary = MultiPoly(3, {(0, 0, 0): GaussianRational(1, 1)})
     with pytest.raises(InterpolationError, match="imaginary"):
         _force_real_coeffs(imaginary)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_lower_set_matches_itertools_order(d):
+    for m in range(13):
+        want = [a for a in itertools.product(range(m + 1), repeat=d) if sum(a) <= m]
+        got = _lower_set(d, m)
+        assert got.shape == (len(want), d)
+        assert got.tolist() == [list(a) for a in want]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_rank_one_lattice_keys_are_distinct(d):
+    # the rule itself, not the fallback: k = 1 (mod d - 1), k >= side + 1,
+    # modulus (k^d - 1) / (d - 1), g = (1, k, ..., k^(d - 1)) mod modulus
+    assert _lattice(_lower_set(d, 0), 0)[1] == 1
+    for side in range(1, 17):
+        expo = _lower_set(d, side)
+        k = side + 1
+        while (k - 1) % (d - 1):
+            k += 1
+        modulus = (k**d - 1) // (d - 1)
+        g = np.array([k**j % modulus for j in range(d)])
+        keys = expo @ g % modulus
+        assert len(set(keys.tolist())) == len(expo), (d, side)
+        got_g, got_modulus, got_keys = _lattice(expo, side)
+        if modulus < (side + 1) ** d:
+            assert got_modulus == modulus
+            assert got_g.tolist() == g.tolist() and got_keys.tolist() == keys.tolist()
+        else:
+            # the Kronecker lattice of the tensor torus
+            assert got_modulus == (side + 1) ** d
+            assert len(set(got_keys.tolist())) == len(expo)
+
+
+def test_lattice_falls_back_to_the_tensor_torus_on_a_key_collision():
+    # side 12, d = 3: the rule has g = (1, 13, 169) mod 1,098; add to the
+    # lower set a row of the box {0..12}^3 whose key is already taken
+    expo = _lower_set(3, 12)
+    taken = set((expo @ [1, 13, 169] % 1098).tolist())
+    box = np.indices((13,) * 3).reshape(3, -1).T
+    extra = next(a for a in box if a.sum() > 12 and int(a @ [1, 13, 169] % 1098) in taken)
+    g, modulus, keys = _lattice(np.vstack([expo, extra]), 12)
+    assert modulus == 13**3 and g.tolist() == [1, 13, 169]
+    assert len(set(keys.tolist())) == len(expo) + 1
+
+
+def test_float_determinant_count_on_the_lattice(monkeypatch):
+    requested = []
+    real = _AffineFamily.float_dets
+
+    def counting(self, lam):
+        requested.append(len(lam))
+        return real(self, lam)
+
+    monkeypatch.setattr(_AffineFamily, "float_dets", counting)
+    # side 12, d = 4: k = 13, (13^4 - 1) / 3 = 9,520 points, not 13^4 = 28,561
+    reduced_char_poly(torus_quadruple(6))
+    assert sum(requested) == 9520
+    requested.clear()
+    # side 12, d = 3: (13^3 - 1) / 2 = 1,098, not 2,197
+    char_poly(sykora_two_torus().as_float())
+    assert sum(requested) == 1098
+
+
+def _tensor_torus_coeffs(family) -> dict:
+    """The former float path: det on the full (side + 1)^d torus grid and a
+    d-dimensional FFT."""
+    m, d = family.degree, family.d
+    k = m + 1
+    torus = np.exp(2j * np.pi / k * np.indices((k,) * d).reshape(d, -1).T)
+    coeffs = np.fft.fftn(family.float_dets(torus).reshape((k,) * d)) / k**d
+    return {tuple(a): coeffs[tuple(a)] for a in _lower_set(d, m).tolist()}
+
+
+_FLOAT_ENTRY = st.floats(-2, 2, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _float_tuples(draw):
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 3))
+    mats = []
+    for _ in range(d):
+        m = np.zeros((n, n), dtype=complex)
+        for i in range(n):
+            m[i, i] = draw(_FLOAT_ENTRY)
+            for j in range(i + 1, n):
+                m[i, j] = complex(draw(_FLOAT_ENTRY), draw(_FLOAT_ENTRY))
+                m[j, i] = m[i, j].conjugate()
+        mats.append(m)
+    return HermitianTuple(mats)
+
+
+@settings(max_examples=40)
+@given(_float_tuples())
+def test_lattice_matches_tensor_torus(t):
+    t, _ = _normalised(t)
+    families = [_AffineFamily(Pencil(t, rep_for(t.d).gammas)), _LaplaceFamily(t)]
+    if t.d == 4:
+        families.append(_AffineFamily(Pencil(t, standard_rep(4).off_diagonal_blocks)))
+    for family in families:
+        want = _tensor_torus_coeffs(family)
+        got = _interpolate(family).terms
+        scale = max(abs(c) for c in want.values())
+        assert set(got) <= set(want)
+        worst = max(abs(got.get(e, 0) - c) for e, c in want.items())
+        assert worst <= 1e-12 * scale, (type(family).__name__, worst / scale)

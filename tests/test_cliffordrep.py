@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from cliffordspec.cliffordrep import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     GammaRep,
     gamma_size,
     generated_rep,
@@ -10,7 +13,7 @@ from cliffordspec.cliffordrep import (
     validate,
 )
 from cliffordspec.errors import ContractError
-from cliffordspec.matrices import to_float
+from cliffordspec.matrices import dagger, exact_eye, exact_matrix, to_float
 from cliffordspec.scalars import GaussianRational
 
 
@@ -49,6 +52,50 @@ def test_standard_rep_4_off_diagonal_split():
         assert np.allclose(gf[:2, :2], 0)
     # the fourth block is the identity
     assert np.allclose(to_float(rep.off_diagonal_blocks[3]), np.eye(2))
+
+
+def _standard_rep_reference(d):
+    """The per-call construction that standard_rep replaced."""
+    if d == 1:
+        return GammaRep((exact_matrix([[1]]),))
+    if d == 2:
+        return GammaRep((SIGMA_X, SIGMA_Y))
+    if d == 3:
+        return GammaRep((SIGMA_X, SIGMA_Y, SIGMA_Z))
+    i = GaussianRational(0, 1)
+    blocks = (i * SIGMA_X, -i * SIGMA_Y, i * SIGMA_Z, exact_eye(2))
+    gammas = []
+    for b in blocks:
+        m = b.shape[0]
+        out = np.empty((2 * m, 2 * m), dtype=object)
+        bh = dagger(b)
+        for r in range(m):
+            for c in range(m):
+                out[r, c] = out[m + r, m + c] = GaussianRational(0)
+                out[r, m + c] = b[r, c]
+                out[m + r, c] = bh[r, c]
+        gammas.append(out)
+    return GammaRep(tuple(gammas), off_diagonal_blocks=blocks)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_standard_rep_is_built_once_and_matches_per_call_construction(d):
+    rep, ref = standard_rep(d), _standard_rep_reference(d)
+    assert standard_rep(d) is rep
+    assert len(rep.gammas) == len(ref.gammas) == d
+    pairs = list(zip(rep.gammas, ref.gammas))
+    if d == 4:
+        pairs += list(zip(rep.off_diagonal_blocks, ref.off_diagonal_blocks))
+    else:
+        assert rep.off_diagonal_blocks is None
+    for got, want in pairs:
+        assert got.shape == want.shape and got.dtype == want.dtype == object
+        assert all(isinstance(x, GaussianRational) for x in got.flat)
+        assert got.tolist() == want.tolist()
+        # shared by every caller, so no caller may write into it
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0, 0] = GaussianRational(7)
 
 
 def test_standard_rep_out_of_range():

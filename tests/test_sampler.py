@@ -31,6 +31,8 @@ from cliffordspec.sampler import (
     SIGMA_MIN,
     AxisSpec,
     SpectrumGrid,
+    _WRITE_ROWS,
+    _lambda_grid,
     default_level,
     export_grid_csv,
     export_mesh_obj,
@@ -207,6 +209,77 @@ def test_export_csv(tmp_path):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "l1,l2,l3,value"
     assert len(lines) == 1 + 11**3
+
+
+def _fmt_reference(x):
+    return f"{float(x):.17g}"
+
+
+def _obj_reference(mesh):
+    """The per-vertex OBJ writer that the block writer replaced."""
+    out = []
+    for i, v in enumerate(mesh.vertices):
+        parts = ["v", _fmt_reference(v[0]), _fmt_reference(v[1]), _fmt_reference(v[2])]
+        if mesh.channel is not None:
+            parts.append(_fmt_reference(mesh.channel[i]))
+        out.append(" ".join(parts) + "\n")
+    for t in mesh.triangles:
+        out.append(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}\n")
+    return "".join(out).encode()
+
+
+def _csv_reference(grid):
+    """The per-node CSV writer that the block writer replaced."""
+    d = len(grid.spec.axes) + len(grid.spec.fixed)
+    out = [",".join([f"l{i + 1}" for i in range(d)] + ["value"]) + "\n"]
+    for row, value in zip(_lambda_grid(grid.spec, d), grid.values.reshape(-1)):
+        out.append(",".join([_fmt_reference(v) for v in row] + [_fmt_reference(value)]) + "\n")
+    return "".join(out).encode()
+
+
+_SPECIAL = np.array(
+    [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, np.inf, -np.inf, np.nan, 0.1, -1 / 3]
+)
+
+
+def test_exports_match_per_row_writer(tmp_path):
+    path = tmp_path / "out"
+    # a sampled mesh with a channel, of several blocks of rows, and its
+    # special-value twin
+    mesh = extract_isosurface(slice_4d(even_odd(0), GridSpec.cube(4, -2.5, 2.5, 31, fixed={3: 0.3}), SIGMA_MIN))
+    assert len(mesh.vertices) > 4 * _WRITE_ROWS and mesh.channel is not None
+    rng = np.random.default_rng(11)
+    channel = rng.normal(size=len(mesh.vertices)) * 10.0 ** rng.integers(-300, 300, size=len(mesh.vertices))
+    channel[: len(_SPECIAL)] = _SPECIAL
+    vertices = mesh.vertices.copy()
+    vertices[: len(_SPECIAL), 1] = _SPECIAL
+    meshes = [
+        mesh,
+        SpectrumMesh(vertices, mesh.triangles, channel),
+        SpectrumMesh(mesh.vertices, mesh.triangles),
+        SpectrumMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int)),
+        SpectrumMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int), np.zeros(0)),
+    ]
+    for m in meshes:
+        export_mesh_obj(m, path)
+        assert path.read_bytes() == _obj_reference(m)
+    grids = [
+        sample(pauli(), GridSpec.cube(3, -1, 1, 17), DET_SIGN),
+        sample(pauli(), GridSpec.cube(3, -1.5, 1.5, 9), SIGMA_MIN),
+        slice_4d(even_odd(0), GridSpec.cube(4, -2.5, 2.5, 7, fixed={2: -0.7}), SIGMA_MIN),
+    ]
+    for g in grids:
+        export_grid_csv(g, path)
+        assert path.read_bytes() == _csv_reference(g)
+
+
+@settings(max_examples=50)
+@given(arrays(np.float64, (7, 3)), arrays(np.float64, 7))
+def test_obj_export_matches_per_row_writer_on_any_floats(tmp_path_factory, vertices, channel):
+    path = tmp_path_factory.mktemp("obj") / "m.obj"
+    mesh = SpectrumMesh(vertices, np.array([[0, 1, 2], [4, 5, 6]]), channel)
+    export_mesh_obj(mesh, path)
+    assert path.read_bytes() == _obj_reference(mesh)
 
 
 def test_exports_deterministic_across_threads(tmp_path):
