@@ -4,6 +4,12 @@ det L(lambda) of an affine pencil L(lambda) = L0 - sum_j lambda_j P_j has
 total degree at most the side of L.  It is ``localizer.Pencil``, of the
 gammas (char_poly) or the d = 4 off-diagonal blocks (reduced_char_poly): its
 Gaussian-integer stack for exact tuples, complex128 L0 and P_j for float ones.
+The Laplace operator sum_j (X_j - lambda_j)^2 is the same kind of pencil,
+S - sum_j c_j (2 X_j) - c_(d+1) (-I) with S = sum_j X_j^2, at the
+coefficients c = (lambda, |lambda|^2); its determinant has total degree at
+most 2n in lambda (laplace_det_poly).  One family type serves all three:
+a pencil, the degree, the map from lambda to the pencil coefficients, and a
+held-out reference determinant.
 
 Exact tuples are interpolated by Newton divided differences on the lower
 set {alpha : |alpha| <= side} of the integer node grid 0..side:
@@ -16,9 +22,10 @@ basis changes to monomials with integer (Stirling) coefficients, and
 from batched eliminations in int64, one per prime p = 1 (mod 4) and chunk
 of up to 4096 nodes, under both embeddings i -> +-sqrt(-1) of Z[i] into F_p, recombined
 by CRT once the primes exceed twice a Hadamard bound (Abbott, Bronstein &
-Mulders, ISSAC 1999).  The held-out check evaluates the integer
-coefficient numerators at the non-node (side + 1, side + 2, ...) and
-compares with a fraction-free Bareiss determinant there.
+Mulders, ISSAC 1999).  The held-out check evaluates the coefficients at
+the non-node (side + 1, side + 2, ...) and compares with a fraction-free
+Bareiss determinant there, of the assembled localizer or, for the Laplace
+polynomial, of ``localizer.laplace``.
 
 Float tuples are first divided by s = max ||X_j||_2, so the pencil has unit
 scale.  det L is then sampled on the unit torus along a rank-1 lattice,
@@ -51,15 +58,17 @@ validates the reconstruction.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
 from .cliffordrep import GammaRep, rep_for, standard_rep
 from .errors import ContractError, InterpolationError
-from .linalg import _gaussian_int_bareiss, exact_determinant, operator_norm
+from .linalg import determinant, operator_norm
 from .localizer import Pencil, laplace
-from .matrices import EXACT, FLOAT, HermitianTuple, exact_eye, gaussian_integers
+from .matrices import EXACT, FLOAT, HermitianTuple
 from .multipoly import MultiPoly
 from .scalars import GaussianRational
 from .tolerances import HELD_OUT_RTOL, REAL_COEFF_RTOL
@@ -67,83 +76,44 @@ from .tolerances import HELD_OUT_RTOL, REAL_COEFF_RTOL
 _CHUNK = 4096
 
 
-class _AffineFamily:
-    """det of a localizer Pencil: its Gaussian-integer stack (exact) or
-    batched float determinants."""
+@dataclass(frozen=True)
+class _Family:
+    """det pencil.at(coeffs(lambda)), a polynomial of total degree at most
+    ``degree`` in the d components of lambda.  ``coeffs`` maps rows of
+    lambda to rows of pencil coefficients, and ``reference(lambda)`` is the
+    determinant at one point by an independent route, for the held-out
+    checks: exact (GaussianRational) or complex as the pencil is."""
 
-    def __init__(self, pencil: Pencil):
-        self.source = pencil
-        self.kind = pencil.kind
-        self.size = self.degree = pencil.side
-        self.d = pencil.d
-        if self.kind == EXACT:
-            self.den_power = pencil.den**self.size
-            self.pencil = (pencil.re, pencil.im)
-
-    def coeffs(self, nodes: np.ndarray) -> np.ndarray:
-        return nodes
-
-    def det_scaled_at(self, node) -> tuple:
-        """(re, im) integer determinant of den * L at an integer node."""
-        _, re, im = self.source.scaled_at(node)
-        return _gaussian_int_bareiss(re.tolist(), im.tolist(), self.size)
+    pencil: Pencil
+    d: int
+    degree: int
+    coeffs: Callable
+    reference: Callable
 
     def float_dets(self, lam: np.ndarray) -> np.ndarray:
-        """det L at each row of lam, complex points of shape (count, d)."""
-        return np.linalg.det(self.source.at_rows(lam))
-
-    def float_det_single(self, lam) -> complex:
-        return complex(np.linalg.det(self.source.at(lam)))
+        """det at each row of lam, complex points of shape (count, d)."""
+        return np.linalg.det(self.pencil.at_rows(self.coeffs(lam)))
 
 
-class _LaplaceFamily:
-    """det(sum_j (X_j - lambda_j)^2), of total degree at most 2n."""
+def _char_family(pencil: Pencil) -> _Family:
+    """det of a localizer pencil, of degree its side; the held-out reference
+    is a Bareiss or LU determinant of the assembled matrix."""
+    return _Family(
+        pencil, pencil.d, pencil.side, lambda lam: lam, lambda lam: determinant(pencil.at(lam))
+    )
 
-    def __init__(self, tuple_: HermitianTuple):
-        self.kind = tuple_.kind
-        self.d = tuple_.d
-        self.degree = 2 * tuple_.n
-        self.tuple_ = tuple_
-        if self.kind == EXACT:
-            # q^2 sum_j (X_j - lambda_j)^2 = S - sum_j lambda_j 2q (q X_j)
-            # - |lambda|^2 (-q^2 I), S = sum_j (q X_j)^2: an integer pencil
-            # in the coefficients (lambda, |lambda|^2)
-            q = self.q = gaussian_integers(tuple_.matrices)[0]
-            self.scaled = HermitianTuple([m * q for m in tuple_.matrices])
-            self.den_power = q**self.degree
-            self.pencil = gaussian_integers(
-                (
-                    laplace(self.scaled),
-                    *(m * (2 * q) for m in self.scaled.matrices),
-                    exact_eye(tuple_.n) * -(q * q),
-                )
-            )[1:]
-        else:
-            self.mats = np.array(tuple_.matrices)
-            self.square_sum = sum(x @ x for x in self.mats)
 
-    def coeffs(self, nodes: np.ndarray) -> np.ndarray:
-        return np.column_stack([nodes, (nodes**2).sum(axis=1)])
-
-    def det_scaled_at(self, node) -> tuple:
-        """(re, im) integer determinant of q^2 times the Laplace operator:
-        laplace(q X, q lambda) has Gaussian-integer entries."""
-        v = exact_determinant(laplace(self.scaled, [self.q * x for x in node]))
-        return int(v.re), int(v.im)
-
-    def float_dets(self, lam: np.ndarray) -> np.ndarray:
-        """det of sum_j X_j^2 - 2 lambda_j X_j + lambda_j^2 at each row of
-        lam, complex points of shape (count, d)."""
-        eye = np.eye(self.tuple_.n)
-        ops = (
-            self.square_sum
-            - 2 * np.tensordot(lam, self.mats, axes=1)
-            + (lam**2).sum(axis=1)[:, None, None] * eye
-        )
-        return np.linalg.det(ops)
-
-    def float_det_single(self, lam) -> complex:
-        return complex(np.linalg.det(laplace(self.tuple_, lam)))
+def _laplace_family(tuple_: HermitianTuple) -> _Family:
+    """det(sum_j (X_j - lambda_j)^2), of total degree at most 2n, on the
+    Laplace pencil in (lambda, |lambda|^2); the held-out reference is the
+    operator assembled by ``localizer.laplace``."""
+    return _Family(
+        Pencil.laplace(tuple_),
+        tuple_.d,
+        2 * tuple_.n,
+        lambda lam: np.column_stack([lam, (lam**2).sum(axis=1)]),
+        lambda lam: determinant(laplace(tuple_, lam)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -351,20 +321,21 @@ def _newton_to_monomial(v: tuple, expo: np.ndarray, m: int) -> None:
                 part[sel] = part[sel] - k * part[succ[sel]]
 
 
-def _interpolate(family) -> MultiPoly:
+def _interpolate(family: _Family) -> MultiPoly:
     d = family.d
     m = family.degree
     expo = _lower_set(d, m)
-    if family.kind == EXACT:
+    pencil = family.pencil
+    if pencil.kind == EXACT:
         coeffs = family.coeffs(expo)
         chunks = [
-            _modular_dets(family.pencil, coeffs[i : i + _CHUNK])
+            _modular_dets((pencil.re, pencil.im), coeffs[i : i + _CHUNK])
             for i in range(0, len(expo), _CHUNK)
         ]
         v = tuple(np.concatenate(part) for part in zip(*chunks))
         _newton_to_monomial(v, expo, m)
-        _validate_exact(family, expo, v)
-        den = family.den_power
+        den = pencil.den**pencil.side
+        _validate_exact(family, expo, v, den)
         terms = {
             tuple(a): GaussianRational(Fraction(re, den), Fraction(im, den))
             for a, re, im in zip(expo, *v)
@@ -384,17 +355,18 @@ def _interpolate(family) -> MultiPoly:
     return poly
 
 
-def _validate_exact(family, expo: np.ndarray, v: tuple) -> None:
-    """Held-out check: the integer numerators v of the coefficients, den^side
-    times them, must give the Bareiss determinant of the scaled pencil at
-    (side + 1, side + 2, ...), which is not an interpolation node."""
+def _validate_exact(family: _Family, expo: np.ndarray, v: tuple, den: int) -> None:
+    """Held-out check: the integer numerators v of the coefficients, over
+    den, must give the reference determinant at (degree + 1, degree + 2,
+    ...), which is not an interpolation node."""
     probe = [family.degree + 1 + j for j in range(family.d)]
     mono = (np.array(probe, dtype=object) ** expo.astype(object)).prod(axis=1)
-    if tuple(int((part * mono).sum()) for part in v) != family.det_scaled_at(probe):
+    got = GaussianRational(*(Fraction(int((part * mono).sum()), den) for part in v))
+    if got != family.reference(probe):
         raise InterpolationError("exact interpolation failed held-out check")
 
 
-def _validate_interpolation(family, poly: MultiPoly) -> None:
+def _validate_interpolation(family: _Family, poly: MultiPoly) -> None:
     """Held-out consistency: the float polynomial must reproduce
     determinants at points that were not interpolation nodes."""
     d = family.d
@@ -402,7 +374,7 @@ def _validate_interpolation(family, poly: MultiPoly) -> None:
     half_width = family.degree / 4.0
     for _ in range(4):
         pt = rng.uniform(-0.8 * half_width, 0.8 * half_width, size=d)
-        want = family.float_det_single(pt)
+        want = family.reference(pt)
         got = poly.evaluate(pt)
         scale = max(1.0, abs(want), poly.evaluate_abs(pt))
         if abs(got - want) > HELD_OUT_RTOL * scale:
@@ -448,7 +420,7 @@ def char_poly(tuple_: HermitianTuple, rep: GammaRep | None = None) -> MultiPoly:
     if rep is None:
         rep = rep_for(tuple_.d)
     t, s = _normalised(tuple_)
-    family = _AffineFamily(Pencil(t, rep.gammas))
+    family = _char_family(Pencil(t, rep.gammas))
     poly = _force_real_coeffs(_interpolate(family))
     return _rescaled(poly, s, family.degree)
 
@@ -458,7 +430,7 @@ def reduced_char_poly(tuple_: HermitianTuple) -> MultiPoly:
     if tuple_.d != 4:
         raise ContractError("the reduced characteristic polynomial needs d = 4")
     t, s = _normalised(tuple_)
-    family = _AffineFamily(Pencil(t, standard_rep(4).off_diagonal_blocks))
+    family = _char_family(Pencil(t, standard_rep(4).off_diagonal_blocks))
     return _rescaled(_interpolate(family), s, family.degree)
 
 
@@ -482,5 +454,5 @@ def _force_real_coeffs(poly: MultiPoly) -> MultiPoly:
 def laplace_det_poly(tuple_: HermitianTuple) -> MultiPoly:
     """det(sum_j (X_j - lambda_j)^2) as a polynomial (total degree 2n)."""
     t, s = _normalised(tuple_)
-    family = _LaplaceFamily(t)
+    family = _laplace_family(t)
     return _rescaled(_interpolate(family), s, family.degree)

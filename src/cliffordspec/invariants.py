@@ -10,24 +10,21 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .cliffordrep import standard_rep
-from .errors import ContractError, SingularAtTolerance, SymmetryError
-from .linalg import (
-    default_tolerance,
-    hermitian_eigenvalues,
-    pfaffian,
-    smallest_eigen_magnitude,
-)
-from .localizer import build, build_reduced
+from .errors import ContractError, SymmetryError
+from .linalg import pfaffian, signature_gap
+from .localizer import Pencil, _coerce_lambda, build, build_reduced
 from .matrices import (
     EXACT,
     FLOAT,
     HermitianTuple,
     dagger,
-    exact_zeros,
+    defect_exceeds,
+    from_gaussian_integers,
     kind_of,
     kron,
     matmul,
@@ -75,24 +72,15 @@ class SymmetryProfile:
     grading: np.ndarray | None = None
 
 
-def _gap_tolerance(loc_matrix: np.ndarray, tol: float | None) -> float:
-    return default_tolerance(loc_matrix) if tol is None else tol
-
-
 def index(tuple_: HermitianTuple, lam, tol: float | None = None) -> IndexReport:
     """Half the signature of L_lambda for a triple, off the spectrum."""
     if tuple_.d != 3:
         raise ContractError("the half-signature index is defined for d = 3")
     loc = build(tuple_.as_float(), standard_rep(3), lam)
-    eigs = hermitian_eigenvalues(loc.matrix)
-    gap = float(np.min(np.abs(eigs)))
-    t = _gap_tolerance(loc.matrix, tol)
-    if gap <= t:
-        raise SingularAtTolerance(gap, t)
-    sig = int(np.sum(eigs > t) - np.sum(eigs < -t))
+    sig, gap = signature_gap(loc.matrix, tol)
     if sig % 2:
         raise ArithmeticError(f"odd localizer signature {sig}: numerical failure")
-    return IndexReport(tuple(float(v) for v in lam), "half-signature", sig // 2, gap)
+    return IndexReport(loc.lam, "half-signature", sig // 2, gap)
 
 
 def index_along_path(
@@ -181,21 +169,6 @@ def _conjugation_unitary(n2: int, kind: str) -> np.ndarray:
     if n2 % 2:
         raise ContractError("self-dual matrices must have even side")
     half = n2 // 2
-    if kind == EXACT:
-        q = exact_zeros((2 * n2, 2 * n2))
-        one = GaussianRational(1)
-        i = GaussianRational(0, 1)
-        for k in range(n2):
-            q[k, k] = one
-            q[n2 + k, n2 + k] = one
-        for k in range(half):
-            # -i Z block (rows 0..n2-1, cols n2..2n2-1)
-            q[k, n2 + half + k] = -i
-            q[half + k, n2 + k] = i
-            # +i Z block (rows n2.., cols 0..)
-            q[n2 + k, half + k] = i
-            q[n2 + half + k, k] = -i
-        return q
     q = np.zeros((2 * n2, 2 * n2), dtype=complex)
     eye = np.eye(half)
     z = np.block([[np.zeros((half, half)), eye], [-eye, np.zeros((half, half))]])
@@ -203,27 +176,55 @@ def _conjugation_unitary(n2: int, kind: str) -> np.ndarray:
     q[n2:, n2:] = np.eye(n2)
     q[:n2, n2:] = -1j * z
     q[n2:, :n2] = 1j * z
+    if kind == EXACT:
+        return from_gaussian_integers(1, *(p.astype(int).astype(object) for p in (q.real, q.imag)))
     return q
 
 
-def archetypal(tuple_: HermitianTuple, lam):
-    """Pf((1/2) Q* L_lambda Q): a real square root of det(L_lambda) on
-    self-dual Hermitian triples."""
-    require_self_dual_triple(tuple_)
-    loc = build(tuple_, standard_rep(3), lam)
-    n2 = tuple_.n
-    q = _conjugation_unitary(n2, tuple_.kind)
-    conj = matmul(dagger(q), matmul(loc.matrix, q))
-    if tuple_.kind == EXACT:
-        half = GaussianRational(1, 0) / 2
-        skew = half * conj
+def _skew_pencil(pencil: Pencil) -> list:
+    """[A0, B1, B2, B3] with (1/2) Q* L(lambda) Q = A0 - sum_j lambda_j B_j,
+    for the localizer pencil of a self-dual triple; raises SymmetryError
+    unless every member is skew, which makes every member of the family skew."""
+    q = _conjugation_unitary(pencil.side // 2, pencil.kind)
+    qh = dagger(q)
+    if pencil.kind == EXACT:
+        half = GaussianRational(Fraction(1, 2))
+        members = [from_gaussian_integers(pencil.den, *part) for part in zip(pencil.re, pencil.im)]
+    else:
+        half = 0.5
+        members = [pencil.l0, *pencil.parts]
+    skew = [half * (qh @ m @ q) for m in members]
+    if any(defect_exceeds(m + m.T, m, SKEW_CHECK_RTOL) for m in skew):
+        raise SymmetryError(
+            "conjugated localizer is not skew-symmetric; "
+            "the Pfaffian needs the standard triple representation"
+        )
+    return skew
+
+
+def _skew_rows(skew: list, lam: np.ndarray) -> np.ndarray:
+    """A0 - sum_j lam[:, j] B_j for each row of lam, a (count, side, side)
+    stack, from the members of :func:`_skew_pencil`."""
+    out = np.repeat(skew[0][None], lam.shape[0], axis=0)
+    step = np.empty_like(out)
+    for j, b in enumerate(skew[1:]):
+        # lambda_j == 0 leaves A0 as it is, signed zeros included
+        np.multiply(lam[:, j, None, None], b, out=step)
+        np.subtract(out, step, out=out, where=lam[:, j, None, None] != 0)
+    del step  # freed before a caller's elimination allocates its own
+    return out
+
+
+def _archetypal(pencil: Pencil, lam: list):
+    """Pf((1/2) Q* L(lam) Q) of a self-dual triple's localizer pencil, at
+    coerced lam."""
+    skew = _skew_rows(_skew_pencil(pencil), np.array([lam]))[0]
+    if pencil.kind == EXACT:
         value = pfaffian(skew)  # raises if not exactly skew
         if value.im:
             raise ArithmeticError("archetypal value has nonzero imaginary part")
         return value
-    skew = 0.5 * conj
-    scale = float(np.max(np.abs(skew))) or 1.0
-    if float(np.max(np.abs(skew + skew.T))) > SKEW_CHECK_RTOL * scale:
+    if defect_exceeds(skew + skew.T, skew, SKEW_CHECK_RTOL):
         raise SymmetryError("conjugated localizer is not skew-symmetric")
     value = pfaffian(skew)
     if abs(value.imag) > SKEW_CHECK_RTOL * max(1.0, abs(value)):
@@ -231,21 +232,23 @@ def archetypal(tuple_: HermitianTuple, lam):
     return float(value.real)
 
 
+def archetypal(tuple_: HermitianTuple, lam):
+    """Pf((1/2) Q* L_lambda Q): a real square root of det(L_lambda) on
+    self-dual Hermitian triples."""
+    require_self_dual_triple(tuple_)
+    pencil = Pencil(tuple_, standard_rep(3).gammas)
+    return _archetypal(pencil, _coerce_lambda(tuple_, lam))
+
+
 def archetypal_sign(tuple_: HermitianTuple, lam, tol: float | None = None) -> IndexReport:
     """Z_2 invariant: the sign of the archetypal value, off the spectrum."""
     ft = tuple_.as_float()
-    loc = build(ft, standard_rep(3), lam)
-    gap = smallest_eigen_magnitude(loc.matrix)
-    t = _gap_tolerance(loc.matrix, tol)
-    if gap <= t:
-        raise SingularAtTolerance(gap, t)
-    value = archetypal(ft, [float(v) for v in lam])
-    return IndexReport(
-        tuple(float(v) for v in lam),
-        "archetypal-sign",
-        1 if value > 0 else -1,
-        gap,
-    )
+    pencil = Pencil(ft, standard_rep(3).gammas)
+    lam = _coerce_lambda(ft, lam)
+    _, gap = signature_gap(pencil.at(lam), tol)  # raises on the spectrum
+    require_self_dual_triple(ft)
+    value = _archetypal(pencil, lam)
+    return IndexReport(tuple(lam), "archetypal-sign", 1 if value > 0 else -1, gap)
 
 
 def _grading_default(n: int, kind: str):
@@ -265,9 +268,9 @@ def graded_index(
     X1..X3 even and X4 odd; defined only on the lambda_4 = 0 hyperplane."""
     if tuple_.d != 4:
         raise ContractError("the graded index needs a 4-tuple")
-    if len(lam) != 4:
-        raise ContractError("lambda must have length 4")
-    if float(lam[3]) != 0.0:
+    ft = tuple_.as_float()
+    lam = _coerce_lambda(ft, lam)
+    if lam[3] != 0.0:
         raise SymmetryError("the graded index is defined only at lambda_4 = 0")
     grading = _grading_default(tuple_.n, tuple_.kind) if grading is None else grading
     profile = SymmetryProfile(
@@ -286,26 +289,16 @@ def graded_index(
             f"matrix {bad.matrix_index} violates the {bad.flag} grading "
             f"by {bad.violation:.3e}"
         )
-    ft = tuple_.as_float()
-    red = build_reduced(ft, [float(v) for v in lam])
+    red = build_reduced(ft, lam)
     eye2 = np.eye(2, dtype=complex)
     gamma_block = kron(to_float(grading) if kind_of(grading) == EXACT else grading, eye2)
     # adjoint (lower-left) block orientation: the published index values
     # are normalized against this block, the tabulated polynomials against
     # the other; the two give opposite half-signatures
     herm = 1j * (red.matrix.conj().T @ gamma_block)
-    scale = float(np.max(np.abs(herm))) or 1.0
-    if float(np.max(np.abs(herm - herm.conj().T))) > GRADED_HERMITIAN_RTOL * scale:
+    if defect_exceeds(herm - herm.conj().T, herm, GRADED_HERMITIAN_RTOL):
         raise SymmetryError("graded localizer is not Hermitian; grading invalid")
-    herm = 0.5 * (herm + herm.conj().T)
-    t = _gap_tolerance(herm, tol)
-    eigs = np.linalg.eigvalsh(herm)
-    gap = float(np.min(np.abs(eigs)))
-    if gap <= t:
-        raise SingularAtTolerance(gap, t)
-    sig = int(np.sum(eigs > t) - np.sum(eigs < -t))
+    sig, gap = signature_gap(0.5 * (herm + herm.conj().T), tol)
     if sig % 2:
         raise ArithmeticError(f"odd graded signature {sig}: numerical failure")
-    return IndexReport(
-        tuple(float(v) for v in lam), "graded-half-signature", sig // 2, gap
-    )
+    return IndexReport(tuple(lam), "graded-half-signature", sig // 2, gap)

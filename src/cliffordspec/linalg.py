@@ -19,7 +19,15 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ContractError, SingularAtTolerance
-from .matrices import EXACT, FLOAT, gaussian_integers, kind_of, require_hermitian, to_float
+from .matrices import (
+    EXACT,
+    FLOAT,
+    defect_exceeds,
+    gaussian_integers,
+    kind_of,
+    require_hermitian,
+    to_float,
+)
 from .scalars import GaussianRational
 from .tolerances import SINGULAR_RTOL, SKEW_RTOL
 
@@ -60,11 +68,13 @@ def smallest_eigen_magnitude(m: np.ndarray) -> float:
     return float(np.min(np.abs(hermitian_eigenvalues(m))))
 
 
-def signature(m: np.ndarray, tol: float | None = None) -> int:
-    """Number of eigenvalues above tol minus number below -tol.
+def signature_gap(m: np.ndarray, tol: float | None = None) -> tuple:
+    """(signature, gap): the number of eigenvalues above tol minus the number
+    below -tol, and the smallest eigenvalue magnitude.  tol defaults to
+    default_tolerance(m).
 
-    Raises SingularAtTolerance if any eigenvalue magnitude is <= tol,
-    since the signature (and hence the index) is undefined there.
+    Raises SingularAtTolerance if the gap is <= tol, since the signature
+    (and hence the index) is undefined there.
     """
     eigs = hermitian_eigenvalues(m)
     if tol is None:
@@ -72,7 +82,13 @@ def signature(m: np.ndarray, tol: float | None = None) -> int:
     gap = float(np.min(np.abs(eigs)))
     if gap <= tol:
         raise SingularAtTolerance(gap, tol)
-    return int(np.sum(eigs > tol) - np.sum(eigs < -tol))
+    return int(np.sum(eigs > tol) - np.sum(eigs < -tol)), gap
+
+
+def signature(m: np.ndarray, tol: float | None = None) -> int:
+    """Number of eigenvalues above tol minus number below -tol
+    (:func:`signature_gap`)."""
+    return signature_gap(m, tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +170,8 @@ def _require_skew(m: np.ndarray) -> None:
             for j in range(i, n):
                 if m[i, j] != -m[j, i]:
                     raise ContractError("matrix is not skew-symmetric")
-    else:
-        scale = float(np.max(np.abs(m))) or 1.0
-        if float(np.max(np.abs(m + m.T))) > SKEW_RTOL * scale:
-            raise ContractError("matrix is not skew-symmetric")
+    elif defect_exceeds(m + m.T, m, SKEW_RTOL):
+        raise ContractError("matrix is not skew-symmetric")
 
 
 def _pfaffian_expand(m: np.ndarray, rows: list) -> GaussianRational:

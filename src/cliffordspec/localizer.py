@@ -8,16 +8,15 @@ reduced localizer built from the upper-right gamma blocks, with
 is also provided; its determinant's zero set is the (often empty) Laplace
 spectrum.
 
-Both localizers are members of one affine pencil, the internal
-:class:`Pencil`, which the characteristic polynomials and the sampler read too.
+Both localizers, and the Laplace operator as a function of (lambda,
+|lambda|^2), are affine pencils, the internal :class:`Pencil`, which the
+characteristic polynomials, the sampler and the archetypal invariants read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-
 import numpy as np
 
 from .cliffordrep import GammaRep, rep_for, standard_rep
@@ -29,6 +28,7 @@ from .matrices import (
     check_same_kind,
     commutator,
     exact_eye,
+    from_gaussian_integers,
     gaussian_integers,
     kron,
     matmul,
@@ -58,15 +58,16 @@ def _coerce_lambda(tuple_: HermitianTuple, lam) -> list:
 
 
 class Pencil:
-    """L(lambda) = L0 - sum_j lambda_j P_j, L0 = sum_j X_j (x) B_j and
-    P_j = I (x) B_j, for blocks B_j that are the gammas or, for the reduced
-    localizer, the d = 4 off-diagonal blocks.
+    """L(c) = L0 - sum_k c_k P_k, an affine family of square matrices.
 
-    Float pencils hold complex128 ``l0`` and give the P_j as ``parts``.
-    Exact ones hold ``re`` and ``im``, (d + 1, side, side)
+    The localizer pencil has c = lambda, L0 = sum_j X_j (x) B_j and
+    P_j = I (x) B_j, for blocks B_j that are the gammas or, for the reduced
+    localizer, the d = 4 off-diagonal blocks; :meth:`laplace` gives the
+    Laplace operator's.  Float pencils hold complex128 ``l0`` and give the
+    P_k as ``parts``.  Exact ones hold ``re`` and ``im``, (d + 1, side, side)
     object arrays of Python ints with L0 = (re[0] + i im[0]) / den and
-    P_j = (re[j] + i im[j]) / den, den the lcm of their entry denominators;
-    GaussianRational entries are formed only for a matrix ``at`` returns."""
+    P_k = (re[k] + i im[k]) / den; GaussianRational entries are formed only
+    for a matrix ``at`` returns."""
 
     def __init__(self, tuple_: HermitianTuple, blocks):
         if len(blocks) != tuple_.d:
@@ -95,31 +96,44 @@ class Pencil:
         common = math.gcd(dx * db, *re.reshape(-1), *im.reshape(-1))
         self.den, self.re, self.im = dx * db // common, re // common, im // common
 
+    @classmethod
+    def laplace(cls, tuple_: HermitianTuple) -> "Pencil":
+        """sum_j (X_j - lambda_j)^2 = S - sum_j c_j (2 X_j) - c_(d+1) (-I) at
+        c = (lambda, sum_j lambda_j^2), with S = sum_j X_j^2: d + 1 members
+        P of side n, with no identity factor."""
+        pencil = cls.__new__(cls)
+        pencil.kind, pencil.d, pencil.side = tuple_.kind, tuple_.d + 1, tuple_.n
+        eye = np.eye(tuple_.n, dtype=complex) if tuple_.kind == FLOAT else exact_eye(tuple_.n)
+        members = (laplace(tuple_), *(x * 2 for x in tuple_.matrices), -eye)
+        if pencil.kind == FLOAT:
+            pencil.l0, pencil.blocks, pencil.eye = members[0], members[1:], None
+        else:
+            pencil.den, pencil.re, pencil.im = gaussian_integers(members)
+        return pencil
+
+    def _lift(self, b: np.ndarray) -> np.ndarray:
+        """I (x) b, or b itself for a pencil without an identity factor."""
+        return b if self.eye is None else kron(self.eye, b)
+
     def at(self, lam) -> np.ndarray:
-        """L(lam) for coerced real lam: float, or GaussianRational entries."""
+        """L(lam) for real lam: float, or GaussianRational entries when exact
+        (lam then rational or real GaussianRational)."""
         if self.kind == FLOAT:
             shift = sum((v * b for v, b in zip(lam[1:], self.blocks[1:])), lam[0] * self.blocks[0])
-            return self.l0 - kron(self.eye, shift)
-        den, re, im = self.scaled_at([v.re for v in lam])
-        pairs = zip(re.flat, im.flat)
-        out = [GaussianRational(Fraction(x, den), Fraction(y, den)) for x, y in pairs]
-        return np.array(out, dtype=object).reshape(re.shape)
-
-    def scaled_at(self, lam) -> tuple:
-        """(den, re, im) with den * L(lam) = re + i im, Gaussian-integer
-        object arrays, at rational lam (exact pencils)."""
-        q = math.lcm(*(Fraction(v).denominator for v in lam))
+            return self.l0 - self._lift(shift)
+        lam = [as_gaussian(v).re for v in lam]
+        q = math.lcm(*(v.denominator for v in lam))
         c = np.array([int(v * q) for v in lam], dtype=object)[:, None, None]
         re, im = (part[0] * q - (c * part[1:]).sum(axis=0) for part in (self.re, self.im))
-        return self.den * q, re, im
+        return from_gaussian_integers(self.den * q, re, im)
 
     @property
     def parts(self) -> np.ndarray:
-        """The float P_j as one (d, side, side) stack, formed when read (build never reads it)."""
-        return np.stack([kron(self.eye, b) for b in self.blocks])
+        """The float P_k as one (d, side, side) stack, formed when read (build never reads it)."""
+        return np.stack([self._lift(b) for b in self.blocks])
 
     def at_rows(self, lam: np.ndarray) -> np.ndarray:
-        """L(lambda) for each row of lam, shape (count, d), in one buffer."""
+        """L(c) for each row c of lam, shape (count, d), in one buffer."""
         mats = np.tensordot(lam, self.parts, axes=(1, 0))
         return np.subtract(self.l0[None], mats, out=mats)
 

@@ -112,6 +112,13 @@ def gaussian_integers(mats) -> tuple:
     )
 
 
+def from_gaussian_integers(den: int, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The exact matrix (re + i im) / den, for integer arrays re and im of one
+    shape: the inverse of :func:`gaussian_integers` for one matrix."""
+    out = [GaussianRational(Fraction(x, den), Fraction(y, den)) for x, y in zip(re.flat, im.flat)]
+    return np.array(out, dtype=object).reshape(re.shape)
+
+
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """AB - BA for square matrices of identical shape and kind."""
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
@@ -124,6 +131,12 @@ def max_abs(m: np.ndarray) -> float:
     if kind_of(m) == FLOAT:
         return float(np.max(np.abs(m))) if m.size else 0.0
     return max((abs(e.to_complex()) for e in m.reshape(-1)), default=0.0)
+
+
+def defect_exceeds(defect: np.ndarray, m: np.ndarray, rtol: float) -> bool:
+    """max |defect| > rtol * max |m| (1 for a zero m): the float check of a
+    symmetry such as M = -M^T, with defect = M + M^T, against the scale of M."""
+    return max_abs(defect) > rtol * (max_abs(m) or 1.0)
 
 
 def is_hermitian(m: np.ndarray) -> bool:

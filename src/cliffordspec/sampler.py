@@ -10,6 +10,10 @@ Three indicator fields are supported:
   positive threshold, an outer approximation of the zero set;
 * ``pfaffian-sign`` - the archetypal (Pfaffian) value on self-dual
   triples, which restores sign changes where the determinant is a square.
+  It is the Pfaffian of (1/2) Q* L_lambda Q = A0 - sum_j lambda_j B_j,
+  whose members are formed and checked skew once per grid and assembled
+  per chunk of nodes by the ``invariants`` functions that ``archetypal``
+  uses.
 
 Isosurfaces use marching tetrahedra on the Kuhn 6-tetrahedron cube split:
 the split tiles space consistently, has no ambiguous cases, and closed
@@ -27,14 +31,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cliffordrep import GammaRep, rep_for
-from .errors import ContractError, SymmetryError
-from .invariants import _conjugation_unitary, require_self_dual_triple
+from .errors import ContractError
+from .invariants import _skew_pencil, _skew_rows, require_self_dual_triple
 from .linalg import _pfaffian_parlett_reid, operator_norm
 from .localizer import Pencil
 from .matrices import HermitianTuple
 from .multipoly import MultiPoly, polar_radial_coefficients
 from .parallel import ordered_chunk_map
-from .tolerances import DEGENERATE_AREA, SKEW_CHECK_RTOL, TORUS_RESIDUAL_TOL
+from .tolerances import DEGENERATE_AREA, TORUS_RESIDUAL_TOL
 
 DET_SIGN = "det-sign"
 SIGMA_MIN = "sigma-min"
@@ -149,29 +153,10 @@ def sample(
         require_self_dual_triple(ft)
         if rep.d != 3:
             raise ContractError("the pfaffian indicator needs the d = 3 localizer")
-        q = _conjugation_unitary(ft.n, "float")
-        qh = q.conj().T
-        a0 = 0.5 * (qh @ pencil.l0 @ q)
-        bj = [0.5 * (qh @ part @ q) for part in pencil.parts]
-        # conjugation must produce a skew matrix for every lambda, which
-        # reduces to skewness of the constant part and each lambda slope
-        for m in (a0, *bj):
-            scale = float(np.max(np.abs(m))) or 1.0
-            if float(np.max(np.abs(m + m.T))) > SKEW_CHECK_RTOL * scale:
-                raise SymmetryError(
-                    "conjugated localizer is not skew-symmetric; "
-                    "the pfaffian indicator needs the standard triple representation"
-                )
+        skew = _skew_pencil(pencil)
 
         def run(chunk):
-            skew = np.repeat(a0[None], chunk.shape[0], axis=0)
-            step = np.empty_like(skew)
-            for j in range(d):
-                # lambda_j == 0 leaves a0 as it is, signed zeros included
-                np.multiply(chunk[:, j, None, None], bj[j], out=step)
-                np.subtract(skew, step, out=skew, where=chunk[:, j, None, None] != 0)
-            del step  # freed before the elimination allocates its own
-            return _pfaffian_parlett_reid(skew).real
+            return _pfaffian_parlett_reid(_skew_rows(skew, chunk)).real
 
     elif indicator == DET_SIGN:
 

@@ -95,10 +95,8 @@ def certificate(
     ft = tuple_.as_float()
     if rep is None:
         rep = rep_for(ft.d)
-    if lam is None:
-        lam = [0.0] * ft.d
-    lam = [float(v) for v in lam]
     loc = build(ft, rep, lam)
+    lam = loc.lam
     z, eps = near_kernel(loc)
     w = extract_w(z, rep.g, ft.n)
     expectations = []
@@ -111,7 +109,7 @@ def certificate(
         lhs += var + (e - lam[j]) ** 2
     rhs = eps + rep.g * commutator_norm_sum(ft)
     return VarianceCertificate(
-        lam=tuple(lam),
+        lam=lam,
         epsilon=eps,
         w=w,
         expectations=tuple(expectations),

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -9,11 +10,12 @@ from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from cliffordspec.charpoly import (
-    _AffineFamily,
-    _LaplaceFamily,
+    _char_family,
+    _Family,
     _force_real_coeffs,
     _interpolate,
     _is_prime,
+    _laplace_family,
     _lattice,
     _lower_set,
     _modular_dets,
@@ -429,12 +431,12 @@ def test_exact_interpolation_checks_raise(monkeypatch):
     rep = rep_for(3)
 
     def family():
-        return _AffineFamily(Pencil(t, rep.gammas))
+        return _char_family(Pencil(t, rep.gammas))
 
     # a degree bound one short still gives integer divided differences, so
     # only the held-out determinant can tell
     short = family()
-    short.degree -= 1
+    short = dataclasses.replace(short, degree=short.degree - 1)
     with pytest.raises(InterpolationError, match="held-out"):
         _interpolate(short)
     real = _modular_dets
@@ -499,13 +501,13 @@ def test_lattice_falls_back_to_the_tensor_torus_on_a_key_collision():
 
 def test_float_determinant_count_on_the_lattice(monkeypatch):
     requested = []
-    real = _AffineFamily.float_dets
+    real = _Family.float_dets
 
     def counting(self, lam):
         requested.append(len(lam))
         return real(self, lam)
 
-    monkeypatch.setattr(_AffineFamily, "float_dets", counting)
+    monkeypatch.setattr(_Family, "float_dets", counting)
     # side 12, d = 4: k = 13, (13^4 - 1) / 3 = 9,520 points, not 13^4 = 28,561
     reduced_char_poly(torus_quadruple(6))
     assert sum(requested) == 9520
@@ -548,13 +550,45 @@ def _float_tuples(draw):
 @given(_float_tuples())
 def test_lattice_matches_tensor_torus(t):
     t, _ = _normalised(t)
-    families = [_AffineFamily(Pencil(t, rep_for(t.d).gammas)), _LaplaceFamily(t)]
+    families = {
+        "char": _char_family(Pencil(t, rep_for(t.d).gammas)),
+        "laplace": _laplace_family(t),
+    }
     if t.d == 4:
-        families.append(_AffineFamily(Pencil(t, standard_rep(4).off_diagonal_blocks)))
-    for family in families:
+        families["reduced"] = _char_family(Pencil(t, standard_rep(4).off_diagonal_blocks))
+    for name, family in families.items():
         want = _tensor_torus_coeffs(family)
         got = _interpolate(family).terms
         scale = max(abs(c) for c in want.values())
         assert set(got) <= set(want)
         worst = max(abs(got.get(e, 0) - c) for e, c in want.items())
-        assert worst <= 1e-12 * scale, (type(family).__name__, worst / scale)
+        assert worst <= 1e-12 * scale, (name, worst / scale)
+
+
+def _former_laplace_dets(t, lam):
+    """The former float Laplace assembly: det of sum_j X_j^2 - 2 lambda_j X_j
+    + lambda_j^2 at each row of lam."""
+    mats = np.array(t.matrices)
+    square_sum = sum(x @ x for x in mats)
+    ops = (
+        square_sum
+        - 2 * np.tensordot(lam, mats, axes=1)
+        + (lam**2).sum(axis=1)[:, None, None] * np.eye(t.n)
+    )
+    return np.linalg.det(ops), ops
+
+
+@settings(max_examples=60)
+@given(_float_tuples(), st.integers(0, 2**32 - 1))
+def test_laplace_pencil_matches_former_float_assembly(t, seed):
+    # torus points, as the float path samples, and arbitrary complex points
+    rng = np.random.default_rng(seed)
+    torus = np.exp(2j * np.pi * rng.uniform(size=(16, t.d)))
+    wide = rng.normal(size=(16, t.d)) * 3 + 3j * rng.normal(size=(16, t.d))
+    lam = np.vstack([torus, wide])
+    want, ops = _former_laplace_dets(t, lam)
+    got = _laplace_family(t).float_dets(lam)
+    # Hadamard's bound on |det|: the rounding of any entry moves det by
+    # at most about that times the unit roundoff
+    scale = np.prod(np.linalg.norm(ops, axis=2), axis=1)
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliffordspec.errors import ContractError, SingularAtTolerance, SymmetryError
 from cliffordspec.gallery import (
@@ -14,6 +16,7 @@ from cliffordspec.gallery import (
 )
 from cliffordspec.invariants import (
     SymmetryProfile,
+    _conjugation_unitary,
     archetypal,
     archetypal_sign,
     dual,
@@ -22,9 +25,11 @@ from cliffordspec.invariants import (
     index_along_path,
     validate_symmetry,
 )
-from cliffordspec.linalg import operator_norm
+from cliffordspec.linalg import determinant, operator_norm
 from cliffordspec.localizer import build
-from cliffordspec.matrices import float_matrix, to_float
+from cliffordspec.matrices import exact_zeros, float_matrix, to_float
+from cliffordspec.scalars import GaussianRational
+from cliffordspec.variance import certificate
 
 
 def test_index_values():
@@ -154,6 +159,12 @@ def test_graded_index_preconditions():
         graded_index(torus_quadruple(4), [0, 0, 0, 0])
     with pytest.raises(ContractError):
         graded_index(pauli(), [0, 0, 0])
+    from cliffordspec.gallery import even_odd_grading
+
+    # i G keeps the even/odd relations, but the graded localizer is then
+    # anti-Hermitian
+    with pytest.raises(SymmetryError, match="not Hermitian"):
+        graded_index(even_odd(0), [0, 0, 0, 0], even_odd_grading(4) * GaussianRational(0, 1))
 
 
 def test_index_report_fields():
@@ -172,13 +183,70 @@ def test_two_holed_torus_probe_index():
     assert r.value == ex.expected["probe_index"] == -1
 
 
-def test_archetypal_exact_float_agreement(rng):
-    t = self_dual_path(Fraction(1, 4))
-    for _ in range(5):
-        num = rng.integers(-4, 5, size=3)
-        lam = [Fraction(int(v), 3) for v in num]
-        exact_val = archetypal(t, lam)
-        float_val = archetypal(t.as_float(), [float(v) for v in lam])
-        assert abs(exact_val.to_complex().real - float_val) <= 1e-9 * max(
-            1.0, abs(float_val)
-        )
+@settings(max_examples=30)
+@given(
+    st.fractions(0, Fraction(1, 2), max_denominator=12),
+    st.lists(st.fractions(-3, 3, max_denominator=9), min_size=3, max_size=3),
+)
+def test_archetypal_exact_float_agreement(s, lam):
+    t = self_dual_path(s)
+    exact_val = archetypal(t, lam)
+    float_val = archetypal(t.as_float(), [float(v) for v in lam])
+    assert abs(exact_val.to_complex().real - float_val) <= 1e-9 * max(
+        1.0, abs(float_val)
+    )
+    # Q* Q = 2 I, so det((1/2) Q* L Q) = det L, exactly
+    assert exact_val * exact_val == determinant(build(t, lam=lam).matrix)
+
+
+def _former_exact_conjugation_unitary(n2):
+    """The former entry loop of the exact Q = [[I, -iZ], [iZ, I]]."""
+    half = n2 // 2
+    q = exact_zeros((2 * n2, 2 * n2))
+    one = GaussianRational(1)
+    i = GaussianRational(0, 1)
+    for k in range(n2):
+        q[k, k] = one
+        q[n2 + k, n2 + k] = one
+    for k in range(half):
+        q[k, n2 + half + k] = -i
+        q[half + k, n2 + k] = i
+        q[n2 + k, half + k] = i
+        q[n2 + half + k, k] = -i
+    return q
+
+
+@pytest.mark.parametrize("n2", [2, 4, 6, 8])
+def test_exact_conjugation_unitary_matches_former_loop(n2):
+    got = _conjugation_unitary(n2, "exact")
+    want = _former_exact_conjugation_unitary(n2)
+    assert got.shape == want.shape
+    assert all(a == b for a, b in zip(got.reshape(-1), want.reshape(-1)))
+    assert np.array_equal(to_float(got), _conjugation_unitary(n2, "float"))
+
+
+# each point query with its tuple and lambda length
+_POINT_QUERIES = {
+    "index": (index, pauli, 3),
+    "certificate": (lambda t, lam: certificate(t, lam=lam), pauli, 3),
+    "archetypal_sign": (archetypal_sign, lambda: self_dual_path(0), 3),
+    "graded_index": (graded_index, lambda: even_odd(0), 4),
+}
+
+
+@pytest.mark.parametrize("make", [int, Fraction, GaussianRational])
+@pytest.mark.parametrize("query", sorted(_POINT_QUERIES))
+def test_point_queries_take_exact_lambda(query, make):
+    fn, example, d = _POINT_QUERIES[query]
+    t = example()
+    want = fn(t, [0.0] * d)
+    got = fn(t, [make(0)] * d)
+    assert got.lam == want.lam == (0.0,) * d
+    assert all(type(v) is float for v in got.lam)
+    if query == "certificate":
+        assert (got.epsilon, got.lhs, got.rhs) == (want.epsilon, want.lhs, want.rhs)
+    else:
+        assert (got.value, got.gap) == (want.value, want.gap)
+    for imaginary in (1j, GaussianRational(0, 1)):
+        with pytest.raises(ContractError, match="must be real"):
+            fn(t, [imaginary] + [make(0)] * (d - 1))
