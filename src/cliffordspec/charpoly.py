@@ -64,7 +64,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cliffordrep import GammaRep, rep_for, standard_rep
+from .cliffordrep import GammaRep, rep_for
 from .errors import ContractError, InterpolationError
 from .linalg import determinant, operator_norm
 from .localizer import Pencil, laplace
@@ -420,7 +420,7 @@ def char_poly(tuple_: HermitianTuple, rep: GammaRep | None = None) -> MultiPoly:
     if rep is None:
         rep = rep_for(tuple_.d)
     t, s = _normalised(tuple_)
-    family = _char_family(Pencil(t, rep.gammas))
+    family = _char_family(Pencil.localizer(t, rep))
     poly = _force_real_coeffs(_interpolate(family))
     return _rescaled(poly, s, family.degree)
 
@@ -430,7 +430,7 @@ def reduced_char_poly(tuple_: HermitianTuple) -> MultiPoly:
     if tuple_.d != 4:
         raise ContractError("the reduced characteristic polynomial needs d = 4")
     t, s = _normalised(tuple_)
-    family = _char_family(Pencil(t, standard_rep(4).off_diagonal_blocks))
+    family = _char_family(Pencil.reduced(t))
     return _rescaled(_interpolate(family), s, family.degree)
 
 

@@ -11,7 +11,7 @@ no tolerance at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,20 +25,15 @@ from .matrices import (
     kron,
     matmul,
     max_abs,
+    read_only,
     to_float,
 )
 from .scalars import GaussianRational
 from .tolerances import REP_RELATION_TOL
 
 
-def _read_only(*mats) -> tuple:
-    for m in mats:
-        m.setflags(write=False)
-    return mats
-
-
 # Pauli matrices, exact kind; read-only, like every matrix of STANDARD_REPS.
-SIGMA_X, SIGMA_Y, SIGMA_Z, EYE_2 = _read_only(
+SIGMA_X, SIGMA_Y, SIGMA_Z, EYE_2 = read_only(
     exact_matrix([[0, 1], [1, 0]]),
     exact_matrix([[(0, 0), (0, -1)], [(0, 1), (0, 0)]]),
     exact_matrix([[1, 0], [0, -1]]),
@@ -53,10 +48,25 @@ def gamma_size(d: int) -> int:
 @dataclass(frozen=True, eq=False)
 class GammaRep:
     """d anticommuting Hermitian involutions, optionally with the
-    upper-right blocks when every gamma is block off-diagonal."""
+    upper-right blocks when every gamma is block off-diagonal.
+
+    ``float_gammas`` and ``float_off_diagonal_blocks`` are read-only
+    complex128 images of both, formed once with the representation, so that
+    a float localizer reads them instead of converting."""
 
     gammas: tuple
     off_diagonal_blocks: tuple | None = None
+    float_gammas: tuple = field(init=False, repr=False)
+    float_off_diagonal_blocks: tuple | None = field(init=False, repr=False)
+
+    def __post_init__(self):
+        blocks = self.off_diagonal_blocks
+        object.__setattr__(self, "float_gammas", read_only(*map(to_float, self.gammas)))
+        object.__setattr__(
+            self,
+            "float_off_diagonal_blocks",
+            None if blocks is None else read_only(*map(to_float, blocks)),
+        )
 
     @property
     def d(self) -> int:
@@ -66,8 +76,9 @@ class GammaRep:
     def g(self) -> int:
         return self.gammas[0].shape[0]
 
-    def as_float(self):
-        return tuple(to_float(g) for g in self.gammas)
+    def as_float(self) -> tuple:
+        """The gammas as float matrices: the shared read-only images."""
+        return self.float_gammas
 
 
 @dataclass(frozen=True)
@@ -110,16 +121,16 @@ def _embed_off_diagonal(block: np.ndarray) -> np.ndarray:
 # authoritative, and their reduced determinants match the tabulated torus
 # polynomials only with this orientation)
 _I = GaussianRational(0, 1)
-_BLOCKS_4 = _read_only(_I * SIGMA_X, -_I * SIGMA_Y, _I * SIGMA_Z, exact_eye(2))
+_BLOCKS_4 = read_only(_I * SIGMA_X, -_I * SIGMA_Y, _I * SIGMA_Z, exact_eye(2))
 
 # the fixed conventional representations for d = 1..4, built once; every
 # matrix is read-only, since each call of standard_rep shares them
 STANDARD_REPS = {
-    1: GammaRep(_read_only(exact_matrix([[1]]))),
+    1: GammaRep(read_only(exact_matrix([[1]]))),
     2: GammaRep((SIGMA_X, SIGMA_Y)),
     3: GammaRep((SIGMA_X, SIGMA_Y, SIGMA_Z)),
     4: GammaRep(
-        _read_only(*(_embed_off_diagonal(b) for b in _BLOCKS_4)),
+        read_only(*(_embed_off_diagonal(b) for b in _BLOCKS_4)),
         off_diagonal_blocks=_BLOCKS_4,
     ),
 }

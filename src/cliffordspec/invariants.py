@@ -236,14 +236,14 @@ def archetypal(tuple_: HermitianTuple, lam):
     """Pf((1/2) Q* L_lambda Q): a real square root of det(L_lambda) on
     self-dual Hermitian triples."""
     require_self_dual_triple(tuple_)
-    pencil = Pencil(tuple_, standard_rep(3).gammas)
+    pencil = Pencil.localizer(tuple_, standard_rep(3))
     return _archetypal(pencil, _coerce_lambda(tuple_, lam))
 
 
 def archetypal_sign(tuple_: HermitianTuple, lam, tol: float | None = None) -> IndexReport:
     """Z_2 invariant: the sign of the archetypal value, off the spectrum."""
     ft = tuple_.as_float()
-    pencil = Pencil(ft, standard_rep(3).gammas)
+    pencil = Pencil.localizer(ft, standard_rep(3))
     lam = _coerce_lambda(ft, lam)
     _, gap = signature_gap(pencil.at(lam), tol)  # raises on the spectrum
     require_self_dual_triple(ft)

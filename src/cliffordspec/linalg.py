@@ -32,9 +32,14 @@ from .scalars import GaussianRational
 from .tolerances import SINGULAR_RTOL, SKEW_RTOL
 
 
+def _singular_tolerance(norm: float) -> float:
+    """SINGULAR_RTOL * (1 + norm), for the operator norm of the matrix tested."""
+    return SINGULAR_RTOL * (1.0 + norm)
+
+
 def default_tolerance(m: np.ndarray) -> float:
     """Shared singularity tolerance: SINGULAR_RTOL * (1 + operator norm)."""
-    return SINGULAR_RTOL * (1.0 + operator_norm(m))
+    return _singular_tolerance(operator_norm(m))
 
 
 def hermitian_eigen(m: np.ndarray):
@@ -77,9 +82,11 @@ def signature_gap(m: np.ndarray, tol: float | None = None) -> tuple:
     (and hence the index) is undefined there.
     """
     eigs = hermitian_eigenvalues(m)
+    magnitudes = np.abs(eigs)
     if tol is None:
-        tol = default_tolerance(m)
-    gap = float(np.min(np.abs(eigs)))
+        # default_tolerance(m), with ||m||_2 = max |eigenvalue| for Hermitian m
+        tol = _singular_tolerance(float(np.max(magnitudes)))
+    gap = float(np.min(magnitudes))
     if gap <= tol:
         raise SingularAtTolerance(gap, tol)
     return int(np.sum(eigs > tol) - np.sum(eigs < -tol)), gap

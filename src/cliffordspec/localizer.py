@@ -33,7 +33,6 @@ from .matrices import (
     kron,
     matmul,
     max_abs,
-    to_float,
 )
 from .linalg import operator_norm
 from .scalars import GaussianRational, as_gaussian
@@ -61,13 +60,15 @@ class Pencil:
     """L(c) = L0 - sum_k c_k P_k, an affine family of square matrices.
 
     The localizer pencil has c = lambda, L0 = sum_j X_j (x) B_j and
-    P_j = I (x) B_j, for blocks B_j that are the gammas or, for the reduced
-    localizer, the d = 4 off-diagonal blocks; :meth:`laplace` gives the
-    Laplace operator's.  Float pencils hold complex128 ``l0`` and give the
-    P_k as ``parts``.  Exact ones hold ``re`` and ``im``, (d + 1, side, side)
-    object arrays of Python ints with L0 = (re[0] + i im[0]) / den and
-    P_k = (re[k] + i im[k]) / den; GaussianRational entries are formed only
-    for a matrix ``at`` returns."""
+    P_j = I (x) B_j, for blocks B_j that are the gammas (:meth:`localizer`)
+    or, for the reduced localizer, the d = 4 off-diagonal blocks
+    (:meth:`reduced`); :meth:`laplace` gives the Laplace operator's.  The
+    blocks are of the tuple's kind: for a float tuple those constructors
+    pass the float images the representation holds.  Float pencils hold
+    complex128 ``l0`` and give the P_k as ``parts``.  Exact ones hold ``re``
+    and ``im``, (d + 1, side, side) object arrays of Python ints with
+    L0 = (re[0] + i im[0]) / den and P_k = (re[k] + i im[k]) / den;
+    GaussianRational entries are formed only for a matrix ``at`` returns."""
 
     def __init__(self, tuple_: HermitianTuple, blocks):
         if len(blocks) != tuple_.d:
@@ -76,7 +77,7 @@ class Pencil:
         self.d = tuple_.d
         self.side = tuple_.n * blocks[0].shape[0]
         if self.kind == FLOAT:
-            self.blocks = tuple(to_float(b) for b in blocks)
+            self.blocks = tuple(blocks)
             self.eye = np.eye(tuple_.n, dtype=complex)
             self.l0 = kron(tuple_.matrices[0], self.blocks[0])
             for x, b in zip(tuple_.matrices[1:], self.blocks[1:]):
@@ -95,6 +96,20 @@ class Pencil:
         # divide out what the lcm of the entry denominators does not need
         common = math.gcd(dx * db, *re.reshape(-1), *im.reshape(-1))
         self.den, self.re, self.im = dx * db // common, re // common, im // common
+
+    @classmethod
+    def localizer(cls, tuple_: HermitianTuple, rep: GammaRep) -> "Pencil":
+        """The localizer pencil of tuple_ in rep, on rep's exact gammas or
+        on the float images it holds."""
+        return cls(tuple_, rep.gammas if tuple_.kind == EXACT else rep.float_gammas)
+
+    @classmethod
+    def reduced(cls, tuple_: HermitianTuple) -> "Pencil":
+        """The reduced localizer pencil of a 4-tuple, on the off-diagonal
+        blocks of the standard d = 4 representation."""
+        rep = standard_rep(4)
+        exact = tuple_.kind == EXACT
+        return cls(tuple_, rep.off_diagonal_blocks if exact else rep.float_off_diagonal_blocks)
 
     @classmethod
     def laplace(cls, tuple_: HermitianTuple) -> "Pencil":
@@ -157,7 +172,7 @@ def build(tuple_: HermitianTuple, rep: GammaRep | None = None, lam=None) -> Loca
     """Assemble L_lambda = sum (X_j - lambda_j) (x) gamma_j."""
     if rep is None:
         rep = rep_for(tuple_.d)
-    pencil = Pencil(tuple_, rep.gammas)
+    pencil = Pencil.localizer(tuple_, rep)
     lam = _coerce_lambda(tuple_, [0] * tuple_.d if lam is None else lam)
     return Localizer(tuple_, rep, tuple(lam), pencil.at(lam))
 
@@ -166,7 +181,7 @@ def build_reduced(tuple_: HermitianTuple, lam=None) -> ReducedLocalizer:
     """Half-size localizer from the upper-right gamma blocks (d = 4 only)."""
     if tuple_.d != 4:
         raise ContractError("the reduced localizer needs a 4-tuple")
-    pencil = Pencil(tuple_, standard_rep(4).off_diagonal_blocks)
+    pencil = Pencil.reduced(tuple_)
     lam = _coerce_lambda(tuple_, [0] * 4 if lam is None else lam)
     return ReducedLocalizer(tuple_, tuple(lam), pencil.at(lam))
 

@@ -76,6 +76,15 @@ def to_float(m: np.ndarray) -> np.ndarray:
     return np.array([e.to_complex() for e in m.reshape(-1)], dtype=complex).reshape(m.shape)
 
 
+def read_only(*mats) -> tuple:
+    """Views of mats that refuse writes; the arrays passed in keep their own
+    flags."""
+    views = tuple(m.view() for m in mats)
+    for v in views:
+        v.setflags(write=False)
+    return views
+
+
 def dagger(m: np.ndarray) -> np.ndarray:
     if kind_of(m) == FLOAT:
         return m.conj().T
@@ -171,13 +180,16 @@ def direct_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class HermitianTuple:
-    """d Hermitian n-by-n matrices of a uniform scalar kind."""
+    """d Hermitian n-by-n matrices of a uniform scalar kind, immutable: the
+    matrices are read-only views, so the float image of an exact tuple, formed
+    on the first :meth:`as_float` and held, cannot go stale."""
 
     matrices: tuple = field()
     kind: str = field(init=False)
+    _float_image: "HermitianTuple | None" = field(init=False, repr=False)
 
     def __init__(self, matrices):
-        mats = tuple(np.asarray(m) for m in matrices)
+        mats = read_only(*(np.asarray(m) for m in matrices))
         if not mats:
             raise ContractError("a Hermitian tuple needs at least one matrix")
         kind = check_same_kind(*mats)
@@ -188,6 +200,7 @@ class HermitianTuple:
             require_hermitian(m, f"matrix {k}")
         object.__setattr__(self, "matrices", mats)
         object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "_float_image", None)
 
     @property
     def d(self) -> int:
@@ -198,9 +211,14 @@ class HermitianTuple:
         return self.matrices[0].shape[0]
 
     def as_float(self) -> "HermitianTuple":
+        """The float-kind tuple: self, or for an exact tuple one image shared
+        by every call, converted (and checked Hermitian) on the first."""
         if self.kind == FLOAT:
             return self
-        return HermitianTuple([to_float(m) for m in self.matrices])
+        if self._float_image is None:
+            image = HermitianTuple([to_float(m) for m in self.matrices])
+            object.__setattr__(self, "_float_image", image)
+        return self._float_image
 
     def shifted(self, mu) -> "HermitianTuple":
         """Subtract mu_j from the diagonal of each matrix."""

@@ -146,7 +146,7 @@ def sample(
     if rep is None:
         rep = rep_for(d)
     lam = _lambda_grid(spec, d)
-    pencil = Pencil(ft, rep.gammas)
+    pencil = Pencil.localizer(ft, rep)
     ref = operator_norm(pencil.l0)
 
     if indicator == PFAFFIAN_SIGN:

@@ -25,7 +25,7 @@ from cliffordspec.charpoly import (
     laplace_det_poly,
     reduced_char_poly,
 )
-from cliffordspec.cliffordrep import rep_for, standard_rep
+from cliffordspec.cliffordrep import rep_for
 from cliffordspec.errors import ContractError, InterpolationError
 from cliffordspec.gallery import (
     direct_sum_char_reference,
@@ -551,11 +551,11 @@ def _float_tuples(draw):
 def test_lattice_matches_tensor_torus(t):
     t, _ = _normalised(t)
     families = {
-        "char": _char_family(Pencil(t, rep_for(t.d).gammas)),
+        "char": _char_family(Pencil.localizer(t, rep_for(t.d))),
         "laplace": _laplace_family(t),
     }
     if t.d == 4:
-        families["reduced"] = _char_family(Pencil(t, standard_rep(4).off_diagonal_blocks))
+        families["reduced"] = _char_family(Pencil.reduced(t))
     for name, family in families.items():
         want = _tensor_torus_coeffs(family)
         got = _interpolate(family).terms
