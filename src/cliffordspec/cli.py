@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 import traceback
 from fractions import Fraction
@@ -67,14 +68,18 @@ def _config_errors(what: str):
         raise _CliError(EXIT_CONFIG, f"{what}: {exc}") from exc
 
 
-def _parse_param(text: str):
+def _parse_param(key: str, text: str):
+    """An example parameter as int, Fraction or finite float."""
     try:
         return int(text)
     except ValueError:
         pass
     if "/" in text:
         return Fraction(text)
-    return float(text)
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"parameter {key!r} must be finite, got {text!r}")
+    return value
 
 
 def _load_config_file(path: str) -> HermitianTuple:
@@ -86,7 +91,7 @@ def _load_config_file(path: str) -> HermitianTuple:
 
 def _tuple_from_doc(doc) -> HermitianTuple:
     if "example" in doc:
-        params = {k: _parse_param(str(v)) for k, v in doc.get("params", {}).items()}
+        params = {k: _parse_param(k, str(v)) for k, v in doc.get("params", {}).items()}
         return named_example(doc["example"], **params).tuple
     kind = doc.get("kind", "exact")
     mats = doc["matrices"]
@@ -116,9 +121,10 @@ def _load_tuple(args) -> HermitianTuple:
             if not value:
                 raise _CliError(EXIT_CONFIG, f"malformed --param {spec!r}; use key=value")
             with _config_errors(f"--param {spec!r}"):
-                params[key] = _parse_param(value)
-        with _config_errors(f"example {args.example!r}"):
-            return named_example(args.example, **params).tuple
+                params[key] = _parse_param(key, value)
+        # unknown names and parameters raise ContractError (exit 2); any
+        # other exception from a constructor is a fault (exit 3)
+        return named_example(args.example, **params).tuple
     if getattr(args, "config", None):
         return _load_config_file(args.config)
     raise _CliError(EXIT_CONFIG, "provide a JSON config path or --example NAME")

@@ -21,6 +21,7 @@ from .matrices import (
     dagger,
     exact_eye,
     exact_matrix,
+    exact_zeros,
     kind_of,
     kron,
     matmul,
@@ -103,17 +104,8 @@ class RelationReport:
 
 def _embed_off_diagonal(block: np.ndarray) -> np.ndarray:
     """[[0, B], [B*, 0]] as an exact matrix."""
-    m = block.shape[0]
-    out = np.empty((2 * m, 2 * m), dtype=object)
-    zero = GaussianRational(0)
-    bh = dagger(block)
-    for i in range(m):
-        for j in range(m):
-            out[i, j] = zero
-            out[m + i, m + j] = zero
-            out[i, m + j] = block[i, j]
-            out[m + i, j] = bh[i, j]
-    return out
+    zero = exact_zeros(block.shape)
+    return np.block([[zero, block], [dagger(block), zero]])
 
 
 # upper-right blocks of the conventional block off-diagonal d = 4 choice;

@@ -3,19 +3,21 @@
 All families with Gaussian-rational entries are exact-kind; the clock/shift
 torus families involve roots of unity and are float-kind (except n = 4,
 whose clock eigenvalues are Gaussian integers, available exactly for
-cross-validation).
+cross-validation).  One table, :data:`EXAMPLES`, names each example's
+constructor and its facts, keyed by the parameter values at which they hold.
 """
 
 from __future__ import annotations
 
 import cmath
+import inspect
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import ContractError
-from .matrices import HermitianTuple, exact_matrix, float_matrix
+from .matrices import HermitianTuple, dagger, exact_matrix, float_matrix
 from .multipoly import MultiPoly, variables
 from .scalars import GaussianRational
 
@@ -98,30 +100,9 @@ def clock_shift(n: int, exact: bool = False):
 def torus_quadruple(n: int, exact: bool = False) -> HermitianTuple:
     """Hermitian and anti-Hermitian parts of the shift and clock unitaries."""
     u, v = clock_shift(n, exact=exact)
-    if exact:
-        from .matrices import dagger
-
-        half = _gi(F(1, 2))
-        ihalf = _gi(0, F(1, 2))
-        ud = dagger(u)
-        vd = dagger(v)
-        return HermitianTuple(
-            [
-                half * ud + half * u,
-                ihalf * ud - ihalf * u,
-                half * vd + half * v,
-                ihalf * vd - ihalf * v,
-            ]
-        )
-    ud, vd = u.conj().T, v.conj().T
-    return HermitianTuple(
-        [
-            0.5 * (ud + u),
-            0.5j * (ud - u),
-            0.5 * (vd + v),
-            0.5j * (vd - v),
-        ]
-    )
+    half, ihalf = (_gi(F(1, 2)), _gi(0, F(1, 2))) if exact else (0.5, 0.5j)
+    ud, vd = dagger(u), dagger(v)
+    return HermitianTuple([half * (ud + u), ihalf * (ud - u), half * (vd + v), ihalf * (vd - v)])
 
 
 def torus_triple(n: int = 5, big_radius: float = 0.9, small_radius: float = 0.5) -> HermitianTuple:
@@ -318,105 +299,68 @@ class NamedExample:
     expected: dict = field(default_factory=dict)
 
 
-def _build_pauli(**kw):
-    return NamedExample(
-        "pauli",
-        kw,
-        pauli(),
-        {"char_poly": sphere_char_reference, "index_at_origin": 1},
-    )
-
-
-def _build_lemniscate(**kw):
-    return NamedExample(
-        "lemniscate",
-        kw,
-        lemniscate(),
-        {"char_poly": lemniscate_char_reference, "index_inside_lobe": 1},
-    )
-
-
-def _build_scaled_pauli(a=1, b=1, c=1):
-    return NamedExample("scaled_pauli", {"a": a, "b": b, "c": c}, scaled_pauli(a, b, c))
-
-
-def _build_fuzzy(t=1):
-    return NamedExample("fuzzy_sphere_5", {"t": t}, fuzzy_sphere_5(t))
-
-
-def _build_torus_triple(n=5, R=0.9, r=0.5):
-    return NamedExample(
-        "torus_triple", {"n": n, "R": R, "r": r}, torus_triple(int(n), float(R), float(r))
-    )
-
-
-def _build_torus_quadruple(n=4):
-    return NamedExample("torus_quadruple", {"n": n}, torus_quadruple(int(n)))
-
-
-def _build_sykora(r=1):
-    return NamedExample(
-        "sykora_two_torus",
-        {"r": r},
-        sykora_two_torus(r),
-        # interior probe of the two-holed torus (the surface spans
-        # z in [0, 3.9]); a nonzero half-signature certifies an enclosing
-        # surface rather than a point cloud
-        {"probe_point": (0.25, 0.0, 2.0), "probe_index": -1},
-    )
-
-
-def _build_bad_plot(r=0):
-    return NamedExample(
-        "bad_plot",
-        {"r": r},
-        direct_sum_sphere(r),
-        {"char_poly": direct_sum_char_reference, "index_at_origin": 0},
-    )
-
-
-def _build_self_dual(s=0):
-    return NamedExample("self_dual_path", {"s": s}, self_dual_path(s))
-
-
-def _build_gamma4(s1=1, s2=1, s3=1, s4=1):
-    expected = {}
-    if (s1, s2, s3, s4) == (1, 1, 1, 1):
-        expected["reduced_char_poly"] = gamma_reduced_reference
-    if (s1, s2, s3, s4) == (2, 1, 1, 1):
-        expected["reduced_char_poly"] = scaled_gamma_reduced_reference
-    return NamedExample(
-        "gamma4", {"s1": s1, "s2": s2, "s3": s3, "s4": s4}, gamma_tuple(s1, s2, s3, s4), expected
-    )
-
-
-def _build_even_odd(deform=0):
-    expected = {"graded_index_at_origin": -1}
-    if F(deform) == 0:
-        expected["reduced_char_poly"] = even_odd_reduced_reference
-    return NamedExample("even_odd", {"deform": deform}, even_odd(deform), expected)
-
-
-EXAMPLE_BUILDERS = {
-    "pauli": _build_pauli,
-    "lemniscate": _build_lemniscate,
-    "scaled_pauli": _build_scaled_pauli,
-    "fuzzy_sphere_5": _build_fuzzy,
-    "torus_triple": _build_torus_triple,
-    "torus_quadruple": _build_torus_quadruple,
-    "sykora_two_torus": _build_sykora,
-    "bad_plot": _build_bad_plot,
-    "self_dual_path": _build_self_dual,
-    "gamma4": _build_gamma4,
-    "even_odd": _build_even_odd,
+# name -> (constructor, facts): facts maps the constructor's parameter
+# values, in signature order, to the facts that hold there; the key None
+# holds at every value.  The adapters keep the parameter names, coercions
+# and defaults that named_example has always taken.
+EXAMPLES = {
+    "pauli": (pauli, {None: {"char_poly": sphere_char_reference, "index_at_origin": 1}}),
+    "lemniscate": (
+        lemniscate,
+        {None: {"char_poly": lemniscate_char_reference, "index_inside_lobe": 1}},
+    ),
+    "scaled_pauli": (lambda a=1, b=1, c=1: scaled_pauli(a, b, c), {}),
+    "fuzzy_sphere_5": (fuzzy_sphere_5, {}),
+    "torus_triple": (lambda n=5, R=0.9, r=0.5: torus_triple(int(n), float(R), float(r)), {}),
+    "torus_quadruple": (lambda n=4: torus_quadruple(int(n)), {}),
+    # an interior probe of the two-holed torus (the surface spans z in
+    # [0, 3.9]); a nonzero half-signature certifies an enclosing surface
+    # rather than a point cloud
+    "sykora_two_torus": (
+        sykora_two_torus,
+        {None: {"probe_point": (0.25, 0.0, 2.0), "probe_index": -1}},
+    ),
+    "bad_plot": (
+        direct_sum_sphere,
+        {(0,): {"char_poly": direct_sum_char_reference, "index_at_origin": 0}},
+    ),
+    "self_dual_path": (self_dual_path, {}),
+    "gamma4": (
+        gamma_tuple,
+        {
+            (1, 1, 1, 1): {"reduced_char_poly": gamma_reduced_reference},
+            (2, 1, 1, 1): {"reduced_char_poly": scaled_gamma_reduced_reference},
+        },
+    ),
+    "even_odd": (
+        even_odd,
+        {
+            None: {"graded_index_at_origin": -1},
+            (0,): {"reduced_char_poly": even_odd_reduced_reference},
+        },
+    ),
 }
 
 
 def named_example(name: str, **params) -> NamedExample:
-    if name not in EXAMPLE_BUILDERS:
+    """The example's tuple at params, bound to its constructor's signature
+    (defaults filled in), with the facts that hold at those values."""
+    if name not in EXAMPLES:
         raise ContractError(f"unknown example {name!r}; see list_example_names()")
-    return EXAMPLE_BUILDERS[name](**params)
+    build, facts = EXAMPLES[name]
+    signature = inspect.signature(build)
+    for key in params:
+        if key not in signature.parameters:
+            raise ContractError(f"example {name!r} has no parameter {key!r}")
+    bound = signature.bind(**params)
+    bound.apply_defaults()
+    values = dict(bound.arguments)
+    expected = {}
+    for key, held in facts.items():
+        if key is None or key == tuple(values.values()):
+            expected.update(held)
+    return NamedExample(name, values, build(**values), expected)
 
 
 def list_example_names() -> list:
-    return sorted(EXAMPLE_BUILDERS)
+    return sorted(EXAMPLES)

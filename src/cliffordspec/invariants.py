@@ -108,10 +108,7 @@ def dual(m: np.ndarray) -> np.ndarray:
     n = side // 2
     a, b = m[:n, :n], m[:n, n:]
     c, d = m[n:, :n], m[n:, n:]
-    if kind_of(m) == FLOAT:
-        out = np.empty_like(m)
-    else:
-        out = np.empty(m.shape, dtype=object)
+    out = np.empty_like(m)
     out[:n, :n] = d.T
     out[:n, n:] = -b.T
     out[n:, :n] = -c.T
@@ -181,10 +178,11 @@ def _conjugation_unitary(n2: int, kind: str) -> np.ndarray:
     return q
 
 
-def _skew_pencil(pencil: Pencil) -> list:
-    """[A0, B1, B2, B3] with (1/2) Q* L(lambda) Q = A0 - sum_j lambda_j B_j,
-    for the localizer pencil of a self-dual triple; raises SymmetryError
-    unless every member is skew, which makes every member of the family skew."""
+def _skew_pencil(pencil: Pencil) -> Pencil:
+    """The pencil (1/2) Q* L(lambda) Q = A0 - sum_j lambda_j B_j of a
+    self-dual triple's localizer pencil; raises SymmetryError unless every
+    member is skew, which makes every member of the family skew.  Exact
+    members are checked as integer identities, float ones against their scale."""
     q = _conjugation_unitary(pencil.side // 2, pencil.kind)
     qh = dagger(q)
     if pencil.kind == EXACT:
@@ -193,8 +191,12 @@ def _skew_pencil(pencil: Pencil) -> list:
     else:
         half = 0.5
         members = [pencil.l0, *pencil.parts]
-    skew = [half * (qh @ m @ q) for m in members]
-    if any(defect_exceeds(m + m.T, m, SKEW_CHECK_RTOL) for m in skew):
+    skew = Pencil.from_members([half * (qh @ m @ q) for m in members])
+    if skew.kind == EXACT:
+        bad = any(np.any(p + p.transpose(0, 2, 1)) for p in (skew.re, skew.im))
+    else:
+        bad = any(defect_exceeds(m + m.T, m, SKEW_CHECK_RTOL) for m in (skew.l0, *skew.blocks))
+    if bad:
         raise SymmetryError(
             "conjugated localizer is not skew-symmetric; "
             "the Pfaffian needs the standard triple representation"
@@ -202,23 +204,10 @@ def _skew_pencil(pencil: Pencil) -> list:
     return skew
 
 
-def _skew_rows(skew: list, lam: np.ndarray) -> np.ndarray:
-    """A0 - sum_j lam[:, j] B_j for each row of lam, a (count, side, side)
-    stack, from the members of :func:`_skew_pencil`."""
-    out = np.repeat(skew[0][None], lam.shape[0], axis=0)
-    step = np.empty_like(out)
-    for j, b in enumerate(skew[1:]):
-        # lambda_j == 0 leaves A0 as it is, signed zeros included
-        np.multiply(lam[:, j, None, None], b, out=step)
-        np.subtract(out, step, out=out, where=lam[:, j, None, None] != 0)
-    del step  # freed before a caller's elimination allocates its own
-    return out
-
-
 def _archetypal(pencil: Pencil, lam: list):
     """Pf((1/2) Q* L(lam) Q) of a self-dual triple's localizer pencil, at
     coerced lam."""
-    skew = _skew_rows(_skew_pencil(pencil), np.array([lam]))[0]
+    skew = _skew_pencil(pencil).at(lam)
     if pencil.kind == EXACT:
         value = pfaffian(skew)  # raises if not exactly skew
         if value.im:

@@ -8,9 +8,11 @@ reduced localizer built from the upper-right gamma blocks, with
 is also provided; its determinant's zero set is the (often empty) Laplace
 spectrum.
 
-Both localizers, and the Laplace operator as a function of (lambda,
-|lambda|^2), are affine pencils, the internal :class:`Pencil`, which the
-characteristic polynomials, the sampler and the archetypal invariants read.
+Both localizers, the Laplace operator as a function of (lambda,
+|lambda|^2) and the archetypal skew pencil (1/2) Q* L Q are affine
+pencils, the internal :class:`Pencil`, which the characteristic
+polynomials, the sampler and the archetypal invariants assemble by ``at``
+at one point or ``at_rows`` at many.
 """
 
 from __future__ import annotations
@@ -62,7 +64,8 @@ class Pencil:
     The localizer pencil has c = lambda, L0 = sum_j X_j (x) B_j and
     P_j = I (x) B_j, for blocks B_j that are the gammas (:meth:`localizer`)
     or, for the reduced localizer, the d = 4 off-diagonal blocks
-    (:meth:`reduced`); :meth:`laplace` gives the Laplace operator's.  The
+    (:meth:`reduced`); :meth:`from_members` takes L0 and the P_k as they
+    are, as :meth:`laplace` and the skew pencil do.  The
     blocks are of the tuple's kind: for a float tuple those constructors
     pass the float images the representation holds.  Float pencils hold
     complex128 ``l0`` and give the P_k as ``parts``.  Exact ones hold ``re``
@@ -112,19 +115,25 @@ class Pencil:
         return cls(tuple_, rep.off_diagonal_blocks if exact else rep.float_off_diagonal_blocks)
 
     @classmethod
-    def laplace(cls, tuple_: HermitianTuple) -> "Pencil":
-        """sum_j (X_j - lambda_j)^2 = S - sum_j c_j (2 X_j) - c_(d+1) (-I) at
-        c = (lambda, sum_j lambda_j^2), with S = sum_j X_j^2: d + 1 members
-        P of side n, with no identity factor."""
+    def from_members(cls, members) -> "Pencil":
+        """L(c) = members[0] - sum_k c_k members[k], all of one kind and
+        side, with no identity factor."""
         pencil = cls.__new__(cls)
-        pencil.kind, pencil.d, pencil.side = tuple_.kind, tuple_.d + 1, tuple_.n
-        eye = np.eye(tuple_.n, dtype=complex) if tuple_.kind == FLOAT else exact_eye(tuple_.n)
-        members = (laplace(tuple_), *(x * 2 for x in tuple_.matrices), -eye)
+        pencil.kind = check_same_kind(*members)
+        pencil.d, pencil.side = len(members) - 1, members[0].shape[0]
         if pencil.kind == FLOAT:
-            pencil.l0, pencil.blocks, pencil.eye = members[0], members[1:], None
+            pencil.l0, pencil.blocks, pencil.eye = members[0], tuple(members[1:]), None
         else:
             pencil.den, pencil.re, pencil.im = gaussian_integers(members)
         return pencil
+
+    @classmethod
+    def laplace(cls, tuple_: HermitianTuple) -> "Pencil":
+        """sum_j (X_j - lambda_j)^2 = S - sum_j c_j (2 X_j) - c_(d+1) (-I) at
+        c = (lambda, sum_j lambda_j^2), with S = sum_j X_j^2: d + 1 members
+        P of side n."""
+        eye = np.eye(tuple_.n, dtype=complex) if tuple_.kind == FLOAT else exact_eye(tuple_.n)
+        return cls.from_members((laplace(tuple_), *(x * 2 for x in tuple_.matrices), -eye))
 
     def _lift(self, b: np.ndarray) -> np.ndarray:
         """I (x) b, or b itself for a pencil without an identity factor."""

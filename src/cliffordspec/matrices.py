@@ -86,9 +86,8 @@ def read_only(*mats) -> tuple:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    if kind_of(m) == FLOAT:
-        return m.conj().T
-    return np.array([e.conjugate() for e in m.T.reshape(-1)], dtype=object).reshape(m.shape[::-1])
+    """The conjugate transpose; on exact matrices conj() conjugates each entry."""
+    return m.conj().T
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -152,11 +151,7 @@ def is_hermitian(m: np.ndarray) -> bool:
     if m.shape[0] != m.shape[1]:
         return False
     if kind_of(m) == EXACT:
-        return all(
-            m[i, j] == m[j, i].conjugate()
-            for i in range(m.shape[0])
-            for j in range(i, m.shape[1])
-        )
+        return bool(np.all(m == dagger(m)))
     scale = float(np.linalg.norm(m)) or 1.0
     return max_abs(m - dagger(m)) <= HERMITIAN_RTOL * scale
 

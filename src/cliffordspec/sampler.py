@@ -10,10 +10,9 @@ Three indicator fields are supported:
   positive threshold, an outer approximation of the zero set;
 * ``pfaffian-sign`` - the archetypal (Pfaffian) value on self-dual
   triples, which restores sign changes where the determinant is a square.
-  It is the Pfaffian of (1/2) Q* L_lambda Q = A0 - sum_j lambda_j B_j,
-  whose members are formed and checked skew once per grid and assembled
-  per chunk of nodes by the ``invariants`` functions that ``archetypal``
-  uses.
+  It is the Pfaffian of (1/2) Q* L_lambda Q = A0 - sum_j lambda_j B_j, a
+  ``Pencil`` formed and checked skew once per grid and assembled per chunk
+  of nodes by ``at_rows``, as ``archetypal`` assembles it by ``at``.
 
 Isosurfaces use marching tetrahedra on the Kuhn 6-tetrahedron cube split:
 the split tiles space consistently, has no ambiguous cases, and closed
@@ -32,7 +31,7 @@ import numpy as np
 
 from .cliffordrep import GammaRep, rep_for
 from .errors import ContractError
-from .invariants import _skew_pencil, _skew_rows, require_self_dual_triple
+from .invariants import _skew_pencil, require_self_dual_triple
 from .linalg import _pfaffian_parlett_reid, operator_norm
 from .localizer import Pencil
 from .matrices import HermitianTuple
@@ -156,7 +155,7 @@ def sample(
         skew = _skew_pencil(pencil)
 
         def run(chunk):
-            return _pfaffian_parlett_reid(_skew_rows(skew, chunk)).real
+            return _pfaffian_parlett_reid(skew.at_rows(chunk)).real
 
     elif indicator == DET_SIGN:
 

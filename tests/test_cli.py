@@ -289,3 +289,23 @@ def test_malformed_config_exits_2(tmp_path, capsys):
         path.write_text(text)
         code, _, _ = run(capsys, "charpoly", str(path))
         assert code == 2, text
+
+
+def test_non_finite_example_param_exits_2(capsys):
+    for value in ("inf", "1e400", "nan", "-inf"):
+        argv = ("charpoly", "--example", "fuzzy_sphere_5", "--param", f"t={value}")
+        code, _, err = run(capsys, *argv)
+        assert code == 2, value
+        assert "'t'" in err and "finite" in err, value
+
+
+def test_fault_inside_example_constructor_exits_3(monkeypatch, capsys):
+    from cliffordspec import gallery
+
+    def broken():
+        raise TypeError("constructor fault")
+
+    monkeypatch.setitem(gallery.EXAMPLES, "pauli", (broken, {}))
+    code, _, err = run(capsys, "charpoly", "--example", "pauli")
+    assert code == 3
+    assert "constructor fault" in err and "Traceback" in err

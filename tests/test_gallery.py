@@ -1,10 +1,13 @@
+import inspect
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from cliffordspec.charpoly import char_poly, reduced_char_poly
 from cliffordspec.errors import ContractError
 from cliffordspec.gallery import (
+    EXAMPLES,
     clock_shift,
     direct_sum_sphere,
     even_odd,
@@ -20,8 +23,10 @@ from cliffordspec.gallery import (
     torus_quadruple,
     torus_triple,
 )
+from cliffordspec.invariants import graded_index, index
 from cliffordspec.linalg import operator_norm
 from cliffordspec.matrices import commutator, to_float
+from cliffordspec.multipoly import poly_equal
 from cliffordspec.scalars import GaussianRational
 
 
@@ -148,3 +153,43 @@ def test_registry_names_stable():
         "gamma4",
         "even_odd",
     }
+
+
+# every (example, parameter values) of the table that carries facts
+_FACT_CASES = [(name, key) for name in sorted(EXAMPLES) for key in EXAMPLES[name][1]]
+
+
+@pytest.mark.parametrize("name, key", _FACT_CASES, ids=[f"{n}-{k}" for n, k in _FACT_CASES])
+def test_gallery_facts_hold_at_their_parameters(name, key):
+    build, facts = EXAMPLES[name]
+    # None keys facts that hold at every value; check them at the defaults
+    params = {} if key is None else dict(zip(inspect.signature(build).parameters, key))
+    ex = named_example(name, **params)
+    held = facts[key]
+    assert held.items() <= ex.expected.items()
+    t = ex.tuple
+    checks = {
+        "char_poly": lambda ref: poly_equal(char_poly(t), ref())[0],
+        "reduced_char_poly": lambda ref: poly_equal(reduced_char_poly(t), ref())[0],
+        "index_at_origin": lambda v: index(t, [0] * 3).value == v,
+        "graded_index_at_origin": lambda v: graded_index(t, [0] * 4).value == v,
+        "probe_point": lambda p: index(t, p).value == held["probe_index"],
+        "probe_index": lambda v: "probe_point" in held,
+        # the lobe names no point to check at, so this fact stays unchecked
+        "index_inside_lobe": lambda v: True,
+    }
+    assert set(held) <= set(checks)
+    for fact, value in held.items():
+        assert checks[fact](value), fact
+
+
+def test_bad_plot_facts_only_at_r_zero():
+    assert "char_poly" in named_example("bad_plot").expected
+    assert "char_poly" not in named_example("bad_plot", r=Fraction(1, 2)).expected
+    assert named_example("bad_plot", r=1).expected == {}
+
+
+@pytest.mark.parametrize("name", list_example_names())
+def test_unknown_example_parameter_is_an_error(name):
+    with pytest.raises(ContractError, match="bogus"):
+        named_example(name, bogus=3)

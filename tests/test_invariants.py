@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cliffordspec.cliffordrep import standard_rep
 from cliffordspec.errors import ContractError, SingularAtTolerance, SymmetryError
 from cliffordspec.gallery import (
     direct_sum_sphere,
@@ -17,6 +18,7 @@ from cliffordspec.gallery import (
 from cliffordspec.invariants import (
     SymmetryProfile,
     _conjugation_unitary,
+    _skew_pencil,
     archetypal,
     archetypal_sign,
     dual,
@@ -26,9 +28,10 @@ from cliffordspec.invariants import (
     validate_symmetry,
 )
 from cliffordspec.linalg import determinant, operator_norm
-from cliffordspec.localizer import build
-from cliffordspec.matrices import exact_zeros, float_matrix, to_float
+from cliffordspec.localizer import Pencil, build
+from cliffordspec.matrices import HermitianTuple, exact_zeros, float_matrix, to_float
 from cliffordspec.scalars import GaussianRational
+from cliffordspec.tolerances import SKEW_CHECK_RTOL
 from cliffordspec.variance import certificate
 
 
@@ -143,6 +146,19 @@ def test_archetypal_sign_far_field():
 def test_archetypal_requires_self_dual():
     with pytest.raises(SymmetryError):
         archetypal(pauli().as_float(), [0.0, 0.0, 0.0])
+
+
+def test_exact_skew_pencil_takes_no_tolerance():
+    # a self-duality defect far below SKEW_CHECK_RTOL passes the float
+    # pencil's scaled check, but not the exact pencil's integer identity
+    eps = Fraction(1, 10**20)
+    assert eps < 1e-6 * SKEW_CHECK_RTOL
+    mats = [m.copy() for m in self_dual_path(0).matrices]
+    mats[0][0, 0] = mats[0][0, 0] + GaussianRational(eps)
+    t = HermitianTuple(mats)
+    _skew_pencil(Pencil.localizer(t.as_float(), standard_rep(3)))
+    with pytest.raises(SymmetryError, match="skew"):
+        _skew_pencil(Pencil.localizer(t, standard_rep(3)))
 
 
 def test_graded_index_values():

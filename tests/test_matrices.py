@@ -2,7 +2,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cliffordspec.cliffordrep import _embed_off_diagonal
 from cliffordspec.errors import ContractError, KindMismatchError
 from cliffordspec.matrices import (
     HermitianTuple,
@@ -14,6 +17,7 @@ from cliffordspec.matrices import (
     kron,
     to_float,
 )
+from cliffordspec.invariants import dual
 from cliffordspec.scalars import GaussianRational
 
 
@@ -80,3 +84,95 @@ def test_dagger_exact():
     m = exact_matrix([[(1, 2), (3, 4)], [(5, 6), (7, 8)]])
     d = dagger(m)
     assert d[0, 1] == GaussianRational(5, -6)
+
+
+# ---------------------------------------------------------------------------
+# the helpers that act on both kinds through numpy's object dtype, against
+# their float images and against the per-entry loops they replaced
+
+_FRACTION = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
+
+
+@st.composite
+def _exact_matrices(draw, rows=None, cols=None):
+    rows = draw(st.integers(1, 4)) if rows is None else rows
+    cols = draw(st.integers(1, 4)) if cols is None else cols
+    entries = st.tuples(_FRACTION, _FRACTION)
+    return exact_matrix([[draw(entries) for _ in range(cols)] for _ in range(rows)])
+
+
+@st.composite
+def _exact_hermitian(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(_exact_matrices(n, n))
+    for i in range(n):
+        m[i, i] = GaussianRational(m[i, i].re)
+        for j in range(i):
+            m[i, j] = m[j, i].conjugate()
+    return m
+
+
+def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes and bytes, up to the sign of zero, which an exact zero
+    does not carry: -0.0 + 0.0 is 0.0, and every other value is unchanged."""
+    return a.shape == b.shape and (a + 0.0).tobytes() == (b + 0.0).tobytes()
+
+
+def _former_is_hermitian(m: np.ndarray) -> bool:
+    if m.shape[0] != m.shape[1]:
+        return False
+    return all(
+        m[i, j] == m[j, i].conjugate() for i in range(m.shape[0]) for j in range(i, m.shape[1])
+    )
+
+
+def _former_embed_off_diagonal(block: np.ndarray) -> np.ndarray:
+    m = block.shape[0]
+    out = np.empty((2 * m, 2 * m), dtype=object)
+    zero = GaussianRational(0)
+    bh = dagger(block)
+    for i in range(m):
+        for j in range(m):
+            out[i, j] = zero
+            out[m + i, m + j] = zero
+            out[i, m + j] = block[i, j]
+            out[m + i, j] = bh[i, j]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(_exact_matrices())
+def test_exact_dagger_matches_float_dagger(m):
+    got = dagger(m)
+    assert got.dtype == object and got.shape == m.shape[::-1]
+    assert _same_bytes(to_float(got), dagger(to_float(m)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: _exact_matrices(2 * n, 2 * n)))
+def test_exact_dual_matches_float_dual(m):
+    got = dual(m)
+    assert got.dtype == object
+    assert _same_bytes(to_float(got), dual(to_float(m)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_exact_hermitian(), st.data())
+def test_exact_is_hermitian_matches_former_loop(m, data):
+    assert is_hermitian(m) and _former_is_hermitian(m)
+    n = m.shape[0]
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    bumped = m.copy()
+    bumped[i, j] = bumped[i, j] + GaussianRational(0, Fraction(1, 7))
+    assert is_hermitian(bumped) == _former_is_hermitian(bumped) is False
+    rect = data.draw(_exact_matrices(n, n + 1))
+    assert is_hermitian(rect) == _former_is_hermitian(rect) is False
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: _exact_matrices(n, n)))
+def test_embed_off_diagonal_matches_former_loop(block):
+    got, want = _embed_off_diagonal(block), _former_embed_off_diagonal(block)
+    assert got.dtype == object and got.shape == want.shape
+    assert all(type(a) is GaussianRational for a in got.reshape(-1))
+    assert all(a == b for a, b in zip(got.reshape(-1), want.reshape(-1)))
