@@ -198,7 +198,7 @@ def _grid_spec_from_args(args, d: int) -> GridSpec:
 def _summarize_mesh(mesh, grid) -> None:
     print(
         f"vertices={len(mesh.vertices)} triangles={len(mesh.triangles)} "
-        f"min_indicator={float(np.min(grid.values)):.6e}"
+        f"min_indicator={grid.min_value:.6e}"
     )
 
 

@@ -299,6 +299,17 @@ class NamedExample:
     expected: dict = field(default_factory=dict)
 
 
+def _integer(name: str, value) -> int:
+    """A parameter that must be a whole number, as an int."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value:
+        raise ContractError(f"parameter {name!r} must be an integer, got {value!r}")
+    return whole
+
+
 # name -> (constructor, facts): facts maps the constructor's parameter
 # values, in signature order, to the facts that hold there; the key None
 # holds at every value.  The adapters keep the parameter names, coercions
@@ -311,8 +322,11 @@ EXAMPLES = {
     ),
     "scaled_pauli": (lambda a=1, b=1, c=1: scaled_pauli(a, b, c), {}),
     "fuzzy_sphere_5": (fuzzy_sphere_5, {}),
-    "torus_triple": (lambda n=5, R=0.9, r=0.5: torus_triple(int(n), float(R), float(r)), {}),
-    "torus_quadruple": (lambda n=4: torus_quadruple(int(n)), {}),
+    "torus_triple": (
+        lambda n=5, R=0.9, r=0.5: torus_triple(_integer("n", n), float(R), float(r)),
+        {},
+    ),
+    "torus_quadruple": (lambda n=4: torus_quadruple(_integer("n", n)), {}),
     # an interior probe of the two-holed torus (the surface spans z in
     # [0, 3.9]); a nonzero half-signature certifies an enclosing surface
     # rather than a point cloud
@@ -332,11 +346,13 @@ EXAMPLES = {
             (2, 1, 1, 1): {"reduced_char_poly": scaled_gamma_reduced_reference},
         },
     ),
+    # the graded index at the origin is -1 at these deformations and 0 at
+    # 4, 5, 10 and -4
     "even_odd": (
         even_odd,
         {
-            None: {"graded_index_at_origin": -1},
-            (0,): {"reduced_char_poly": even_odd_reduced_reference},
+            (0,): {"reduced_char_poly": even_odd_reduced_reference, "graded_index_at_origin": -1},
+            **{(t,): {"graded_index_at_origin": -1} for t in (F(1, 2), 1, F(3, 2), 2, 3)},
         },
     ),
 }

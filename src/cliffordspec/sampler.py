@@ -14,6 +14,20 @@ Three indicator fields are supported:
   ``Pencil`` formed and checked skew once per grid and assembled per chunk
   of nodes by ``at_rows``, as ``archetypal`` assembles it by ``at``.
 
+A sigma-min grid from ``sample`` solves its nodes on demand, coarse to
+fine.  sigma_min is 1-Lipschitz in lambda, since (sum_j a_j gamma_j)^2 =
+|a|^2, so a node whose value exceeds level + e, e the longest Kuhn-tet edge
+(the cube diagonal), ends no crossing edge and lies in no cube that a mesh
+at that level visits.  ``extract_isosurface`` therefore solves every node of
+the stride-4 lattice (every 4th index per axis, and the last), then the
+nodes of the stride-2 lattice and then the rest, each only where the
+largest of value - distance over its neighbours on the coarser lattice
+does not prove it above level + e; a node left unsolved holds that bound.
+The mesh reads exactly the values it would read from the full field.  The
+first read of ``SpectrumGrid.values`` solves every node left; a node's value
+does not depend on the nodes that share its chunk, so the full field is
+bit-identical to solving every node at once.
+
 Isosurfaces use marching tetrahedra on the Kuhn 6-tetrahedron cube split:
 the split tiles space consistently, has no ambiguous cases, and closed
 level sets yield closed meshes.  Every stage runs on whole arrays: fields
@@ -24,7 +38,9 @@ encounter, and topology from unique-edge and component-label arrays.
 
 from __future__ import annotations
 
+import itertools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +53,7 @@ from .localizer import Pencil
 from .matrices import HermitianTuple
 from .multipoly import MultiPoly, polar_radial_coefficients
 from .parallel import ordered_chunk_map
-from .tolerances import DEGENERATE_AREA, TORUS_RESIDUAL_TOL
+from .tolerances import DEGENERATE_AREA, SIGMA_MIN_PRUNE_RTOL, TORUS_RESIDUAL_TOL
 
 DET_SIGN = "det-sign"
 SIGMA_MIN = "sigma-min"
@@ -46,6 +62,7 @@ INDICATORS = (DET_SIGN, SIGMA_MIN, PFAFFIAN_SIGN)
 
 SIGMA_MIN_LEVEL_FACTOR = 1e-2  # default isolevel: 1e-2 * ||L_0||
 _CHUNK = 4096
+_LADDER = (4, 2, 1)  # sigma-min lattice strides, coarse to fine
 
 
 @dataclass(frozen=True)
@@ -58,6 +75,9 @@ class AxisSpec:
     def __post_init__(self):
         if self.count < 2:
             raise ContractError("axis needs at least 2 samples")
+        for name, value in (("lo", self.lo), ("hi", self.hi), ("hi - lo", self.hi - self.lo)):
+            if not math.isfinite(value):
+                raise ContractError(f"axis {self.index} needs a finite {name}, got {value}")
         if not self.lo < self.hi:
             raise ContractError("axis needs lo < hi")
 
@@ -69,6 +89,11 @@ class AxisSpec:
 class GridSpec:
     axes: tuple
     fixed: tuple = ()  # ((lambda_index, value), ...)
+
+    def __post_init__(self):
+        for i, v in self.fixed:
+            if not math.isfinite(v):
+                raise ContractError(f"fixed lambda {i} must be finite, got {v}")
 
     @staticmethod
     def cube(d: int, lo: float, hi: float, count: int, fixed: dict | None = None) -> "GridSpec":
@@ -86,12 +111,38 @@ class GridSpec:
             )
 
 
-@dataclass(frozen=True, eq=False)
 class SpectrumGrid:
-    spec: GridSpec
-    indicator: str
-    values: np.ndarray  # shape = axis counts, in spec.axes order
-    reference_norm: float  # ||L_0|| of the sampled tuple
+    """An indicator field on a grid: ``values`` has the axis counts as its
+    shape, in spec.axes order; ``reference_norm`` is ||L_0|| of the sampled
+    tuple.
+
+    ``sample`` hands a sigma-min grid a ``_SigmaMinField`` in place of the
+    array.  ``extract_isosurface`` then solves, coarse to fine, only the
+    nodes that its level reads, and the first read of ``values`` solves
+    every node left and holds the full array from then on.  Every other
+    grid holds its array from the start.
+    """
+
+    def __init__(self, spec: GridSpec, indicator: str, values, reference_norm: float):
+        self.spec = spec
+        self.indicator = indicator
+        self.reference_norm = reference_norm
+        self._values = values
+
+    @property
+    def values(self) -> np.ndarray:
+        if isinstance(self._values, _SigmaMinField):
+            self._values = self._values.complete()
+        return self._values
+
+    @property
+    def min_value(self) -> float:
+        """min(values), taken from the solved nodes alone when they settle it."""
+        if isinstance(self._values, _SigmaMinField):
+            settled = self._values.settled_min()
+            if settled is not None:
+                return settled
+        return float(np.min(self.values))
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,6 +180,98 @@ def _lambda_grid(spec: GridSpec, d: int) -> np.ndarray:
     return out
 
 
+def _evaluate(run, rows: np.ndarray, threads: int | None) -> np.ndarray:
+    """run on the rows in chunks of _CHUNK nodes, in order; all finite."""
+    chunks = [rows[i : i + _CHUNK] for i in range(0, len(rows), _CHUNK)]
+    pieces = ordered_chunk_map(run, chunks, threads)
+    values = np.concatenate(pieces) if pieces else np.zeros(0)
+    if not np.all(np.isfinite(values)):
+        raise ArithmeticError("indicator field produced non-finite values")
+    return values
+
+
+class _SigmaMinField:
+    """sigma_min(L_lambda) at a grid's nodes, each node solved when first
+    needed.  Every node not solved has a value above ``_floor``: each
+    ``at_level`` run proves that of the nodes it leaves."""
+
+    def __init__(self, pencil: Pencil, spec: GridSpec, lam: np.ndarray, ref: float, threads):
+        self._pencil = pencil
+        self._coords = [a.nodes() for a in spec.axes]
+        self._lam = lam
+        self._threads = threads
+        # the rounding slack of every bound; ||L_lambda|| <= ref + |lambda|
+        self._margin = SIGMA_MIN_PRUNE_RTOL * (ref + math.sqrt(np.max(np.sum(lam * lam, axis=1))))
+        self._sigma = np.zeros(len(lam))
+        self._solved = np.zeros(len(lam), dtype=bool)
+        self._floor = -math.inf
+        self._lock = threading.Lock()
+
+    def _solve(self, flat: np.ndarray) -> None:
+        flat = flat[~self._solved[flat]]
+        pencil = self._pencil
+
+        def run(chunk):
+            return np.min(np.abs(np.linalg.eigvalsh(pencil.at_rows(chunk))), axis=1)
+
+        self._sigma[flat] = _evaluate(run, self._lam[flat], self._threads)
+        self._solved[flat] = True
+
+    def complete(self) -> np.ndarray:
+        with self._lock:
+            self._solve(np.flatnonzero(~self._solved))
+        return self._sigma.reshape([len(x) for x in self._coords])
+
+    def settled_min(self) -> float | None:
+        """The least solved value when no unsolved node can be below it."""
+        with self._lock:
+            if not self._solved.any():
+                return None
+            least = float(np.min(self._sigma[self._solved]))
+            return least if self._solved.all() or least <= self._floor else None
+
+    def at_level(self, level: float) -> np.ndarray:
+        """The field as a mesh at level reads it: every node solved whose
+        value may be at most level + e, e the longest cube diagonal; every
+        other node holds a lower bound above level + e + margin."""
+        coords = self._coords
+        shape = [len(x) for x in coords]
+        e = math.sqrt(sum(float(np.max(np.diff(x))) ** 2 for x in coords))
+        limit = level + e + self._margin
+        with self._lock:
+            est = self._sigma.reshape(shape).copy()
+            coarse = None
+            for stride in _LADDER:
+                idx = [np.append(np.arange(0, n - 1, stride), n - 1) for n in shape]
+                sub = np.ix_(*idx)
+                flat = np.ravel_multi_index(sub, shape)
+                if coarse is None:
+                    bound = np.full(flat.shape, -np.inf)
+                else:
+                    bound = _coarse_bound(est, coords, idx, coarse)
+                self._solve(flat[bound <= limit])
+                est[sub] = np.where(self._solved[flat], self._sigma[flat], bound)
+                coarse = idx
+            self._floor = max(self._floor, level + e)
+        return est
+
+
+def _coarse_bound(est, coords, idx, coarse) -> np.ndarray:
+    """Per node of the lattice idx, the largest est(c) - |lambda - lambda_c|
+    over its enclosing nodes c of the coarser lattice (one or two per axis)."""
+    sides = []
+    for x, fine, c in zip(coords, idx, coarse):
+        below = c[np.searchsorted(c, fine, side="right") - 1]
+        above = c[np.searchsorted(c, fine, side="left")]
+        sides.append([(n, (x[fine] - x[n]) ** 2) for n in (below, above)])
+    bound = None
+    for pick in itertools.product(*sides):
+        gap = np.sqrt(sum(np.ix_(*[d2 for _, d2 in pick])))
+        value = est[np.ix_(*[n for n, _ in pick])] - gap
+        bound = value if bound is None else np.maximum(bound, value)
+    return bound
+
+
 def sample(
     tuple_: HermitianTuple,
     spec: GridSpec,
@@ -136,7 +279,8 @@ def sample(
     rep: GammaRep | None = None,
     threads: int | None = None,
 ) -> SpectrumGrid:
-    """Evaluate an indicator field over a grid of lambda values."""
+    """Evaluate an indicator field over a grid of lambda values.  A
+    sigma-min field is solved on demand (see SpectrumGrid)."""
     if indicator not in INDICATORS:
         raise ContractError(f"indicator must be one of {INDICATORS}")
     ft = tuple_.as_float()
@@ -147,6 +291,8 @@ def sample(
     lam = _lambda_grid(spec, d)
     pencil = Pencil.localizer(ft, rep)
     ref = operator_norm(pencil.l0)
+    if indicator == SIGMA_MIN:
+        return SpectrumGrid(spec, indicator, _SigmaMinField(pencil, spec, lam, ref, threads), ref)
 
     if indicator == PFAFFIAN_SIGN:
         require_self_dual_triple(ft)
@@ -157,21 +303,12 @@ def sample(
         def run(chunk):
             return _pfaffian_parlett_reid(skew.at_rows(chunk)).real
 
-    elif indicator == DET_SIGN:
+    else:
 
         def run(chunk):
             return np.linalg.det(pencil.at_rows(chunk)).real
 
-    else:
-
-        def run(chunk):
-            return np.min(np.abs(np.linalg.eigvalsh(pencil.at_rows(chunk))), axis=1)
-
-    chunks = [lam[i : i + _CHUNK] for i in range(0, lam.shape[0], _CHUNK)]
-    pieces = ordered_chunk_map(run, chunks, threads)
-    values = np.concatenate(pieces) if pieces else np.zeros(0)
-    if not np.all(np.isfinite(values)):
-        raise ArithmeticError("indicator field produced non-finite values")
+    values = _evaluate(run, lam, threads)
     shape = tuple(a.count for a in spec.axes)
     return SpectrumGrid(spec, indicator, values.reshape(shape), ref)
 
@@ -248,12 +385,16 @@ def extract_isosurface(grid: SpectrumGrid, level: float | None = None) -> Spectr
     cubes (row-major), their six tets and each case's edge list first meets
     them.  A vertex on the grid edge from node a to node b, a the one with
     the lower row-major index, lies at a + t (b - a), t = f(a) / (f(a) - f(b)).
+    A sigma-min grid from ``sample`` solves only the nodes the level reads.
     """
     if len(grid.spec.axes) != 3:
         raise ContractError("isosurface extraction needs 3 sampled axes")
     if level is None:
         level = default_level(grid)
-    f = grid.values - level
+    if not math.isfinite(level):
+        raise ContractError(f"isosurface level must be finite, got {level}")
+    held = grid._values
+    f = (held.at_level(level) if isinstance(held, _SigmaMinField) else grid.values) - level
     nx, ny, nz = f.shape
     flat_f = f.reshape(-1)
 

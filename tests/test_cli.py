@@ -309,3 +309,34 @@ def test_fault_inside_example_constructor_exits_3(monkeypatch, capsys):
     code, _, err = run(capsys, "charpoly", "--example", "pauli")
     assert code == 3
     assert "constructor fault" in err and "Traceback" in err
+
+
+def test_non_finite_grid_inputs_exit_2(capsys):
+    cases = [
+        (("mesh", "--example", "pauli", "--range", " -inf", "1", "--res", "5"), "finite lo"),
+        (("mesh", "--example", "pauli", "--range", " -1e308", "1e308", "--res", "5"), "finite hi - lo"),
+        (("slice", "--example", "even_odd", "--fix", "3=nan", "--res", "5"), "fixed lambda 3"),
+        (("mesh", "--example", "pauli", "--res", "5", "--level", "nan"), "level must be finite"),
+        (("mesh", "--example", "pauli", "--res", "5", "--level", "inf"), "level must be finite"),
+    ]
+    for argv, cause in cases:
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert cause in err and "Warning" not in err, argv
+
+
+def test_non_integer_torus_n_exits_2(capsys):
+    for name in ("torus_quadruple", "torus_triple"):
+        code, _, err = run(capsys, "charpoly", "--example", name, "--param", "n=2.5")
+        assert code == 2, name
+        assert "'n'" in err and "integer" in err, name
+
+
+def test_mesh_min_indicator_matches_full_grid(capsys):
+    common = ("--example", "bad_plot", "--range", "-1.5", "1.5", "--res", "15")
+    code, mesh_out, _ = run(capsys, "mesh", *common)
+    assert code == 0
+    code, grid_out, _ = run(capsys, "grid", *common)
+    assert code == 0
+    assert mesh_out.split()[-1] == grid_out.split()[-1]
+    assert mesh_out.split()[-1].startswith("min_indicator=")

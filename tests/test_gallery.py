@@ -189,6 +189,22 @@ def test_bad_plot_facts_only_at_r_zero():
     assert named_example("bad_plot", r=1).expected == {}
 
 
+def test_even_odd_graded_fact_only_where_it_holds():
+    for deform in (4, 5, 10, -4):
+        ex = named_example("even_odd", deform=deform)
+        assert "graded_index_at_origin" not in ex.expected
+        assert graded_index(ex.tuple, [0] * 4).value == 0
+
+
+@pytest.mark.parametrize("name", ["torus_quadruple", "torus_triple"])
+def test_torus_n_must_be_an_integer(name):
+    for n in (2.5, Fraction(7, 2), "3"):
+        with pytest.raises(ContractError, match="'n' must be an integer"):
+            named_example(name, n=n)
+    whole = named_example(name, n=3.0).tuple
+    assert all(np.array_equal(a, b) for a, b in zip(whole.matrices, named_example(name, n=3).tuple.matrices))
+
+
 @pytest.mark.parametrize("name", list_example_names())
 def test_unknown_example_parameter_is_an_error(name):
     with pytest.raises(ContractError, match="bogus"):

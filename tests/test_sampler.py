@@ -1,3 +1,5 @@
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -5,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+
+from conftest import random_tuple
 
 from cliffordspec.charpoly import reduced_char_poly
 from cliffordspec.errors import ContractError
@@ -23,7 +27,8 @@ from cliffordspec.linalg import (
     pfaffian,
     smallest_eigen_magnitude,
 )
-from cliffordspec.localizer import build
+from cliffordspec.cliffordrep import rep_for
+from cliffordspec.localizer import Pencil, build
 from cliffordspec.sampler import (
     DET_SIGN,
     GridSpec,
@@ -55,6 +60,24 @@ def test_grid_spec_validation():
     spec.validate_for(3)
     with pytest.raises(ContractError):
         spec.validate_for(4)  # missing a coordinate
+
+
+@pytest.mark.parametrize(
+    "lo, hi, cause",
+    [(np.nan, 1.0, "lo"), (0.0, np.nan, "hi"), (-np.inf, 1.0, "lo"), (0.0, np.inf, "hi"), (-1e308, 1e308, "hi - lo")],
+)
+def test_axis_bounds_must_be_finite(lo, hi, cause):
+    with pytest.raises(ContractError, match=f"finite {cause},"):
+        AxisSpec(0, lo, hi, 5)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_fixed_coordinate_and_level_must_be_finite(value):
+    with pytest.raises(ContractError, match="fixed lambda 3 must be finite"):
+        GridSpec.cube(4, -1, 1, 5, fixed={3: value})
+    grid = sample(pauli(), GridSpec.cube(3, -1, 1, 5), DET_SIGN)
+    with pytest.raises(ContractError, match="level must be finite"):
+        extract_isosurface(grid, value)
 
 
 def test_sample_fields_basic():
@@ -633,3 +656,139 @@ def test_empty_mesh_topology():
     mesh = SpectrumMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
     assert mesh.is_closed
     assert mesh_topology(mesh) == (0, 0)
+
+
+# ---------------------------------------------------------------------------
+# sigma-min fields solved on demand
+
+
+def _eager_sigma_min(tuple_, spec):
+    """The field as sample used to return it: every node solved, in order,
+    in chunks of 4,096 (the reference for every on-demand read)."""
+    ft = tuple_.as_float()
+    pencil = Pencil.localizer(ft, rep_for(ft.d))
+    lam = _lambda_grid(spec, ft.d)
+    pieces = [
+        np.min(np.abs(np.linalg.eigvalsh(pencil.at_rows(lam[i : i + 4096]))), axis=1)
+        for i in range(0, len(lam), 4096)
+    ]
+    return np.concatenate(pieces).reshape([a.count for a in spec.axes])
+
+
+def _longest_tet_edge(spec):
+    return np.sqrt(sum(np.max(np.diff(a.nodes())) ** 2 for a in spec.axes))
+
+
+def _obj_bytes(mesh, path):
+    export_mesh_obj(mesh, path)
+    return path.read_bytes()
+
+
+@st.composite
+def _sigma_min_cases(draw):
+    """A random float tuple, d = 3 on a 3-D grid or d = 4 on a slice, and a level."""
+    d = draw(st.sampled_from([3, 4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = random_tuple(rng, d, draw(st.integers(1, 3)))
+    fixed = {draw(st.integers(0, 3)): draw(st.floats(-1.0, 1.0))} if d == 4 else {}
+    indices = [i for i in range(d) if i not in fixed]
+    axes = []
+    for index in indices:
+        lo = draw(st.floats(-3.0, 0.0))
+        axes.append(AxisSpec(index, lo, lo + draw(st.floats(1.0, 4.0)), draw(st.integers(2, 12))))
+    spec = GridSpec(tuple(axes), tuple(fixed.items()))
+    return t, spec, draw(st.floats(0.0, 1.0))
+
+
+@settings(max_examples=40)
+@given(_sigma_min_cases())
+def test_pruned_sigma_min_nodes_lie_above_level_plus_edge(case):
+    t, spec, level = case
+    grid = sample(t, spec, SIGMA_MIN)
+    field = grid._values
+    held = field.at_level(level)
+    pruned = ~field._solved.reshape(held.shape)
+    full = grid.values
+    e = _longest_tet_edge(spec)
+    assert np.all(full[pruned] > level + e)
+    # a pruned node holds a lower bound on its value, up to the margin
+    assert np.all(held[pruned] <= full[pruned] + field._margin)
+    assert np.array_equal(held[~pruned], full[~pruned])
+    assert full.tobytes() == _eager_sigma_min(t, spec).tobytes()
+
+
+@settings(max_examples=25)
+@given(_sigma_min_cases(), st.sampled_from([1, 2]))
+def test_pruned_sigma_min_mesh_matches_eager_grid(tmp_path_factory, case, threads):
+    t, spec, level = case
+    path = tmp_path_factory.mktemp("obj") / "m.obj"
+    grid = sample(t, spec, SIGMA_MIN, threads=threads)
+    eager = SpectrumGrid(spec, SIGMA_MIN, _eager_sigma_min(t, spec), grid.reference_norm)
+    for lvl in (level, None):
+        got = _obj_bytes(extract_isosurface(grid, lvl), path)
+        assert got == _obj_bytes(extract_isosurface(eager, lvl), path)
+
+
+def test_sigma_min_values_before_and_after_extraction_match_eager_loop():
+    t, spec = direct_sum_sphere(0), GridSpec.cube(3, -1.5, 1.5, 21)
+    want = _eager_sigma_min(t, spec)
+    before = sample(t, spec, SIGMA_MIN)
+    assert before.values.tobytes() == want.tobytes()
+    after = sample(t, spec, SIGMA_MIN)
+    mesh = extract_isosurface(after)
+    assert 0 < after._values._solved.sum() < want.size  # pruned, not complete
+    assert after.min_value == float(np.min(want))  # read off the solved nodes
+    assert after.values.tobytes() == want.tobytes()
+    assert after.values is after.values  # completed once, then held
+    assert mesh.vertices.tobytes() == extract_isosurface(before).vertices.tobytes()
+
+
+def test_bad_plot_mesh_solves_a_quarter_of_the_nodes(monkeypatch, tmp_path):
+    rows = []
+    at_rows = Pencil.at_rows
+
+    def counting(self, lam):
+        rows.append(len(lam))
+        return at_rows(self, lam)
+
+    monkeypatch.setattr(Pencil, "at_rows", counting)
+    spec = GridSpec.cube(3, -1.5, 1.5, 41)
+    grid = sample(direct_sum_sphere(0), spec, SIGMA_MIN, threads=2)
+    mesh = extract_isosurface(grid)
+    assert 0 < sum(rows) <= 0.25 * 41**3
+    monkeypatch.setattr(Pencil, "at_rows", at_rows)
+    eager = SpectrumGrid(spec, SIGMA_MIN, _eager_sigma_min(direct_sum_sphere(0), spec), grid.reference_norm)
+    want = _obj_bytes(extract_isosurface(eager), tmp_path / "want.obj")
+    assert len(mesh.triangles) > 0 and _obj_bytes(mesh, tmp_path / "got.obj") == want
+
+
+def test_sigma_min_grid_shared_between_threads():
+    # meshes at several levels and full reads race on one grid; every
+    # result must match the eager field's
+    t, spec = pauli(), GridSpec.cube(3, -1.5, 1.5, 17)
+    eager = SpectrumGrid(spec, SIGMA_MIN, _eager_sigma_min(t, spec), 1.0)
+    levels = [0.02, 0.1, 0.3, 0.6]
+    want = [extract_isosurface(eager, lvl).vertices.tobytes() for lvl in levels]
+    grid = sample(t, spec, SIGMA_MIN, threads=2)
+    got, errors = {}, []
+
+    def work(k):
+        try:
+            got[k] = extract_isosurface(grid, levels[k % 4]).vertices.tobytes()
+            got[-1 - k] = grid.values.tobytes()
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors and not any(w.is_alive() for w in workers)
+    assert all(got[k] == want[k % 4] for k in range(8))
+    assert all(got[-1 - k] == eager.values.tobytes() for k in range(8))
