@@ -346,11 +346,13 @@ EXAMPLES = {
             (2, 1, 1, 1): {"reduced_char_poly": scaled_gamma_reduced_reference},
         },
     ),
-    # the graded index at the origin is -1 at these deformations and 0 at
+    # X1..X3 are even and X4 odd under the grading at every deformation; the
+    # graded index at the origin is -1 at the listed deformations and 0 at
     # 4, 5, 10 and -4
     "even_odd": (
         even_odd,
         {
+            None: {"grading": even_odd_grading},
             (0,): {"reduced_char_poly": even_odd_reduced_reference, "graded_index_at_origin": -1},
             **{(t,): {"graded_index_at_origin": -1} for t in (F(1, 2), 1, F(3, 2), 2, 3)},
         },

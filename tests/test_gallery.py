@@ -11,6 +11,7 @@ from cliffordspec.gallery import (
     clock_shift,
     direct_sum_sphere,
     even_odd,
+    even_odd_grading,
     fuzzy_sphere_5,
     gamma_tuple,
     lemniscate,
@@ -23,7 +24,7 @@ from cliffordspec.gallery import (
     torus_quadruple,
     torus_triple,
 )
-from cliffordspec.invariants import graded_index, index
+from cliffordspec.invariants import SymmetryProfile, graded_index, index, validate_symmetry
 from cliffordspec.linalg import operator_norm
 from cliffordspec.matrices import commutator, to_float
 from cliffordspec.multipoly import poly_equal
@@ -155,6 +156,8 @@ def test_registry_names_stable():
     }
 
 
+_EVEN_ODD_PARITIES = (frozenset({"even"}),) * 3 + (frozenset({"odd"}),)
+
 # every (example, parameter values) of the table that carries facts
 _FACT_CASES = [(name, key) for name in sorted(EXAMPLES) for key in EXAMPLES[name][1]]
 
@@ -173,6 +176,7 @@ def test_gallery_facts_hold_at_their_parameters(name, key):
         "reduced_char_poly": lambda ref: poly_equal(reduced_char_poly(t), ref())[0],
         "index_at_origin": lambda v: index(t, [0] * 3).value == v,
         "graded_index_at_origin": lambda v: graded_index(t, [0] * 4).value == v,
+        "grading": lambda g: validate_symmetry(t, SymmetryProfile(_EVEN_ODD_PARITIES, grading=g())).ok,
         "probe_point": lambda p: index(t, p).value == held["probe_index"],
         "probe_index": lambda v: "probe_point" in held,
         # the lobe names no point to check at, so this fact stays unchecked
@@ -194,6 +198,7 @@ def test_even_odd_graded_fact_only_where_it_holds():
         ex = named_example("even_odd", deform=deform)
         assert "graded_index_at_origin" not in ex.expected
         assert graded_index(ex.tuple, [0] * 4).value == 0
+        assert ex.expected["grading"] is even_odd_grading
 
 
 @pytest.mark.parametrize("name", ["torus_quadruple", "torus_triple"])
