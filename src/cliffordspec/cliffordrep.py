@@ -22,6 +22,7 @@ from .matrices import (
     exact_eye,
     exact_matrix,
     exact_zeros,
+    eye,
     kind_of,
     kron,
     matmul,
@@ -177,14 +178,14 @@ def validate(rep: GammaRep, float_tol: float = REP_RELATION_TOL) -> RelationRepo
     float ones are allowed `float_tol` of roundoff.
     """
     bad = []
-    is_float = kind_of(rep.gammas[0]) == FLOAT
-    cut = float_tol if is_float else 0.0
-    eye = np.eye(rep.g, dtype=complex) if is_float else exact_eye(rep.g)
+    kind = kind_of(rep.gammas[0])
+    cut = float_tol if kind == FLOAT else 0.0
+    unit = eye(rep.g, kind)
     for j, gm in enumerate(rep.gammas):
         h = max_abs(gm - dagger(gm))
         if h > cut:
             bad.append(RelationViolation("hermitian", (j,), h))
-        s = max_abs(matmul(gm, gm) - eye)
+        s = max_abs(matmul(gm, gm) - unit)
         if s > cut:
             bad.append(RelationViolation("involution", (j,), s))
     for j in range(rep.d):
@@ -193,7 +194,7 @@ def validate(rep: GammaRep, float_tol: float = REP_RELATION_TOL) -> RelationRepo
             m = max_abs(a)
             if m > cut:
                 bad.append(RelationViolation("anticommutation", (j, k), m))
-    if rep.off_diagonal_blocks is not None and not is_float:
+    if rep.off_diagonal_blocks is not None and kind != FLOAT:
         for j, (gm, blk) in enumerate(zip(rep.gammas, rep.off_diagonal_blocks)):
             m = max_abs(gm - _embed_off_diagonal(blk))
             if m:

@@ -24,6 +24,7 @@ from .matrices import (
     HermitianTuple,
     dagger,
     defect_exceeds,
+    eye,
     from_gaussian_integers,
     kind_of,
     kron,
@@ -126,9 +127,7 @@ def _check_flag(m: np.ndarray, flag: str, grading) -> float:
     if flag in ("even", "odd"):
         if grading is None:
             raise ContractError("even/odd flags need a grading matrix")
-        g = grading if kind_of(grading) == kind_of(m) else (
-            to_float(grading) if kind_of(m) == FLOAT else grading
-        )
+        g = to_float(grading) if kind_of(m) == FLOAT else grading
         mg = matmul(m, g)
         gm = matmul(g, m)
         return max_abs(mg - gm) if flag == "even" else max_abs(mg + gm)
@@ -279,8 +278,7 @@ def graded_index(
             f"by {bad.violation:.3e}"
         )
     red = build_reduced(ft, lam)
-    eye2 = np.eye(2, dtype=complex)
-    gamma_block = kron(to_float(grading) if kind_of(grading) == EXACT else grading, eye2)
+    gamma_block = kron(to_float(grading), eye(2, FLOAT))
     # adjoint (lower-left) block orientation: the published index values
     # are normalized against this block, the tabulated polynomials against
     # the other; the two give opposite half-signatures

@@ -17,8 +17,11 @@ at one point or ``at_rows`` at many.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+from numbers import Number
+
 import numpy as np
 
 from .cliffordrep import GammaRep, rep_for, standard_rep
@@ -29,7 +32,7 @@ from .matrices import (
     HermitianTuple,
     check_same_kind,
     commutator,
-    exact_eye,
+    eye,
     from_gaussian_integers,
     gaussian_integers,
     kron,
@@ -37,21 +40,27 @@ from .matrices import (
     max_abs,
 )
 from .linalg import operator_norm
-from .scalars import GaussianRational, as_gaussian
+from .scalars import as_gaussian
 
 
 def _coerce_lambda(tuple_: HermitianTuple, lam) -> list:
-    """Real lambda as GaussianRational (exact tuples) or float components."""
+    """Real lambda as GaussianRational (exact tuples) or finite float
+    components (float tuples, from any number, exact ones included)."""
     if len(lam) != tuple_.d:
         raise ContractError(f"lambda must have length {tuple_.d}")
     out = []
-    for v in lam:
-        if tuple_.kind == EXACT or isinstance(v, GaussianRational):
+    for j, v in enumerate(lam):
+        if tuple_.kind == EXACT:
             v = as_gaussian(v)
-            v, imag = (v if tuple_.kind == EXACT else float(v.re)), v.im
+            imag = v.im
         else:
-            v = complex(v)
-            v, imag = v.real, v.imag
+            try:
+                z = complex(v) if isinstance(v, Number) else None
+            except OverflowError:  # an int or fraction beyond the float range
+                z = None
+            if z is None or not cmath.isfinite(z):
+                raise ContractError(f"lambda component {j} is {v!r}, not a finite number")
+            v, imag = z.real, z.imag
         if imag:
             raise ContractError("lambda components must be real")
         out.append(v)
@@ -93,9 +102,9 @@ class Pencil:
         for j in range(self.d):
             l0_re = l0_re + kron(xr[j], br[j]) - kron(xi[j], bi[j])
             l0_im = l0_im + kron(xr[j], bi[j]) + kron(xi[j], br[j])
-        eye = np.eye(tuple_.n, dtype=int).astype(object) * dx
-        re = np.stack([l0_re, *(kron(eye, b) for b in br)])
-        im = np.stack([l0_im, *(kron(eye, b) for b in bi)])
+        unit = np.eye(tuple_.n, dtype=int).astype(object) * dx
+        re = np.stack([l0_re, *(kron(unit, b) for b in br)])
+        im = np.stack([l0_im, *(kron(unit, b) for b in bi)])
         # divide out what the lcm of the entry denominators does not need
         common = math.gcd(dx * db, *re.reshape(-1), *im.reshape(-1))
         self.den, self.re, self.im = dx * db // common, re // common, im // common
@@ -132,8 +141,8 @@ class Pencil:
         """sum_j (X_j - lambda_j)^2 = S - sum_j c_j (2 X_j) - c_(d+1) (-I) at
         c = (lambda, sum_j lambda_j^2), with S = sum_j X_j^2: d + 1 members
         P of side n."""
-        eye = np.eye(tuple_.n, dtype=complex) if tuple_.kind == FLOAT else exact_eye(tuple_.n)
-        return cls.from_members((laplace(tuple_), *(x * 2 for x in tuple_.matrices), -eye))
+        members = (laplace(tuple_), *(x * 2 for x in tuple_.matrices), -eye(tuple_.n, tuple_.kind))
+        return cls.from_members(members)
 
     def _lift(self, b: np.ndarray) -> np.ndarray:
         """I (x) b, or b itself for a pencil without an identity factor."""
@@ -215,9 +224,8 @@ def square_identity_residual(tuple_: HermitianTuple, rep: GammaRep | None = None
     loc = build(tuple_, rep, lam)
     lsq = matmul(loc.matrix, loc.matrix)
     gammas = rep.gammas if tuple_.kind == EXACT else rep.as_float()
-    eye = exact_eye(rep.g) if tuple_.kind == EXACT else np.eye(rep.g, dtype=complex)
     shifted = tuple_.shifted(loc.lam)
-    rhs = kron(laplace(tuple_, loc.lam), eye)
+    rhs = kron(laplace(tuple_, loc.lam), eye(rep.g, tuple_.kind))
     for j in range(tuple_.d):
         for k in range(j + 1, tuple_.d):
             comm = commutator(shifted.matrices[j], shifted.matrices[k])

@@ -58,22 +58,24 @@ def check_same_kind(*mats: np.ndarray) -> str:
 
 
 def exact_zeros(shape) -> np.ndarray:
-    zeros = [GaussianRational(0) for _ in range(math.prod(shape))]
-    return np.array(zeros, dtype=object).reshape(shape)
+    return np.full(shape, GaussianRational(0), dtype=object)
 
 
 def exact_eye(n: int) -> np.ndarray:
     out = exact_zeros((n, n))
-    for i in range(n):
-        out[i, i] = GaussianRational(1)
+    np.fill_diagonal(out, GaussianRational(1))
     return out
 
 
+def eye(n: int, kind: str) -> np.ndarray:
+    """The n-by-n identity of a kind: complex128 or GaussianRational entries."""
+    return np.eye(n, dtype=complex) if kind == FLOAT else exact_eye(n)
+
+
 def to_float(m: np.ndarray) -> np.ndarray:
-    """Explicit exact -> complex128 conversion (lossy for big fractions)."""
-    if kind_of(m) == FLOAT:
-        return m
-    return np.array([e.to_complex() for e in m.reshape(-1)], dtype=complex).reshape(m.shape)
+    """Explicit exact -> complex128 conversion (lossy for big fractions);
+    a float matrix is returned as it is."""
+    return m if kind_of(m) == FLOAT else m.astype(complex)
 
 
 def read_only(*mats) -> tuple:
@@ -136,9 +138,7 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def max_abs(m: np.ndarray) -> float:
     """Largest entry magnitude as a float, 0.0 for an empty matrix."""
-    if kind_of(m) == FLOAT:
-        return float(np.max(np.abs(m))) if m.size else 0.0
-    return max((abs(e.to_complex()) for e in m.reshape(-1)), default=0.0)
+    return float(np.max(np.abs(m), initial=0.0))
 
 
 def defect_exceeds(defect: np.ndarray, m: np.ndarray, rtol: float) -> bool:
@@ -162,12 +162,9 @@ def require_hermitian(m: np.ndarray, what: str = "matrix") -> None:
 
 
 def direct_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    check_same_kind(a, b)
     n, m = a.shape[0], b.shape[0]
-    if kind_of(a) == FLOAT:
-        out = np.zeros((n + m, n + m), dtype=complex)
-    else:
-        out = exact_zeros((n + m, n + m))
+    # the identity's off-diagonal blocks are the zeros of the sum
+    out = eye(n + m, check_same_kind(a, b))
     out[:n, :n] = a
     out[n:, n:] = b
     return out
@@ -192,6 +189,8 @@ class HermitianTuple:
         for k, m in enumerate(mats):
             if m.shape != (n, n):
                 raise ContractError(f"matrix {k} is not {n}x{n}")
+            if kind == FLOAT and not np.isfinite(m).all():
+                raise ContractError(f"matrix {k} has a non-finite entry")
             require_hermitian(m, f"matrix {k}")
         object.__setattr__(self, "matrices", mats)
         object.__setattr__(self, "kind", kind)
@@ -219,15 +218,9 @@ class HermitianTuple:
         """Subtract mu_j from the diagonal of each matrix."""
         if len(mu) != self.d:
             raise ContractError("shift length must equal d")
-        if self.kind == FLOAT:
-            eye = np.eye(self.n)
-            return HermitianTuple(
-                [m - complex(s) * eye for m, s in zip(self.matrices, mu)]
-            )
-        eye = exact_eye(self.n)
-        return HermitianTuple(
-            [m - as_gaussian(s) * eye for m, s in zip(self.matrices, mu)]
-        )
+        scalar = complex if self.kind == FLOAT else as_gaussian
+        unit = eye(self.n, self.kind)
+        return HermitianTuple([m - scalar(s) * unit for m, s in zip(self.matrices, mu)])
 
     def direct_sum(self, other: "HermitianTuple") -> "HermitianTuple":
         if other.d != self.d:

@@ -23,15 +23,7 @@ def _coerce_coeff(value, kind):
         if is_exact_scalar(value):
             return GaussianRational(value)
         raise KindMismatchError(f"{value!r} is not an exact coefficient")
-    if isinstance(value, GaussianRational):
-        return value.to_complex()
     return complex(value)
-
-
-def _is_zero_coeff(value):
-    if isinstance(value, GaussianRational):
-        return value.is_zero()
-    return value == 0
 
 
 class MultiPoly:
@@ -49,7 +41,7 @@ class MultiPoly:
                 if len(expo) != nvars or any(e < 0 for e in expo):
                     raise ContractError(f"bad exponent vector {expo}")
                 c = _coerce_coeff(c, kind)
-                if not _is_zero_coeff(c):
+                if c:
                     clean[expo] = c
         self.terms = clean
 
@@ -77,7 +69,7 @@ class MultiPoly:
         if isinstance(other, MultiPoly):
             self._check_compatible(other)
             return other
-        if is_exact_scalar(other) or isinstance(other, GaussianRational):
+        if is_exact_scalar(other):
             return MultiPoly.constant(other, self.nvars, self.kind)
         if isinstance(other, (float, complex)):
             if self.kind == FLOAT:
@@ -95,13 +87,7 @@ class MultiPoly:
         return not self.terms
 
     def as_float(self) -> "MultiPoly":
-        if self.kind == FLOAT:
-            return self
-        return MultiPoly(
-            self.nvars,
-            {e: c.to_complex() for e, c in self.terms.items()},
-            FLOAT,
-        )
+        return self if self.kind == FLOAT else MultiPoly(self.nvars, self.terms, FLOAT)
 
     def map_coefficients(self, fn, kind=None) -> "MultiPoly":
         return MultiPoly(
@@ -116,11 +102,7 @@ class MultiPoly:
         return self.map_coefficients(lambda c: complex(c.imag))
 
     def max_abs_coeff(self) -> float:
-        worst = 0.0
-        for c in self.terms.values():
-            a = abs(c.to_complex()) if isinstance(c, GaussianRational) else abs(c)
-            worst = max(worst, a)
-        return worst
+        return max([0.0, *map(abs, self.terms.values())])
 
     def pruned(self, rtol: float = PRUNE_RTOL) -> "MultiPoly":
         """Drop float coefficients below rtol * max |coefficient|."""
@@ -218,11 +200,10 @@ class MultiPoly:
                         term = term * v**e
                 total = total + term
             return total
-        pt = [complex(v) if not isinstance(v, GaussianRational) else v.to_complex() for v in point]
+        pt = [complex(v) for v in point]
         total = 0j
         for expo, c in self.terms.items():
-            cc = c.to_complex() if isinstance(c, GaussianRational) else c
-            term = cc
+            term = complex(c)
             for v, e in zip(pt, expo):
                 if e:
                     term *= v**e
@@ -234,7 +215,7 @@ class MultiPoly:
         pt = [abs(complex(v)) for v in point]
         total = 0.0
         for expo, c in self.terms.items():
-            cc = abs(c.to_complex()) if isinstance(c, GaussianRational) else abs(c)
+            cc = abs(c)
             for v, e in zip(pt, expo):
                 if e:
                     cc *= v**e
@@ -264,9 +245,9 @@ def poly_equal(a: MultiPoly, b: MultiPoly, tol: float = 0.0):
         equal = True
         for k in keys:
             diff = a.terms.get(k, zero) - b.terms.get(k, zero)
-            if not diff.is_zero():
+            if diff:
                 equal = False
-                worst = max(worst, abs(diff.to_complex()))
+                worst = max(worst, abs(diff))
         return equal, worst
     af, bf = a.as_float(), b.as_float()
     keys = set(af.terms) | set(bf.terms)
@@ -304,8 +285,7 @@ def polar_radial_coefficients(p: MultiPoly, theta: float, phi: float) -> np.ndar
     ct, st = np.cos(theta), np.sin(theta)
     cf, sf = np.cos(phi), np.sin(phi)
     for (a, b, c, d), coeff in p.terms.items():
-        cc = coeff.to_complex() if isinstance(coeff, GaussianRational) else coeff
-        out[a + b + c + d] += cc * ct**a * st**b * cf**c * sf**d
+        out[a + b + c + d] += complex(coeff) * ct**a * st**b * cf**c * sf**d
     return out
 
 

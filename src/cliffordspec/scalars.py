@@ -3,13 +3,14 @@
 An exact scalar is a complex number whose real and imaginary parts are
 arbitrary-precision fractions.  Arithmetic never rounds.  The float path
 uses ordinary Python/numpy complex numbers; mixing the two kinds is an
-error, not a silent promotion.
+error, not a silent promotion.  ``complex(x)`` and ``abs(x)`` are the
+explicit conversions to float.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from numbers import Rational
+from numbers import Number, Rational
 
 from .errors import KindMismatchError
 
@@ -36,11 +37,16 @@ class GaussianRational:
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
 
-    def is_zero(self) -> bool:
-        return not self.re and not self.im
-
     def to_complex(self) -> complex:
         return complex(self.re) + 1j * complex(self.im)
+
+    # explicit conversions: complex(x), abs(x), np.abs and astype(complex)
+    # treat an exact scalar as a number; mixed arithmetic still raises
+    def __complex__(self) -> complex:
+        return self.to_complex()
+
+    def __abs__(self) -> float:
+        return abs(self.to_complex())
 
     def _coerce(self, other):
         if isinstance(other, GaussianRational):
@@ -143,6 +149,9 @@ class GaussianRational:
         if not self.im:
             return str(self.re)
         return f"({self.re}+{self.im}i)"
+
+
+Number.register(GaussianRational)
 
 
 def as_gaussian(value) -> GaussianRational:

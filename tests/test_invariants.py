@@ -266,3 +266,35 @@ def test_point_queries_take_exact_lambda(query, make):
     for imaginary in (1j, GaussianRational(0, 1)):
         with pytest.raises(ContractError, match="must be real"):
             fn(t, [imaginary] + [make(0)] * (d - 1))
+
+
+def _quaternionic(rng, half):
+    """[[A, B], [B*, A^T]] with A Hermitian and B antisymmetric, small
+    Gaussian rationals: a self-dual Hermitian matrix of side 2 * half."""
+
+    def entry():
+        re, im = rng.integers(-3, 4, size=2)
+        return GaussianRational(Fraction(int(re), 2), Fraction(int(im), 3))
+
+    a = exact_zeros((half, half))
+    b = exact_zeros((half, half))
+    for i in range(half):
+        a[i, i] = GaussianRational(entry().re)
+        for j in range(i + 1, half):
+            a[i, j] = entry()
+            a[j, i] = a[i, j].conjugate()
+            b[i, j] = entry()
+            b[j, i] = -b[i, j]
+    return np.block([[a, b], [b.conj().T, a.T]])
+
+
+def test_exact_archetypal_beyond_side_12():
+    # n = 8: the skew pencil has side 16, past the former expansion's limit
+    rng = np.random.default_rng(8)
+    t = HermitianTuple([_quaternionic(rng, 4) for _ in range(3)])
+    lam = [Fraction(1, 3), Fraction(-1, 2), Fraction(1, 5)]
+    exact_val = archetypal(t, lam)
+    float_val = archetypal(t.as_float(), [float(v) for v in lam])
+    assert exact_val and exact_val.im == 0
+    assert abs(complex(exact_val).real - float_val) <= 1e-9 * max(1.0, abs(float_val))
+    assert exact_val * exact_val == determinant(build(t, lam=lam).matrix)

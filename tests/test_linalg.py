@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cliffordspec.errors import ContractError, SingularAtTolerance
 from cliffordspec.gallery import pauli
@@ -171,3 +173,58 @@ def test_pfaffian_rejects_bad_input():
         pfaffian(float_matrix(np.zeros((3, 3))))  # odd side
     with pytest.raises(ContractError):
         pfaffian(float_matrix([[0, 1], [1, 0]]))  # not skew
+
+
+def _pfaffian_expand(m, rows):
+    """The former exact Pfaffian, kept as the reference: cofactor expansion
+    along the first row."""
+    if not rows:
+        return GaussianRational(1)
+    total = GaussianRational(0)
+    first, rest = rows[0], rows[1:]
+    for pos, other in enumerate(rest):
+        entry = m[first, other]
+        if entry:
+            term = entry * _pfaffian_expand(m, rest[:pos] + rest[pos + 1 :])
+            total = total + term if pos % 2 == 0 else total - term
+    return total
+
+
+_PART = st.fractions(-4, 4, max_denominator=5)
+
+
+@st.composite
+def _exact_skew(draw):
+    """An exact skew matrix of side 2..10; in some draws most entries are 0."""
+    n = 2 * draw(st.integers(1, 5))
+    keep = draw(st.sampled_from([1.0, 0.5, 0.2]))
+    m = [[(0, 0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.floats(0, 1)) < keep:
+                re, im = draw(_PART), draw(_PART)
+                m[i][j], m[j][i] = (re, im), (-re, -im)
+    return exact_matrix(m)
+
+
+@settings(max_examples=80)
+@given(_exact_skew())
+# a zero first subdiagonal entry: the elimination swaps in a later row
+@example(exact_matrix([[0, 1, 2, 3], [-1, 0, 0, 5], [-2, 0, 0, 7], [-3, -5, -7, 0]]))
+# a column with no nonzero entry below the diagonal: Pf = 0
+@example(exact_matrix([[0, 0, 0, 0], [0, 0, 1, 2], [0, -1, 0, 3], [0, -2, -3, 0]]))
+def test_exact_pfaffian_equals_cofactor_expansion(m):
+    assert pfaffian(m) == _pfaffian_expand(m, list(range(m.shape[0])))
+
+
+@pytest.mark.parametrize("n", [14, 16, 18, 20])
+def test_exact_pfaffian_squared_is_det_beyond_side_12(n):
+    num = np.random.default_rng(n).integers(-5, 6, size=(n, n, 2))
+    m = [[(0, 0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            e = (Fraction(int(num[i, j, 0]), 3), Fraction(int(num[i, j, 1]), 2))
+            m[i][j], m[j][i] = e, (-e[0], -e[1])
+    mm = exact_matrix(m)
+    pf = pfaffian(mm)
+    assert pf and pf * pf == exact_determinant(mm)

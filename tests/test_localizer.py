@@ -339,3 +339,39 @@ def test_sigma_min_is_one_lipschitz_in_lambda(d, n, scale, step, seed):
     slack = 1e-12 * (operator_norm(a) + operator_norm(b))
     gap = abs(smallest_eigen_magnitude(a) - smallest_eigen_magnitude(b))
     assert gap <= np.linalg.norm(lam - mu) + slack
+
+
+_FLOAT_PAULI = pauli().as_float()
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: build(_FLOAT_PAULI, lam=[math.nan, 0, 0]), "lambda component 0"),
+        (lambda: build(_FLOAT_PAULI, lam=[0, math.inf, 0]), "lambda component 1"),
+        (lambda: build(_FLOAT_PAULI, lam=[0, 0, -math.inf]), "lambda component 2"),
+        (lambda: build(_FLOAT_PAULI, lam=[0, complex(0, math.nan), 0]), "lambda component 1"),
+        (lambda: build(_FLOAT_PAULI, lam=["x", 0, 0]), "lambda component 0"),
+        (lambda: build(_FLOAT_PAULI, lam=[0, "1", 0]), "lambda component 1"),
+        (lambda: build(_FLOAT_PAULI, lam=[0, 0, 10**400]), "lambda component 2"),
+        (lambda: HermitianTuple([float_matrix([[math.nan, 0], [0, 1]])]), "matrix 0 has a non-finite"),
+        (
+            lambda: HermitianTuple([np.eye(2), float_matrix([[1, math.inf], [math.inf, 1]])]),
+            "matrix 1 has a non-finite",
+        ),
+    ],
+    ids=[
+        "nan",
+        "inf",
+        "-inf",
+        "complex-nan",
+        "string",
+        "numeric-string",
+        "huge-int",
+        "nan-entry",
+        "inf-entry",
+    ],
+)
+def test_bad_input_raises_contract_error_naming_it(make, message):
+    with pytest.raises(ContractError, match=message):
+        make()

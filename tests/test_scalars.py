@@ -1,8 +1,12 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliffordspec.errors import KindMismatchError
+from cliffordspec.matrices import max_abs, to_float
 from cliffordspec.scalars import GaussianRational, as_gaussian
 
 
@@ -50,3 +54,24 @@ def test_int_and_fraction_promote():
     assert v.re == Fraction(3, 2)
     v = Fraction(1, 4) * GaussianRational(0, 2)
     assert v.im == Fraction(1, 2)
+
+
+def _former_to_float(m):
+    """The former exact -> complex128 conversion: one to_complex per entry."""
+    return np.array([e.to_complex() for e in m.reshape(-1)], dtype=complex).reshape(m.shape)
+
+
+_PART = st.fractions(-(10**6), 10**6, max_denominator=10**9)
+
+
+@settings(max_examples=60)
+@given(st.lists(st.tuples(_PART, _PART), min_size=1, max_size=12))
+def test_complex_abs_and_to_float_match_to_complex(parts):
+    xs = [GaussianRational(re, im) for re, im in parts]
+    for x in xs:
+        want = x.to_complex()
+        assert np.complex128(complex(x)).tobytes() == np.complex128(want).tobytes()
+        assert abs(x).hex() == abs(want).hex()
+    m = np.array(xs, dtype=object).reshape(len(xs), 1)
+    assert to_float(m).tobytes() == _former_to_float(m).tobytes()
+    assert max_abs(m) == max(abs(e.to_complex()) for e in xs)
