@@ -86,13 +86,19 @@ def _load_config_file(path: str) -> HermitianTuple:
     with open(path) as fh, _config_errors(path):
         doc = json.load(fh)
     with _config_errors(path):
-        return _tuple_from_doc(doc)
+        if not isinstance(doc, dict):
+            raise TypeError("a config file holds one JSON object")
+        if "example" not in doc:
+            return _tuple_from_doc(doc)
+        name, params = doc["example"], doc.get("params", {})
+        if not isinstance(name, str) or not isinstance(params, dict):
+            raise TypeError("example must be a name and params an object")
+        params = {k: _parse_param(k, str(v)) for k, v in params.items()}
+    # as for --example, a fault inside the constructor exits 3
+    return named_example(name, **params).tuple
 
 
-def _tuple_from_doc(doc) -> HermitianTuple:
-    if "example" in doc:
-        params = {k: _parse_param(k, str(v)) for k, v in doc.get("params", {}).items()}
-        return named_example(doc["example"], **params).tuple
+def _tuple_from_doc(doc: dict) -> HermitianTuple:
     kind = doc.get("kind", "exact")
     mats = doc["matrices"]
     if int(doc.get("d", len(mats))) != len(mats):

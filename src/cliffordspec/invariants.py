@@ -9,6 +9,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -203,9 +204,10 @@ def _skew_pencil(pencil: Pencil) -> Pencil:
     return skew
 
 
-def _archetypal(pencil: Pencil, lam: list):
+def _archetypal(pencil: Pencil, lam: list, shift: int = 0):
     """Pf((1/2) Q* L(lam) Q) of a self-dual triple's localizer pencil, at
-    coerced lam."""
+    coerced lam.  A float matrix is first scaled by 2^-shift, which is exact
+    and scales the Pfaffian by 2^(-shift side / 2), keeping its sign."""
     skew = _skew_pencil(pencil).at(lam)
     if pencil.kind == EXACT:
         value = pfaffian(skew)  # raises if not exactly skew
@@ -214,8 +216,9 @@ def _archetypal(pencil: Pencil, lam: list):
         return value
     if defect_exceeds(skew + skew.T, skew, SKEW_CHECK_RTOL):
         raise SymmetryError("conjugated localizer is not skew-symmetric")
-    value = pfaffian(skew)
-    if abs(value.imag) > SKEW_CHECK_RTOL * max(1.0, abs(value)):
+    value = pfaffian(skew * 2.0**-shift)
+    unit = 2.0 ** (-shift * (len(skew) // 2))  # 1 at the scale of value
+    if abs(value.imag) > SKEW_CHECK_RTOL * max(unit, abs(value)):
         raise ArithmeticError("archetypal value has a large imaginary part")
     return float(value.real)
 
@@ -233,9 +236,12 @@ def archetypal_sign(tuple_: HermitianTuple, lam, tol: float | None = None) -> In
     ft = tuple_.as_float()
     pencil = Pencil.localizer(ft, standard_rep(3))
     lam = _coerce_lambda(ft, lam)
-    _, gap = signature_gap(pencil.at(lam), tol)  # raises on the spectrum
+    matrix = pencil.at(lam)
+    _, gap = signature_gap(matrix, tol)  # raises on the spectrum
     require_self_dual_triple(ft)
-    value = _archetypal(pencil, lam)
+    # skew entries below 2 in magnitude, so the product of pivots stays finite
+    # at large lambda; never scaled up, so the scale of value stays finite
+    value = _archetypal(pencil, lam, max(0, math.frexp(max_abs(matrix))[1]))
     return IndexReport(tuple(lam), "archetypal-sign", 1 if value > 0 else -1, gap)
 
 

@@ -41,11 +41,13 @@ from .matrices import (
 )
 from .linalg import operator_norm
 from .scalars import as_gaussian
+from .tolerances import LAMBDA_BOUND
 
 
 def _coerce_lambda(tuple_: HermitianTuple, lam) -> list:
     """Real lambda as GaussianRational (exact tuples) or finite float
-    components (float tuples, from any number, exact ones included)."""
+    components of magnitude at most LAMBDA_BOUND (float tuples, from any
+    number, exact ones included)."""
     if len(lam) != tuple_.d:
         raise ContractError(f"lambda must have length {tuple_.d}")
     out = []
@@ -60,6 +62,10 @@ def _coerce_lambda(tuple_: HermitianTuple, lam) -> list:
                 z = None
             if z is None or not cmath.isfinite(z):
                 raise ContractError(f"lambda component {j} is {v!r}, not a finite number")
+            if abs(z.real) > LAMBDA_BOUND:
+                raise ContractError(
+                    f"lambda component {j} is {v!r}, beyond the bound {LAMBDA_BOUND:g}"
+                )
             v, imag = z.real, z.imag
         if imag:
             raise ContractError("lambda components must be real")

@@ -14,19 +14,39 @@ Three indicator fields are supported:
   ``Pencil`` formed and checked skew once per grid and assembled per chunk
   of nodes by ``at_rows``, as ``archetypal`` assembles it by ``at``.
 
-A sigma-min grid from ``sample`` solves its nodes on demand, coarse to
-fine.  sigma_min is 1-Lipschitz in lambda, since (sum_j a_j gamma_j)^2 =
-|a|^2, so a node whose value exceeds level + e, e the longest Kuhn-tet edge
-(the cube diagonal), ends no crossing edge and lies in no cube that a mesh
-at that level visits.  ``extract_isosurface`` therefore solves every node of
-the stride-4 lattice (every 4th index per axis, and the last), then the
-nodes of the stride-2 lattice and then the rest, each only where the
-largest of value - distance over its neighbours on the coarser lattice
-does not prove it above level + e; a node left unsolved holds that bound.
-The mesh reads exactly the values it would read from the full field.  The
-first read of ``SpectrumGrid.values`` solves every node left; a node's value
-does not depend on the nodes that share its chunk, so the full field is
-bit-identical to solving every node at once.
+Every grid from ``sample`` is one on-demand field: each indicator keeps its
+kernel (``eigvalsh``, batched ``det`` or the stacked Pfaffian), and a node
+is evaluated when a mesh or a read first needs it.  sigma_min is
+1-Lipschitz in lambda, since (sum_j a_j gamma_j)^2 = |a|^2, so
+max_c(sigma(c) - |lambda - lambda_c|) over already solved nodes c bounds
+sigma_min(L_lambda) from below, up to a rounding margin.  Let e be the
+longest Kuhn-tet edge, the cube diagonal; every cube at a node lies in the
+ball of radius e around it.
+
+* sigma-min: a node whose value exceeds level + e ends no crossing edge
+  and lies in no cube that a mesh at that level visits.
+* det-sign and pfaffian-sign, at level 0: a node whose sigma_min exceeds e
+  has a ball of radius e free of spectrum around it.  det L_lambda, and
+  Pf((1/2) Q* L_lambda Q), whose matrix is L_lambda conjugated by the
+  unitary Q / sqrt(2), is nonzero on that ball and keeps one sign there;
+  the margin also covers the backward error of the factorisations.  So
+  every cube at the node has corners of one sign and none is a candidate.
+  The node keeps the sign of the coarser node whose bound proves it.  At
+  any other level the bound proves nothing, and the field is completed.
+
+``extract_isosurface`` therefore solves every node of the stride-4 lattice
+(every 4th index per axis, and the last), then the nodes of the stride-2
+lattice and then the rest, each only where the bound from its neighbours
+on the coarser lattice does not prove it above level + e (above e for a
+sign field).  A sign field takes sigma_min, by ``eigvalsh`` of the
+localizer, and its kernel value at the solved nodes of the two coarse
+lattices, and only its kernel value on the full grid.  A node left
+unsolved holds its bound, signed for a sign field.  The mesh reads exactly
+the values it would read from the full field.  The first read of
+``SpectrumGrid.values`` evaluates every node left with the same kernel
+in the same chunks; a node's value does not depend on the nodes that share
+its chunk, so the full field is bit-identical to evaluating every node at
+once.
 
 Isosurfaces use marching tetrahedra on the Kuhn 6-tetrahedron cube split:
 the split tiles space consistently, has no ambiguous cases, and closed
@@ -62,7 +82,7 @@ INDICATORS = (DET_SIGN, SIGMA_MIN, PFAFFIAN_SIGN)
 
 SIGMA_MIN_LEVEL_FACTOR = 1e-2  # default isolevel: 1e-2 * ||L_0||
 _CHUNK = 4096
-_LADDER = (4, 2, 1)  # sigma-min lattice strides, coarse to fine
+_LADDER = (4, 2, 1)  # on-demand lattice strides, coarse to fine
 
 
 @dataclass(frozen=True)
@@ -116,11 +136,12 @@ class SpectrumGrid:
     shape, in spec.axes order; ``reference_norm`` is ||L_0|| of the sampled
     tuple.
 
-    ``sample`` hands a sigma-min grid a ``_SigmaMinField`` in place of the
-    array.  ``extract_isosurface`` then solves, coarse to fine, only the
-    nodes that its level reads, and the first read of ``values`` solves
-    every node left and holds the full array from then on.  Every other
-    grid holds its array from the start.
+    ``sample`` hands every grid a ``_Field`` in place of the array.
+    ``extract_isosurface`` then evaluates, coarse to fine, only the nodes
+    that its level reads (for a det-sign or pfaffian-sign grid, only at
+    level 0), and the first read of ``values`` evaluates every node left
+    and holds the full array from then on, bit-identical to evaluating every
+    node at once.  A grid built on an array holds it from the start.
     """
 
     def __init__(self, spec: GridSpec, indicator: str, values, reference_norm: float):
@@ -131,14 +152,15 @@ class SpectrumGrid:
 
     @property
     def values(self) -> np.ndarray:
-        if isinstance(self._values, _SigmaMinField):
+        if isinstance(self._values, _Field):
             self._values = self._values.complete()
         return self._values
 
     @property
     def min_value(self) -> float:
-        """min(values), taken from the solved nodes alone when they settle it."""
-        if isinstance(self._values, _SigmaMinField):
+        """min(values), taken from the solved nodes alone when they settle
+        it, which only sigma-min nodes can."""
+        if isinstance(self._values, _Field):
             settled = self._values.settled_min()
             if settled is not None:
                 return settled
@@ -190,56 +212,88 @@ def _evaluate(run, rows: np.ndarray, threads: int | None) -> np.ndarray:
     return values
 
 
-class _SigmaMinField:
-    """sigma_min(L_lambda) at a grid's nodes, each node solved when first
-    needed.  Every node not solved has a value above ``_floor``: each
-    ``at_level`` run proves that of the nodes it leaves."""
+def _sigma_min(m: np.ndarray) -> np.ndarray:
+    """sigma_min of each Hermitian matrix of a stack: its least |eigenvalue|."""
+    return np.min(np.abs(np.linalg.eigvalsh(m)), axis=1)
 
-    def __init__(self, pencil: Pencil, spec: GridSpec, lam: np.ndarray, ref: float, threads):
+
+class _Field:
+    """An indicator at a grid's nodes, each node evaluated when first
+    needed.  ``kernel(rows, m=None)`` evaluates it at lambda rows, from
+    m = pencil.at_rows(rows) when given.  For sigma-min the kernel gives
+    sigma_min itself; a sign field (det-sign, pfaffian-sign) also keeps
+    sigma_min at the coarse nodes it solved, for its pruning bounds.  Every
+    node a sigma-min ``at_level`` leaves unsolved has a value above
+    ``_floor``."""
+
+    def __init__(self, pencil: Pencil, kernel, signed: bool, spec: GridSpec, lam, ref, threads):
         self._pencil = pencil
+        self._kernel = kernel
+        self._signed = signed
         self._coords = [a.nodes() for a in spec.axes]
         self._lam = lam
         self._threads = threads
         # the rounding slack of every bound; ||L_lambda|| <= ref + |lambda|
         self._margin = SIGMA_MIN_PRUNE_RTOL * (ref + math.sqrt(np.max(np.sum(lam * lam, axis=1))))
-        self._sigma = np.zeros(len(lam))
+        self._sigma = np.full(len(lam), np.nan)  # sigma_min where known
+        self._values = np.zeros(len(lam)) if signed else self._sigma
         self._solved = np.zeros(len(lam), dtype=bool)
         self._floor = -math.inf
         self._lock = threading.Lock()
 
-    def _solve(self, flat: np.ndarray) -> None:
-        flat = flat[~self._solved[flat]]
-        pencil = self._pencil
+    def _solve(self, flat: np.ndarray, coarse: bool = False) -> None:
+        """Evaluate the kernel at the nodes of flat not yet solved.  On a
+        coarse lattice a sign field takes sigma_min and the kernel, from one
+        pencil.at_rows, at the nodes whose sigma_min is not yet known."""
+        kernel = self._kernel
+        if coarse and self._signed:
+            flat = flat[np.isnan(self._sigma[flat])]
+            pencil = self._pencil
 
-        def run(chunk):
-            return np.min(np.abs(np.linalg.eigvalsh(pencil.at_rows(chunk))), axis=1)
+            def run(chunk):
+                m = pencil.at_rows(chunk)
+                return np.column_stack([_sigma_min(m), kernel(chunk, m)])
 
-        self._sigma[flat] = _evaluate(run, self._lam[flat], self._threads)
+            pairs = _evaluate(run, self._lam[flat], self._threads).reshape(-1, 2)
+            self._sigma[flat], self._values[flat] = pairs.T
+        else:
+            flat = flat[~self._solved[flat]]
+            self._values[flat] = _evaluate(kernel, self._lam[flat], self._threads)
         self._solved[flat] = True
 
     def complete(self) -> np.ndarray:
         with self._lock:
             self._solve(np.flatnonzero(~self._solved))
-        return self._sigma.reshape([len(x) for x in self._coords])
+        return self._values.reshape([len(x) for x in self._coords])
 
     def settled_min(self) -> float | None:
-        """The least solved value when no unsolved node can be below it."""
+        """The least solved sigma-min value when no unsolved node can be below it."""
         with self._lock:
-            if not self._solved.any():
+            if self._signed or not self._solved.any():
                 return None
             least = float(np.min(self._sigma[self._solved]))
             return least if self._solved.all() or least <= self._floor else None
 
     def at_level(self, level: float) -> np.ndarray:
-        """The field as a mesh at level reads it: every node solved whose
-        value may be at most level + e, e the longest cube diagonal; every
-        other node holds a lower bound above level + e + margin."""
+        """The field as a mesh at level reads it, e the longest cube
+        diagonal.  Sigma-min: every node solved whose value may be at most
+        level + e; every other node holds a lower bound above
+        level + e + margin.  Sign fields at level 0: every node solved
+        whose sigma_min may be at most e, so every cube whose corners may
+        change sign; every other node holds its bound, signed as the value
+        at the coarser node that proves it.  At any other level a sign
+        field is completed: the bounds prove nothing there."""
         coords = self._coords
         shape = [len(x) for x in coords]
         e = math.sqrt(sum(float(np.max(np.diff(x))) ** 2 for x in coords))
         limit = level + e + self._margin
+        signed = self._signed
         with self._lock:
-            est = self._sigma.reshape(shape).copy()
+            if signed and (level != 0 or self._solved.all()):
+                self._solve(np.flatnonzero(~self._solved))
+                return self._values.reshape(shape)
+            est = self._sigma.reshape(shape).copy()  # sigma_min or its bound
+            out = np.zeros(shape) if signed else est
             coarse = None
             for stride in _LADDER:
                 idx = [np.append(np.arange(0, n - 1, stride), n - 1) for n in shape]
@@ -248,28 +302,45 @@ class _SigmaMinField:
                 if coarse is None:
                     bound = np.full(flat.shape, -np.inf)
                 else:
-                    bound = _coarse_bound(est, coords, idx, coarse)
-                self._solve(flat[bound <= limit])
-                est[sub] = np.where(self._solved[flat], self._sigma[flat], bound)
+                    positive = out > 0 if signed else None
+                    bound, positive = _coarse_bound(est, positive, coords, idx, coarse)
+                    if signed:
+                        out[sub] = np.where(positive, bound, -bound)
+                self._solve(flat[bound <= limit], coarse=stride > 1)
+                if signed:
+                    out[sub] = np.where(self._solved[flat], self._values[flat], out[sub])
+                if not signed or stride > 1:
+                    sigma = self._sigma[flat]
+                    est[sub] = np.where(np.isnan(sigma), bound, sigma)
                 coarse = idx
-            self._floor = max(self._floor, level + e)
-        return est
+            if not signed:
+                self._floor = max(self._floor, level + e)
+        return out
 
 
-def _coarse_bound(est, coords, idx, coarse) -> np.ndarray:
+def _coarse_bound(est, positive, coords, idx, coarse):
     """Per node of the lattice idx, the largest est(c) - |lambda - lambda_c|
-    over its enclosing nodes c of the coarser lattice (one or two per axis)."""
+    over its enclosing nodes c of the coarser lattice (one or two per axis),
+    and, given a boolean array positive, positive(c) at the c that attains
+    it.  Nodes are gathered by row-major flat index."""
+    steps = [math.prod(est.shape[k + 1 :]) for k in range(est.ndim)]
     sides = []
-    for x, fine, c in zip(coords, idx, coarse):
+    for x, fine, c, step in zip(coords, idx, coarse, steps):
         below = c[np.searchsorted(c, fine, side="right") - 1]
         above = c[np.searchsorted(c, fine, side="left")]
-        sides.append([(n, (x[fine] - x[n]) ** 2) for n in (below, above)])
-    bound = None
+        sides.append([(n * step, (x[fine] - x[n]) ** 2) for n in (below, above)])
+    bound = sign = None
     for pick in itertools.product(*sides):
-        gap = np.sqrt(sum(np.ix_(*[d2 for _, d2 in pick])))
-        value = est[np.ix_(*[n for n, _ in pick])] - gap
-        bound = value if bound is None else np.maximum(bound, value)
-    return bound
+        at = sum(np.ix_(*[n for n, _ in pick]))
+        value = est.take(at) - np.sqrt(sum(np.ix_(*[d2 for _, d2 in pick])))
+        if bound is None:
+            bound, sign = value, None if positive is None else positive.take(at)
+            continue
+        if positive is not None:
+            better = value > bound
+            sign = (sign & ~better) | (positive.take(at) & better)
+        bound = np.maximum(bound, value)
+    return bound, sign
 
 
 def sample(
@@ -279,8 +350,8 @@ def sample(
     rep: GammaRep | None = None,
     threads: int | None = None,
 ) -> SpectrumGrid:
-    """Evaluate an indicator field over a grid of lambda values.  A
-    sigma-min field is solved on demand (see SpectrumGrid)."""
+    """An indicator field over a grid of lambda values, evaluated on
+    demand (see SpectrumGrid)."""
     if indicator not in INDICATORS:
         raise ContractError(f"indicator must be one of {INDICATORS}")
     ft = tuple_.as_float()
@@ -291,26 +362,23 @@ def sample(
     lam = _lambda_grid(spec, d)
     pencil = Pencil.localizer(ft, rep)
     ref = operator_norm(pencil.l0)
-    if indicator == SIGMA_MIN:
-        return SpectrumGrid(spec, indicator, _SigmaMinField(pencil, spec, lam, ref, threads), ref)
-
     if indicator == PFAFFIAN_SIGN:
         require_self_dual_triple(ft)
         if rep.d != 3:
             raise ContractError("the pfaffian indicator needs the d = 3 localizer")
         skew = _skew_pencil(pencil)
 
-        def run(chunk):
-            return _pfaffian_parlett_reid(skew.at_rows(chunk)).real
+        def kernel(rows, m=None):
+            return _pfaffian_parlett_reid(skew.at_rows(rows)).real
 
     else:
+        reduce = _sigma_min if indicator == SIGMA_MIN else lambda m: np.linalg.det(m).real
 
-        def run(chunk):
-            return np.linalg.det(pencil.at_rows(chunk)).real
+        def kernel(rows, m=None):
+            return reduce(pencil.at_rows(rows) if m is None else m)
 
-    values = _evaluate(run, lam, threads)
-    shape = tuple(a.count for a in spec.axes)
-    return SpectrumGrid(spec, indicator, values.reshape(shape), ref)
+    field = _Field(pencil, kernel, indicator != SIGMA_MIN, spec, lam, ref, threads)
+    return SpectrumGrid(spec, indicator, field, ref)
 
 
 def slice_4d(
@@ -385,7 +453,7 @@ def extract_isosurface(grid: SpectrumGrid, level: float | None = None) -> Spectr
     cubes (row-major), their six tets and each case's edge list first meets
     them.  A vertex on the grid edge from node a to node b, a the one with
     the lower row-major index, lies at a + t (b - a), t = f(a) / (f(a) - f(b)).
-    A sigma-min grid from ``sample`` solves only the nodes the level reads.
+    A grid from ``sample`` evaluates only the nodes the level reads.
     """
     if len(grid.spec.axes) != 3:
         raise ContractError("isosurface extraction needs 3 sampled axes")
@@ -394,7 +462,7 @@ def extract_isosurface(grid: SpectrumGrid, level: float | None = None) -> Spectr
     if not math.isfinite(level):
         raise ContractError(f"isosurface level must be finite, got {level}")
     held = grid._values
-    f = (held.at_level(level) if isinstance(held, _SigmaMinField) else grid.values) - level
+    f = (held.at_level(level) if isinstance(held, _Field) else grid.values) - level
     nx, ny, nz = f.shape
     flat_f = f.reshape(-1)
 

@@ -20,7 +20,12 @@ POLY_EQUAL_SCALE_FLOOR = 1e-300  # poly_equal's scale floor, so zero polynomials
 DEGENERATE_AREA = 1e-12  # extract_isosurface drops triangles of no larger area
 TORUS_RESIDUAL_TOL = 1e-10  # torus_radius_profile: |f| at which bisection stops
 UNIT_TOL = 1e-12  # variance certificates: unit norms and nonnegative variances
-# sigma-min pruning margin, against ||L_0|| + max |lambda| of the grid: a node's
-# Lipschitz bound carries eigvalsh rounding (a few eps * side * ||L_lambda||)
-# and gamma relations off by REP_RELATION_TOL over distances below 2 max |lambda|
+# on-demand field pruning margin, against ||L_0|| + max |lambda| of the grid: a
+# node's Lipschitz bound carries eigvalsh rounding (a few eps * side *
+# ||L_lambda||) and gamma relations off by REP_RELATION_TOL over distances below
+# 2 max |lambda|; for det-sign and pfaffian-sign it also covers the backward
+# error of the LU and Parlett-Reid factorisations, of the same order as eigvalsh's
 SIGMA_MIN_PRUNE_RTOL = 1e-9
+# _coerce_lambda: the largest |lambda_j| a float query takes; squares and sums
+# of squares of such components, and of the entries of L_lambda, stay finite
+LAMBDA_BOUND = 1e150

@@ -340,3 +340,43 @@ def test_mesh_min_indicator_matches_full_grid(capsys):
     assert code == 0
     assert mesh_out.split()[-1] == grid_out.split()[-1]
     assert mesh_out.split()[-1].startswith("min_indicator=")
+
+
+def test_fault_inside_example_constructor_from_config_exits_3(monkeypatch, tmp_path, capsys):
+    from cliffordspec import gallery
+
+    def broken(t=1):
+        raise TypeError("constructor fault")
+
+    monkeypatch.setitem(gallery.EXAMPLES, "fuzzy_sphere_5", (broken, {}))
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"example": "fuzzy_sphere_5", "params": {"t": "1/2"}}))
+    code, _, err = run(capsys, "charpoly", str(path))
+    assert code == 3
+    assert "constructor fault" in err and "Traceback" in err
+
+
+def test_malformed_example_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    docs = [
+        [1, 2],
+        {"example": "nope"},
+        {"example": ["pauli"]},
+        {"example": "pauli", "params": [1]},
+        {"example": "pauli", "params": {"nope": 1}},
+        {"example": "fuzzy_sphere_5", "params": {"t": "inf"}},
+        {"example": "fuzzy_sphere_5", "params": {"t": "1/0"}},
+        {"example": "torus_quadruple", "params": {"n": 2.5}},
+        {"d": 2, "matrices": [[[["1", "0"]]]]},
+        {"d": "x", "matrices": [[[["1", "0"]]]]},
+        {"n": 3, "matrices": [[[["1", "0"]]]]},
+        {"kind": "float", "matrices": [[[["x", "0"]]]]},
+        {"matrices": 5},
+    ]
+    for doc in docs:
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "charpoly", str(path))
+        assert code == 2, doc
+        assert "Traceback" not in err, doc
+    path.write_text(json.dumps({"example": "fuzzy_sphere_5", "params": {"t": "1/2"}}))
+    assert run(capsys, "charpoly", str(path))[0] == 0

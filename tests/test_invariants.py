@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +32,7 @@ from cliffordspec.linalg import determinant, operator_norm
 from cliffordspec.localizer import Pencil, build
 from cliffordspec.matrices import HermitianTuple, exact_zeros, float_matrix, to_float
 from cliffordspec.scalars import GaussianRational
-from cliffordspec.tolerances import SKEW_CHECK_RTOL
+from cliffordspec.tolerances import LAMBDA_BOUND, SKEW_CHECK_RTOL
 from cliffordspec.variance import certificate
 
 
@@ -142,6 +143,20 @@ def test_archetypal_sign_far_field():
     inside = archetypal_sign(t, [0, 0, 0])
     assert inside.value == -1
 
+
+
+@settings(max_examples=60)
+@given(
+    st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+    st.sampled_from([0, Fraction(1, 4), Fraction(1, 2)]),
+)
+def test_archetypal_sign_is_the_sign_of_the_unscaled_value(lam, s):
+    t = self_dual_path(s).as_float()
+    try:
+        report = archetypal_sign(t, lam)
+    except SingularAtTolerance:
+        return
+    assert report.value == (1 if archetypal(t, lam) > 0 else -1)
 
 def test_archetypal_requires_self_dual():
     with pytest.raises(SymmetryError):
@@ -267,6 +282,33 @@ def test_point_queries_take_exact_lambda(query, make):
         with pytest.raises(ContractError, match="must be real"):
             fn(t, [imaginary] + [make(0)] * (d - 1))
 
+
+
+# each point query's far-field report: its value, or whether the variance
+# inequality holds (it cannot once |lambda|^2 outgrows |lambda|)
+_FAR_FIELD = {"index": 0, "certificate": False, "archetypal_sign": 1, "graded_index": 0}
+
+
+@pytest.mark.parametrize("query", sorted(_POINT_QUERIES))
+def test_point_queries_take_lambda_up_to_the_bound(query):
+    fn, example, d = _POINT_QUERIES[query]
+    t = example()
+    beyond = np.nextafter(LAMBDA_BOUND, np.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for j in range(min(d, 3)):
+            for sign in (1.0, -1.0):
+                lam = [0.0] * d
+                lam[j] = sign * LAMBDA_BOUND
+                got = fn(t, lam)
+                assert (got.holds if query == "certificate" else got.value) == _FAR_FIELD[query]
+                assert np.isfinite(got.lhs if query == "certificate" else got.gap)
+                lam[j] = sign * beyond
+                with pytest.raises(ContractError, match=f"lambda component {j} .* beyond the bound"):
+                    fn(t, lam)
+        # an exact component beyond the bound is refused the same way
+        with pytest.raises(ContractError, match="lambda component 0 .* beyond the bound"):
+            fn(t, [Fraction(10**151)] + [0] * (d - 1))
 
 def _quaternionic(rng, half):
     """[[A, B], [B*, A^T]] with A Hermitian and B antisymmetric, small

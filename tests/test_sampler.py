@@ -18,6 +18,7 @@ from cliffordspec.gallery import (
     even_odd,
     pauli,
     self_dual_path,
+    sykora_two_torus,
     torus_quadruple,
     torus_triple,
 )
@@ -792,3 +793,147 @@ def test_sigma_min_grid_shared_between_threads():
     assert not errors and not any(w.is_alive() for w in workers)
     assert all(got[k] == want[k % 4] for k in range(8))
     assert all(got[-1 - k] == eager.values.tobytes() for k in range(8))
+
+
+# ---------------------------------------------------------------------------
+# det-sign and pfaffian-sign fields evaluated on demand
+
+
+def _eager_sign_field(tuple_, spec, indicator):
+    """A sign field as sample used to return it: every node evaluated by
+    its kernel, in order, in chunks of 4,096."""
+    from cliffordspec.invariants import _skew_pencil
+
+    ft = tuple_.as_float()
+    pencil = Pencil.localizer(ft, rep_for(ft.d))
+    if indicator == PFAFFIAN_SIGN:
+        skew = _skew_pencil(pencil)
+
+        def run(rows):
+            return _pfaffian_parlett_reid(skew.at_rows(rows)).real
+
+    else:
+
+        def run(rows):
+            return np.linalg.det(pencil.at_rows(rows)).real
+
+    lam = _lambda_grid(spec, ft.d)
+    pieces = [run(lam[i : i + 4096]) for i in range(0, len(lam), 4096)]
+    return np.concatenate(pieces).reshape([a.count for a in spec.axes])
+
+
+def _random_axes(draw, indices):
+    axes = []
+    for index in indices:
+        lo = draw(st.floats(-3.0, 0.0))
+        axes.append(AxisSpec(index, lo, lo + draw(st.floats(1.0, 4.0)), draw(st.integers(2, 12))))
+    return tuple(axes)
+
+
+@st.composite
+def _self_dual_cases(draw):
+    """A random self-dual float triple of side 2 or 4 on a 3-D grid."""
+    from cliffordspec.invariants import dual
+    from cliffordspec.matrices import HermitianTuple, float_matrix
+
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from([2, 4]))
+    mats = []
+    for _ in range(3):
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        m = m + m.conj().T
+        mats.append(float_matrix(m + dual(m)))
+    return HermitianTuple(mats), GridSpec(_random_axes(draw, range(3)))
+
+
+@st.composite
+def _sign_cases(draw):
+    """A det-sign case as in _sigma_min_cases or a pfaffian-sign one."""
+    if draw(st.booleans()):
+        t, spec, _ = draw(_sigma_min_cases())
+        return t, spec, DET_SIGN
+    return (*draw(_self_dual_cases()), PFAFFIAN_SIGN)
+
+
+def _assert_pruned_sign_nodes_proved(t, spec, indicator):
+    grid = sample(t, spec, indicator)
+    field = grid._values
+    held = field.at_level(0.0)
+    pruned = ~field._solved.reshape(held.shape)
+    eager = _eager_sign_field(t, spec, indicator)
+    sigma = _eager_sigma_min(t, spec)
+    assert np.all(sigma[pruned] > _longest_tet_edge(spec))
+    assert np.array_equal(np.sign(held[pruned]), np.sign(eager[pruned]))
+    assert np.all(held[pruned] != 0.0)
+    assert held[~pruned].tobytes() == eager[~pruned].tobytes()
+    assert grid.values.tobytes() == eager.tobytes()
+
+
+@settings(max_examples=40)
+@given(_sigma_min_cases())
+def test_pruned_det_sign_nodes_are_spectrum_free_and_keep_their_sign(case):
+    t, spec, _ = case
+    _assert_pruned_sign_nodes_proved(t, spec, DET_SIGN)
+
+
+@settings(max_examples=30)
+@given(_self_dual_cases())
+def test_pruned_pfaffian_sign_nodes_are_spectrum_free_and_keep_their_sign(case):
+    _assert_pruned_sign_nodes_proved(*case, PFAFFIAN_SIGN)
+
+
+@settings(max_examples=30)
+@given(_sign_cases(), st.floats(-1.0, 1.0).filter(bool), st.sampled_from([1, 2]))
+def test_pruned_sign_mesh_matches_eager_grid(tmp_path_factory, case, level, threads):
+    t, spec, indicator = case
+    path = tmp_path_factory.mktemp("obj") / "m.obj"
+    eager = SpectrumGrid(spec, indicator, _eager_sign_field(t, spec, indicator), 1.0)
+    for fresh in (True, False):
+        grid = sample(t, spec, indicator, threads=threads)
+        # level 0 on a pruned field, then a nonzero level that completes it;
+        # a fresh grid meets the nonzero level first
+        for lvl in (0.0, level) if fresh else (level, 0.0):
+            got = _obj_bytes(extract_isosurface(grid, lvl), path)
+            assert got == _obj_bytes(extract_isosurface(eager, lvl), path)
+
+
+@pytest.mark.parametrize(
+    "tuple_, indicator",
+    [(direct_sum_sphere(0), DET_SIGN), (pauli(), DET_SIGN), (self_dual_path(0), PFAFFIAN_SIGN)],
+)
+def test_sign_values_before_and_after_extraction_match_eager_loop(tuple_, indicator):
+    spec = GridSpec.cube(3, -1.5, 1.5, 21)
+    want = _eager_sign_field(tuple_, spec, indicator)
+    before = sample(tuple_, spec, indicator)
+    assert before.values.tobytes() == want.tobytes()
+    after = sample(tuple_, spec, indicator)
+    mesh = extract_isosurface(after)
+    assert 0 < after._values._solved.sum() < want.size  # pruned, not complete
+    assert after.min_value == float(np.min(want))  # completes the field
+    assert after._values.tobytes() == want.tobytes()
+    assert after.values is after.values
+    assert mesh.vertices.tobytes() == extract_isosurface(before).vertices.tobytes()
+    assert mesh.triangles.tobytes() == extract_isosurface(before).triangles.tobytes()
+
+
+def test_sykora_det_sign_mesh_evaluates_under_two_fifths_of_the_nodes(monkeypatch, tmp_path):
+    rows = []
+    at_rows = Pencil.at_rows
+
+    def counting(self, lam):
+        rows.append(len(lam))
+        return at_rows(self, lam)
+
+    monkeypatch.setattr(Pencil, "at_rows", counting)
+    spec = GridSpec(
+        (AxisSpec(0, -1.0, 3.0, 51), AxisSpec(1, -1.3, 1.3, 33), AxisSpec(2, -0.6, 4.6, 61))
+    )
+    t = sykora_two_torus()
+    grid = sample(t, spec, DET_SIGN, threads=2)
+    mesh = extract_isosurface(grid)
+    assert 0 < sum(rows) <= 0.4 * 51 * 33 * 61
+    monkeypatch.setattr(Pencil, "at_rows", at_rows)
+    eager = SpectrumGrid(spec, DET_SIGN, _eager_sign_field(t, spec, DET_SIGN), grid.reference_norm)
+    want = _obj_bytes(extract_isosurface(eager), tmp_path / "want.obj")
+    assert len(mesh.triangles) > 0 and _obj_bytes(mesh, tmp_path / "got.obj") == want
+    assert mesh_topology(mesh) == (-2, 1)
