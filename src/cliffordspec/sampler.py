@@ -302,8 +302,8 @@ class _Field:
                 if coarse is None:
                     bound = np.full(flat.shape, -np.inf)
                 else:
-                    positive = out > 0 if signed else None
-                    bound, positive = _coarse_bound(est, positive, coords, idx, coarse)
+                    signs = out > 0 if signed else None
+                    bound, positive = _coarse_bound(est, signs, coords, idx, coarse)
                     if signed:
                         out[sub] = np.where(positive, bound, -bound)
                 self._solve(flat[bound <= limit], coarse=stride > 1)
