@@ -201,10 +201,10 @@ def _grid_spec_from_args(args, d: int) -> GridSpec:
     return GridSpec.cube(d, lo, hi, args.res, fixed)
 
 
-def _summarize_mesh(mesh, grid) -> None:
+def _summarize_mesh(mesh, min_indicator: float) -> None:
     print(
         f"vertices={len(mesh.vertices)} triangles={len(mesh.triangles)} "
-        f"min_indicator={grid.min_value:.6e}"
+        f"min_indicator={min_indicator:.6e}"
     )
 
 
@@ -216,10 +216,14 @@ def _cmd_mesh(args, need_fixed: bool = False) -> int:
     if len(spec.axes) != 3:
         raise _CliError(EXIT_CONFIG, "meshing needs exactly 3 sampled axes")
     grid = sample(tup, spec, args.indicator, threads=args.threads)
+    # the least value of a sign field completes it; read first, the mesh then
+    # takes the full field and solves no coarse sigma_min.  A sigma-min field's
+    # is settled by the nodes its mesh solves
+    least = None if args.indicator == SIGMA_MIN else grid.min_value
     mesh = extract_isosurface(grid, args.level)
     if args.out:
         export_mesh_obj(mesh, args.out)
-    _summarize_mesh(mesh, grid)
+    _summarize_mesh(mesh, grid.min_value if least is None else least)
     return 0
 
 

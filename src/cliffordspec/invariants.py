@@ -17,7 +17,7 @@ import numpy as np
 
 from .cliffordrep import standard_rep
 from .errors import ContractError, SymmetryError
-from .linalg import pfaffian, signature_gap
+from .linalg import eigenvalue_signature_gap, hermitian_eigenvalues, pfaffian, signature_gap
 from .localizer import Pencil, _coerce_lambda, build, build_reduced
 from .matrices import (
     EXACT,
@@ -217,7 +217,8 @@ def _archetypal(pencil: Pencil, lam: list, shift: int = 0):
     if defect_exceeds(skew + skew.T, skew, SKEW_CHECK_RTOL):
         raise SymmetryError("conjugated localizer is not skew-symmetric")
     value = pfaffian(skew * 2.0**-shift)
-    unit = 2.0 ** (-shift * (len(skew) // 2))  # 1 at the scale of value
+    # 1 at the scale of value, capped at the largest power of two a float holds
+    unit = math.ldexp(1.0, min(-shift * (len(skew) // 2), 1023))
     if abs(value.imag) > SKEW_CHECK_RTOL * max(unit, abs(value)):
         raise ArithmeticError("archetypal value has a large imaginary part")
     return float(value.real)
@@ -236,12 +237,12 @@ def archetypal_sign(tuple_: HermitianTuple, lam, tol: float | None = None) -> In
     ft = tuple_.as_float()
     pencil = Pencil.localizer(ft, standard_rep(3))
     lam = _coerce_lambda(ft, lam)
-    matrix = pencil.at(lam)
-    _, gap = signature_gap(matrix, tol)  # raises on the spectrum
+    eigs = hermitian_eigenvalues(pencil.at(lam))
+    _, gap = eigenvalue_signature_gap(eigs, tol)  # raises on the spectrum
     require_self_dual_triple(ft)
-    # skew entries below 2 in magnitude, so the product of pivots stays finite
-    # at large lambda; never scaled up, so the scale of value stays finite
-    value = _archetypal(pencil, lam, max(0, math.frexp(max_abs(matrix))[1]))
+    # |Pf| = prod |eig|^(1/2) over the side eigenvalues of L_lambda; scaled by
+    # 2^-k, k the rounded mean of log2 |eig|, it lies within 2^(+-side/4)
+    value = _archetypal(pencil, lam, int(np.rint(np.mean(np.log2(np.abs(eigs))))))
     return IndexReport(tuple(lam), "archetypal-sign", 1 if value > 0 else -1, gap)
 
 

@@ -82,7 +82,11 @@ def signature_gap(m: np.ndarray, tol: float | None = None) -> tuple:
     Raises SingularAtTolerance if the gap is <= tol, since the signature
     (and hence the index) is undefined there.
     """
-    eigs = hermitian_eigenvalues(m)
+    return eigenvalue_signature_gap(hermitian_eigenvalues(m), tol)
+
+
+def eigenvalue_signature_gap(eigs: np.ndarray, tol: float | None = None) -> tuple:
+    """:func:`signature_gap` of a Hermitian matrix with eigenvalues eigs."""
     magnitudes = np.abs(eigs)
     if tol is None:
         # default_tolerance(m), with ||m||_2 = max |eigenvalue| for Hermitian m

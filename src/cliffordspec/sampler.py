@@ -191,12 +191,15 @@ def _edge_counts(triangles: np.ndarray):
     return np.divmod(keys, base), counts
 
 
-def _lambda_grid(spec: GridSpec, d: int) -> np.ndarray:
-    """All grid nodes as an (N, d) array, row-major in axis order."""
-    out = np.zeros((math.prod(a.count for a in spec.axes), d))
-    columns = np.meshgrid(*[a.nodes() for a in spec.axes], indexing="ij")
-    for axis, column in zip(spec.axes, columns):
-        out[:, axis.index] = column.reshape(-1)
+def _lambda_grid(spec: GridSpec, d: int, flat: np.ndarray | None = None) -> np.ndarray:
+    """Grid nodes as an (N, d) array: all of them, row-major in axis order,
+    or those at the row-major indices flat."""
+    shape = [a.count for a in spec.axes]
+    if flat is None:
+        flat = np.arange(math.prod(shape))
+    out = np.zeros((len(flat), d))
+    for axis, i in zip(spec.axes, np.unravel_index(flat, shape)):
+        out[:, axis.index] = axis.nodes()[i]
     for i, v in spec.fixed:
         out[:, i] = v
     return out
@@ -221,44 +224,45 @@ class _Field:
     """An indicator at a grid's nodes, each node evaluated when first
     needed.  ``kernel(rows, m=None)`` evaluates it at lambda rows, from
     m = pencil.at_rows(rows) when given.  For sigma-min the kernel gives
-    sigma_min itself; a sign field (det-sign, pfaffian-sign) also keeps
-    sigma_min at the coarse nodes it solved, for its pruning bounds.  Every
-    node a sigma-min ``at_level`` leaves unsolved has a value above
-    ``_floor``."""
+    sigma_min itself; a sign field (det-sign, pfaffian-sign) also keeps, on
+    its two coarse lattices, sigma_min at the nodes it solved and a lower
+    bound on it at the others, for its pruning bounds.  Every node a
+    sigma-min ``at_level`` leaves unsolved has a value above ``_floor``."""
 
-    def __init__(self, pencil: Pencil, kernel, signed: bool, spec: GridSpec, lam, ref, threads):
+    def __init__(self, pencil: Pencil, kernel, signed: bool, spec: GridSpec, margin, threads):
         self._pencil = pencil
         self._kernel = kernel
         self._signed = signed
+        self._spec = spec
         self._coords = [a.nodes() for a in spec.axes]
-        self._lam = lam
         self._threads = threads
-        # the rounding slack of every bound; ||L_lambda|| <= ref + |lambda|
-        self._margin = SIGMA_MIN_PRUNE_RTOL * (ref + math.sqrt(np.max(np.sum(lam * lam, axis=1))))
-        self._sigma = np.full(len(lam), np.nan)  # sigma_min where known
-        self._values = np.zeros(len(lam)) if signed else self._sigma
-        self._solved = np.zeros(len(lam), dtype=bool)
+        self._margin = margin  # the rounding slack of every bound
+        size = math.prod(len(x) for x in self._coords)
+        # sigma_min where solved; a sign field's coarse bounds where not
+        self._sigma = np.full(size, np.nan)
+        self._values = np.zeros(size) if signed else self._sigma
+        self._solved = np.zeros(size, dtype=bool)
         self._floor = -math.inf
         self._lock = threading.Lock()
 
     def _solve(self, flat: np.ndarray, coarse: bool = False) -> None:
         """Evaluate the kernel at the nodes of flat not yet solved.  On a
         coarse lattice a sign field takes sigma_min and the kernel, from one
-        pencil.at_rows, at the nodes whose sigma_min is not yet known."""
+        pencil.at_rows."""
         kernel = self._kernel
+        flat = flat[~self._solved[flat]]
+        lam = _lambda_grid(self._spec, self._pencil.d, flat)
         if coarse and self._signed:
-            flat = flat[np.isnan(self._sigma[flat])]
             pencil = self._pencil
 
             def run(chunk):
                 m = pencil.at_rows(chunk)
                 return np.column_stack([_sigma_min(m), kernel(chunk, m)])
 
-            pairs = _evaluate(run, self._lam[flat], self._threads).reshape(-1, 2)
+            pairs = _evaluate(run, lam, self._threads).reshape(-1, 2)
             self._sigma[flat], self._values[flat] = pairs.T
         else:
-            flat = flat[~self._solved[flat]]
-            self._values[flat] = _evaluate(kernel, self._lam[flat], self._threads)
+            self._values[flat] = _evaluate(kernel, lam, self._threads)
         self._solved[flat] = True
 
     def complete(self) -> np.ndarray:
@@ -282,7 +286,11 @@ class _Field:
         whose sigma_min may be at most e, so every cube whose corners may
         change sign; every other node holds its bound, signed as the value
         at the coarser node that proves it.  At any other level a sign
-        field is completed: the bounds prove nothing there."""
+        field is completed: the bounds prove nothing there.
+
+        A sign field returns its own array, whose unsolved nodes its
+        completion overwrites with values of the same sign; the coarse
+        bounds go to its sigma_min array.  A sigma-min field returns a copy."""
         coords = self._coords
         shape = [len(x) for x in coords]
         e = math.sqrt(sum(float(np.max(np.diff(x))) ** 2 for x in coords))
@@ -292,8 +300,9 @@ class _Field:
             if signed and (level != 0 or self._solved.all()):
                 self._solve(np.flatnonzero(~self._solved))
                 return self._values.reshape(shape)
-            est = self._sigma.reshape(shape).copy()  # sigma_min or its bound
-            out = np.zeros(shape) if signed else est
+            est = self._sigma.reshape(shape)  # sigma_min or its bound
+            est = est if signed else est.copy()
+            out = self._values.reshape(shape) if signed else est
             coarse = None
             for stride in _LADDER:
                 idx = [np.append(np.arange(0, n - 1, stride), n - 1) for n in shape]
@@ -304,14 +313,12 @@ class _Field:
                 else:
                     signs = out > 0 if signed else None
                     bound, positive = _coarse_bound(est, signs, coords, idx, coarse)
-                    if signed:
-                        out[sub] = np.where(positive, bound, -bound)
                 self._solve(flat[bound <= limit], coarse=stride > 1)
-                if signed:
-                    out[sub] = np.where(self._solved[flat], self._values[flat], out[sub])
+                solved = self._solved[flat]
+                if signed and coarse is not None:
+                    out[sub] = np.where(solved, out[sub], np.where(positive, bound, -bound))
                 if not signed or stride > 1:
-                    sigma = self._sigma[flat]
-                    est[sub] = np.where(np.isnan(sigma), bound, sigma)
+                    est[sub] = np.where(solved, self._sigma[flat], bound)
                 coarse = idx
             if not signed:
                 self._floor = max(self._floor, level + e)
@@ -359,9 +366,11 @@ def sample(
     spec.validate_for(d)
     if rep is None:
         rep = rep_for(d)
-    lam = _lambda_grid(spec, d)
     pencil = Pencil.localizer(ft, rep)
     ref = operator_norm(pencil.l0)
+    lam = _lambda_grid(spec, d)
+    # the rounding slack of every bound; ||L_lambda|| <= ref + |lambda|
+    margin = SIGMA_MIN_PRUNE_RTOL * (ref + math.sqrt(np.max(np.sum(lam * lam, axis=1))))
     if indicator == PFAFFIAN_SIGN:
         require_self_dual_triple(ft)
         if rep.d != 3:
@@ -377,7 +386,7 @@ def sample(
         def kernel(rows, m=None):
             return reduce(pencil.at_rows(rows) if m is None else m)
 
-    field = _Field(pencil, kernel, indicator != SIGMA_MIN, spec, lam, ref, threads)
+    field = _Field(pencil, kernel, indicator != SIGMA_MIN, spec, margin, threads)
     return SpectrumGrid(spec, indicator, field, ref)
 
 

@@ -176,6 +176,22 @@ def test_mesh_sigma_min(tmp_path, capsys):
     assert out_path.read_text().startswith("v ")
 
 
+def test_sign_mesh_reads_its_minimum_before_meshing(monkeypatch, capsys):
+    # the minimum completes a sign field; read first, the mesh then takes the
+    # full field and solves no coarse sigma_min
+    import cliffordspec.sampler as sampler
+
+    calls = []
+    sigma_min = sampler._sigma_min
+    monkeypatch.setattr(sampler, "_sigma_min", lambda m: calls.append(len(m)) or sigma_min(m))
+    for example, indicator in (("pauli", "det-sign"), ("self_dual_path", "pfaffian-sign")):
+        code, out, _ = run(
+            capsys, "mesh", "--example", example, "--indicator", indicator, "--res", "15"
+        )
+        assert code == 0 and "triangles=0" not in out and "min_indicator=-" in out
+    assert calls == []
+
+
 def test_grid_csv(tmp_path, capsys):
     out_path = tmp_path / "g.csv"
     code, out, _ = run(

@@ -144,7 +144,6 @@ def test_archetypal_sign_far_field():
     assert inside.value == -1
 
 
-
 @settings(max_examples=60)
 @given(
     st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
@@ -157,6 +156,33 @@ def test_archetypal_sign_is_the_sign_of_the_unscaled_value(lam, s):
     except SingularAtTolerance:
         return
     assert report.value == (1 if archetypal(t, lam) > 0 else -1)
+
+
+def test_archetypal_sign_of_a_large_triple_with_one_large_entry():
+    # [[A, B], [B*, A^T]], A Hermitian and B antisymmetric, of side 200, with
+    # one entry 2^12 on the diagonal of X1 and the other eigenvalues of L_lambda
+    # of order 1: scaled by its largest entry, the skew matrix has a Pfaffian
+    # near 2^(-13 * 200), below the float range; unscaled it is within range
+    rng = np.random.default_rng(0)
+    h = 100
+    mats = []
+    for j in range(3):
+        g = (rng.normal(size=(h, h)) + 1j * rng.normal(size=(h, h))) / np.sqrt(8 * h)
+        a = g + g.conj().T
+        b = (rng.normal(size=(h, h)) + 1j * rng.normal(size=(h, h))) / np.sqrt(8 * h)
+        b = b - b.T
+        if j == 0:
+            a[0, 0] = 2.0**12
+        mats.append(np.block([[a, b], [b.conj().T, a.T]]))
+    t = HermitianTuple(mats)
+    signs = []
+    for lam in ([0.0, 0.0, 0.0], [0.1, 0.4, -0.3], [-0.2, 0.1, 0.2]):
+        unscaled = archetypal(t, lam)
+        assert 1e-300 < abs(unscaled) < 1e300
+        signs.append(1 if unscaled > 0 else -1)
+        assert archetypal_sign(t, lam).value == signs[-1]
+    assert sorted(signs) == [-1, 1, 1]
+
 
 def test_archetypal_requires_self_dual():
     with pytest.raises(SymmetryError):
@@ -283,7 +309,6 @@ def test_point_queries_take_exact_lambda(query, make):
             fn(t, [imaginary] + [make(0)] * (d - 1))
 
 
-
 # each point query's far-field report: its value, or whether the variance
 # inequality holds (it cannot once |lambda|^2 outgrows |lambda|)
 _FAR_FIELD = {"index": 0, "certificate": False, "archetypal_sign": 1, "graded_index": 0}
@@ -309,6 +334,7 @@ def test_point_queries_take_lambda_up_to_the_bound(query):
         # an exact component beyond the bound is refused the same way
         with pytest.raises(ContractError, match="lambda component 0 .* beyond the bound"):
             fn(t, [Fraction(10**151)] + [0] * (d - 1))
+
 
 def _quaternionic(rng, half):
     """[[A, B], [B*, A^T]] with A Hermitian and B antisymmetric, small
