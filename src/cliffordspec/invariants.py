@@ -23,7 +23,6 @@ from .matrices import (
     EXACT,
     FLOAT,
     HermitianTuple,
-    dagger,
     defect_exceeds,
     eye,
     from_gaussian_integers,
@@ -161,37 +160,24 @@ def require_self_dual_triple(tuple_: HermitianTuple) -> None:
         )
 
 
-def _conjugation_unitary(n2: int, kind: str) -> np.ndarray:
-    """Q = [[I, -iZ], [iZ, I]] with Z = [[0, I], [-I, 0]] of side n2."""
-    if n2 % 2:
-        raise ContractError("self-dual matrices must have even side")
-    half = n2 // 2
-    q = np.zeros((2 * n2, 2 * n2), dtype=complex)
-    eye = np.eye(half)
-    z = np.block([[np.zeros((half, half)), eye], [-eye, np.zeros((half, half))]])
-    q[:n2, :n2] = np.eye(n2)
-    q[n2:, n2:] = np.eye(n2)
-    q[:n2, n2:] = -1j * z
-    q[n2:, :n2] = 1j * z
-    if kind == EXACT:
-        return from_gaussian_integers(1, *(p.astype(int).astype(object) for p in (q.real, q.imag)))
-    return q
-
-
 def _skew_pencil(pencil: Pencil) -> Pencil:
     """The pencil (1/2) Q* L(lambda) Q = A0 - sum_j lambda_j B_j of a
     self-dual triple's localizer pencil; raises SymmetryError unless every
     member is skew, which makes every member of the family skew.  Exact
-    members are checked as integer identities, float ones against their scale."""
-    q = _conjugation_unitary(pencil.side // 2, pencil.kind)
-    qh = dagger(q)
+    members are checked as integer identities, float ones against their scale.
+    Q = I + iS, S sending quarter block k to block 3 - k with signs (-, +, +, -),
+    so each member M is moved: A = M - i S M, then (1/2) Q* M Q = (A + i A S) / 2."""
+    side = pencil.side
+    perm = np.arange(side).reshape(4, -1)[::-1].ravel()
+    sign = np.repeat([-1, 1, 1, -1], side // 4)
     if pencil.kind == EXACT:
-        half = GaussianRational(Fraction(1, 2))
-        members = [from_gaussian_integers(pencil.den, *part) for part in zip(pencil.re, pencil.im)]
+        i, half = GaussianRational(0, 1), GaussianRational(Fraction(1, 2))
+        m = from_gaussian_integers(pencil.den, pencil.re, pencil.im)
     else:
-        half = 0.5
-        members = [pencil.l0, *pencil.parts]
-    skew = Pencil.from_members([half * (qh @ m @ q) for m in members])
+        i, half = 1j, 0.5
+        m = np.stack([pencil.l0, *pencil.parts])
+    a = m - i * sign[:, None] * m[:, perm]
+    skew = Pencil.from_members(half * (a + i * sign * a[..., perm]))
     if skew.kind == EXACT:
         bad = any(np.any(p + p.transpose(0, 2, 1)) for p in (skew.re, skew.im))
     else:
@@ -224,12 +210,29 @@ def _archetypal(pencil: Pencil, lam: list, shift: int = 0):
     return float(value.real)
 
 
+def _scale_exponent(eigs: np.ndarray) -> int:
+    """k, the rounded mean of log2 |eig| over the nonzero eigenvalues eigs of
+    L_lambda.  |Pf| = prod |eig|^(1/2) over the side eigenvalues, so scaled by
+    2^-k the Pfaffian lies within 2^(+-side/4), or below when one is 0."""
+    magnitudes = np.abs(eigs[eigs != 0])
+    return int(np.rint(np.mean(np.log2(magnitudes)))) if magnitudes.size else 0
+
+
 def archetypal(tuple_: HermitianTuple, lam):
     """Pf((1/2) Q* L_lambda Q): a real square root of det(L_lambda) on
-    self-dual Hermitian triples."""
+    self-dual Hermitian triples.  A float value is computed at the scale
+    2^-k of archetypal_sign and scaled back exactly; one beyond the float
+    range raises ContractError."""
     require_self_dual_triple(tuple_)
     pencil = Pencil.localizer(tuple_, standard_rep(3))
-    return _archetypal(pencil, _coerce_lambda(tuple_, lam))
+    lam = _coerce_lambda(tuple_, lam)
+    if tuple_.kind == EXACT:
+        return _archetypal(pencil, lam)
+    shift = _scale_exponent(hermitian_eigenvalues(pencil.at(lam)))
+    try:
+        return math.ldexp(_archetypal(pencil, lam, shift), shift * (pencil.side // 2))
+    except OverflowError:
+        raise ContractError(f"archetypal value at lambda {lam} is beyond the float range") from None
 
 
 def archetypal_sign(tuple_: HermitianTuple, lam, tol: float | None = None) -> IndexReport:
@@ -240,9 +243,7 @@ def archetypal_sign(tuple_: HermitianTuple, lam, tol: float | None = None) -> In
     eigs = hermitian_eigenvalues(pencil.at(lam))
     _, gap = eigenvalue_signature_gap(eigs, tol)  # raises on the spectrum
     require_self_dual_triple(ft)
-    # |Pf| = prod |eig|^(1/2) over the side eigenvalues of L_lambda; scaled by
-    # 2^-k, k the rounded mean of log2 |eig|, it lies within 2^(+-side/4)
-    value = _archetypal(pencil, lam, int(np.rint(np.mean(np.log2(np.abs(eigs))))))
+    value = _archetypal(pencil, lam, _scale_exponent(eigs))
     return IndexReport(tuple(lam), "archetypal-sign", 1 if value > 0 else -1, gap)
 
 

@@ -25,7 +25,7 @@ from numbers import Number
 import numpy as np
 
 from .cliffordrep import GammaRep, rep_for, standard_rep
-from .errors import ContractError
+from .errors import ContractError, KindMismatchError
 from .matrices import (
     EXACT,
     FLOAT,
@@ -40,7 +40,7 @@ from .matrices import (
     max_abs,
 )
 from .linalg import operator_norm
-from .scalars import as_gaussian
+from .scalars import as_gaussian, is_exact_scalar
 from .tolerances import LAMBDA_BOUND
 
 
@@ -53,6 +53,8 @@ def _coerce_lambda(tuple_: HermitianTuple, lam) -> list:
     out = []
     for j, v in enumerate(lam):
         if tuple_.kind == EXACT:
+            if not is_exact_scalar(v):
+                raise KindMismatchError(f"lambda component {j} is {v!r}, not an exact number")
             v = as_gaussian(v)
             imag = v.im
         else:

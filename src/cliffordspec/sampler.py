@@ -11,13 +11,14 @@ Three indicator fields are supported:
 * ``pfaffian-sign`` - the archetypal (Pfaffian) value on self-dual
   triples, which restores sign changes where the determinant is a square.
   It is the Pfaffian of (1/2) Q* L_lambda Q = A0 - sum_j lambda_j B_j, a
-  ``Pencil`` formed and checked skew once per grid and assembled per chunk
-  of nodes by ``at_rows``, as ``archetypal`` assembles it by ``at``.
+  ``Pencil`` formed by signed moves of the localizer's members and checked
+  skew once per grid, and assembled per chunk of nodes by ``at_rows``.
 
-Every grid from ``sample`` is one on-demand field: each indicator keeps its
-kernel (``eigvalsh``, batched ``det`` or the stacked Pfaffian), and a node
-is evaluated when a mesh or a read first needs it.  sigma_min is
-1-Lipschitz in lambda, since (sum_j a_j gamma_j)^2 = |a|^2, so
+Every grid from ``sample`` is one on-demand field: an indicator is a
+reducer of matrix stacks (``eigvalsh``, batched ``det`` or the stacked
+Pfaffian) and the pencil whose matrices it reduces, and a node is
+evaluated when a mesh or a read first needs it.  sigma_min is 1-Lipschitz
+in lambda, since (sum_j a_j gamma_j)^2 = |a|^2, so
 max_c(sigma(c) - |lambda - lambda_c|) over already solved nodes c bounds
 sigma_min(L_lambda) from below, up to a rounding margin.  Let e be the
 longest Kuhn-tet edge, the cube diagonal; every cube at a node lies in the
@@ -31,21 +32,19 @@ ball of radius e around it.
   unitary Q / sqrt(2), is nonzero on that ball and keeps one sign there;
   the margin also covers the backward error of the factorisations.  So
   every cube at the node has corners of one sign and none is a candidate.
-  The node keeps the sign of the coarser node whose bound proves it.  At
-  any other level the bound proves nothing, and the field is completed.
+  At any other level the bound proves nothing, and the field is completed.
 
 ``extract_isosurface`` therefore solves every node of the stride-4 lattice
 (every 4th index per axis, and the last), then the nodes of the stride-2
 lattice and then the rest, each only where the bound from its neighbours
-on the coarser lattice does not prove it above level + e (above e for a
-sign field).  A sign field takes sigma_min, by ``eigvalsh`` of the
-localizer, and its kernel value at the solved nodes of the two coarse
-lattices, and only its kernel value on the full grid.  A node left
-unsolved holds its bound, signed for a sign field.  The mesh reads exactly
-the values it would read from the full field.  The first read of
-``SpectrumGrid.values`` evaluates every node left with the same kernel
-in the same chunks; a node's value does not depend on the nodes that share
-its chunk, so the full field is bit-identical to evaluating every node at
+on the coarser lattice does not prove it above level + e.  The coarse
+lattices get sigma_min, by ``eigvalsh`` of the localizer, and the value;
+the full grid only the value.  A node left unsolved holds its bound,
+signed like the value at the coarser node that attains it, so the mesh
+reads the values, or the signs, it would read from the full field.  The
+first read of ``SpectrumGrid.values`` evaluates every node left in the
+same chunks; a node's value does not depend on the nodes that share its
+chunk, so the full field is bit-identical to evaluating every node at
 once.
 
 Isosurfaces use marching tetrahedra on the Kuhn 6-tetrahedron cube split:
@@ -139,9 +138,10 @@ class SpectrumGrid:
     ``sample`` hands every grid a ``_Field`` in place of the array.
     ``extract_isosurface`` then evaluates, coarse to fine, only the nodes
     that its level reads (for a det-sign or pfaffian-sign grid, only at
-    level 0), and the first read of ``values`` evaluates every node left
-    and holds the full array from then on, bit-identical to evaluating every
-    node at once.  A grid built on an array holds it from the start.
+    level 0), and the first read of ``values`` evaluates every node left,
+    over the placeholders of the others, and holds the full array from then
+    on, bit-identical to evaluating every node at once.  A grid built on an
+    array holds it from the start.
     """
 
     def __init__(self, spec: GridSpec, indicator: str, values, reference_norm: float):
@@ -221,48 +221,53 @@ def _sigma_min(m: np.ndarray) -> np.ndarray:
 
 
 class _Field:
-    """An indicator at a grid's nodes, each node evaluated when first
-    needed.  ``kernel(rows, m=None)`` evaluates it at lambda rows, from
-    m = pencil.at_rows(rows) when given.  For sigma-min the kernel gives
-    sigma_min itself; a sign field (det-sign, pfaffian-sign) also keeps, on
-    its two coarse lattices, sigma_min at the nodes it solved and a lower
-    bound on it at the others, for its pruning bounds.  Every node a
-    sigma-min ``at_level`` leaves unsolved has a value above ``_floor``."""
+    """An indicator at a grid's nodes, each evaluated when first needed as
+    reduce(source.at_rows(rows)).  It holds sigma_min of the localizer
+    ``pencil``, or a lower bound on it, on its two coarse lattices, and at
+    every node the value or, where ``at_level`` proved it unread, a
+    placeholder: the node's bound, signed like the value at the coarser node
+    that attains it.  The bounds of a sigma-min field bound its values, so
+    it prunes at every level and its unsolved values lie above ``_floor``."""
 
-    def __init__(self, pencil: Pencil, kernel, signed: bool, spec: GridSpec, margin, threads):
+    def __init__(self, pencil: Pencil, source: Pencil, reduce, spec: GridSpec, margin, threads):
         self._pencil = pencil
-        self._kernel = kernel
-        self._signed = signed
+        self._source = source
+        self._reduce = reduce
+        self._bounds_values = source is pencil and reduce is _sigma_min
         self._spec = spec
         self._coords = [a.nodes() for a in spec.axes]
         self._threads = threads
         self._margin = margin  # the rounding slack of every bound
         size = math.prod(len(x) for x in self._coords)
-        # sigma_min where solved; a sign field's coarse bounds where not
-        self._sigma = np.full(size, np.nan)
-        self._values = np.zeros(size) if signed else self._sigma
+        self._sigma = np.full(size, np.nan)  # sigma_min or its bound, coarse lattices
+        self._values = np.zeros(size)  # the value or its placeholder
         self._solved = np.zeros(size, dtype=bool)
         self._floor = -math.inf
         self._lock = threading.Lock()
 
+    def _run(self, rows: np.ndarray) -> np.ndarray:
+        return self._reduce(self._source.at_rows(rows))
+
+    def _run_coarse(self, rows: np.ndarray) -> np.ndarray:
+        """sigma_min and the value at rows, from one localizer assembly
+        when the field reduces the localizer."""
+        m = self._pencil.at_rows(rows)
+        sigma = _sigma_min(m)
+        if self._bounds_values:
+            return np.column_stack([sigma, sigma])
+        source = m if self._source is self._pencil else self._source.at_rows(rows)
+        return np.column_stack([sigma, self._reduce(source)])
+
     def _solve(self, flat: np.ndarray, coarse: bool = False) -> None:
-        """Evaluate the kernel at the nodes of flat not yet solved.  On a
-        coarse lattice a sign field takes sigma_min and the kernel, from one
-        pencil.at_rows."""
-        kernel = self._kernel
+        """Evaluate the nodes of flat not yet solved, with sigma_min on a
+        coarse lattice."""
         flat = flat[~self._solved[flat]]
         lam = _lambda_grid(self._spec, self._pencil.d, flat)
-        if coarse and self._signed:
-            pencil = self._pencil
-
-            def run(chunk):
-                m = pencil.at_rows(chunk)
-                return np.column_stack([_sigma_min(m), kernel(chunk, m)])
-
-            pairs = _evaluate(run, lam, self._threads).reshape(-1, 2)
+        if coarse:
+            pairs = _evaluate(self._run_coarse, lam, self._threads).reshape(-1, 2)
             self._sigma[flat], self._values[flat] = pairs.T
         else:
-            self._values[flat] = _evaluate(kernel, lam, self._threads)
+            self._values[flat] = _evaluate(self._run, lam, self._threads)
         self._solved[flat] = True
 
     def complete(self) -> np.ndarray:
@@ -271,83 +276,73 @@ class _Field:
         return self._values.reshape([len(x) for x in self._coords])
 
     def settled_min(self) -> float | None:
-        """The least solved sigma-min value when no unsolved node can be below it."""
+        """The least solved value when no unsolved node can be below it."""
         with self._lock:
-            if self._signed or not self._solved.any():
+            if not self._solved.any():
                 return None
-            least = float(np.min(self._sigma[self._solved]))
+            least = float(np.min(self._values[self._solved]))
             return least if self._solved.all() or least <= self._floor else None
 
     def at_level(self, level: float) -> np.ndarray:
-        """The field as a mesh at level reads it, e the longest cube
-        diagonal.  Sigma-min: every node solved whose value may be at most
-        level + e; every other node holds a lower bound above
-        level + e + margin.  Sign fields at level 0: every node solved
-        whose sigma_min may be at most e, so every cube whose corners may
-        change sign; every other node holds its bound, signed as the value
-        at the coarser node that proves it.  At any other level a sign
-        field is completed: the bounds prove nothing there.
-
-        A sign field returns its own array, whose unsolved nodes its
-        completion overwrites with values of the same sign; the coarse
-        bounds go to its sigma_min array.  A sigma-min field returns a copy."""
+        """The field's own array as a mesh at level reads it, e the longest
+        cube diagonal: every node solved whose bound does not prove it above
+        level + e + margin, every other node its placeholder.  Only sigma-min
+        values are bounded; any other field is completed unless level is 0,
+        where a placeholder has its value's sign (see the module docstring).
+        Completion overwrites placeholders with values no mesh at level reads."""
         coords = self._coords
         shape = [len(x) for x in coords]
         e = math.sqrt(sum(float(np.max(np.diff(x))) ** 2 for x in coords))
         limit = level + e + self._margin
-        signed = self._signed
         with self._lock:
-            if signed and (level != 0 or self._solved.all()):
+            values = self._values.reshape(shape)
+            if (level != 0 and not self._bounds_values) or self._solved.all():
                 self._solve(np.flatnonzero(~self._solved))
-                return self._values.reshape(shape)
-            est = self._sigma.reshape(shape)  # sigma_min or its bound
-            est = est if signed else est.copy()
-            out = self._values.reshape(shape) if signed else est
+                return values
+            sigma = self._sigma.reshape(shape)
             coarse = None
             for stride in _LADDER:
                 idx = [np.append(np.arange(0, n - 1, stride), n - 1) for n in shape]
                 sub = np.ix_(*idx)
                 flat = np.ravel_multi_index(sub, shape)
                 if coarse is None:
-                    bound = np.full(flat.shape, -np.inf)
+                    self._solve(flat, coarse=True)
                 else:
-                    signs = out > 0 if signed else None
-                    bound, positive = _coarse_bound(est, signs, coords, idx, coarse)
-                self._solve(flat[bound <= limit], coarse=stride > 1)
-                solved = self._solved[flat]
-                if signed and coarse is not None:
-                    out[sub] = np.where(solved, out[sub], np.where(positive, bound, -bound))
-                if not signed or stride > 1:
-                    est[sub] = np.where(solved, self._sigma[flat], bound)
+                    bound, placeholder = _coarse_bound(sigma, values, coords, idx, coarse)
+                    self._solve(flat[bound <= limit], coarse=stride > 1)
+                    solved = self._solved[flat]
+                    values[sub] = np.where(solved, values[sub], placeholder)
+                    if stride > 1:
+                        sigma[sub] = np.where(solved, sigma[sub], bound)
                 coarse = idx
-            if not signed:
+            if self._bounds_values:
                 self._floor = max(self._floor, level + e)
-        return out
+        return values
 
 
-def _coarse_bound(est, positive, coords, idx, coarse):
-    """Per node of the lattice idx, the largest est(c) - |lambda - lambda_c|
+def _coarse_bound(sigma, values, coords, idx, coarse):
+    """Per node of the lattice idx, the largest sigma(c) - |lambda - lambda_c|
     over its enclosing nodes c of the coarser lattice (one or two per axis),
-    and, given a boolean array positive, positive(c) at the c that attains
-    it.  Nodes are gathered by row-major flat index."""
-    steps = [math.prod(est.shape[k + 1 :]) for k in range(est.ndim)]
+    and that bound signed like values(c) at the c that attains it.  Nodes
+    are gathered by row-major flat index."""
+    steps = [math.prod(sigma.shape[k + 1 :]) for k in range(sigma.ndim)]
     sides = []
     for x, fine, c, step in zip(coords, idx, coarse, steps):
         below = c[np.searchsorted(c, fine, side="right") - 1]
         above = c[np.searchsorted(c, fine, side="left")]
         sides.append([(n * step, (x[fine] - x[n]) ** 2) for n in (below, above)])
+    positive = values > 0
     bound = sign = None
     for pick in itertools.product(*sides):
         at = sum(np.ix_(*[n for n, _ in pick]))
-        value = est.take(at) - np.sqrt(sum(np.ix_(*[d2 for _, d2 in pick])))
+        value = sigma.take(at) - np.sqrt(sum(np.ix_(*[d2 for _, d2 in pick])))
         if bound is None:
-            bound, sign = value, None if positive is None else positive.take(at)
+            bound, sign = value, positive.take(at)
             continue
-        if positive is not None:
-            better = value > bound
-            sign = (sign & ~better) | (positive.take(at) & better)
+        better = value > bound
+        sign = (sign & ~better) | (positive.take(at) & better)
         bound = np.maximum(bound, value)
-    return bound, sign
+    return bound, np.where(sign, bound, -bound)
 
 
 def sample(
@@ -371,22 +366,19 @@ def sample(
     lam = _lambda_grid(spec, d)
     # the rounding slack of every bound; ||L_lambda|| <= ref + |lambda|
     margin = SIGMA_MIN_PRUNE_RTOL * (ref + math.sqrt(np.max(np.sum(lam * lam, axis=1))))
+    # each indicator reduces stacks of the localizer's matrices, or of the
+    # skew pencil's for pfaffian-sign
+    source, reduce = pencil, {
+        SIGMA_MIN: _sigma_min,
+        DET_SIGN: lambda m: np.linalg.det(m).real,
+        PFAFFIAN_SIGN: lambda m: _pfaffian_parlett_reid(m).real,
+    }[indicator]
     if indicator == PFAFFIAN_SIGN:
         require_self_dual_triple(ft)
         if rep.d != 3:
             raise ContractError("the pfaffian indicator needs the d = 3 localizer")
-        skew = _skew_pencil(pencil)
-
-        def kernel(rows, m=None):
-            return _pfaffian_parlett_reid(skew.at_rows(rows)).real
-
-    else:
-        reduce = _sigma_min if indicator == SIGMA_MIN else lambda m: np.linalg.det(m).real
-
-        def kernel(rows, m=None):
-            return reduce(pencil.at_rows(rows) if m is None else m)
-
-    field = _Field(pencil, kernel, indicator != SIGMA_MIN, spec, margin, threads)
+        source = _skew_pencil(pencil)
+    field = _Field(pencil, source, reduce, spec, margin, threads)
     return SpectrumGrid(spec, indicator, field, ref)
 
 

@@ -1,3 +1,5 @@
+import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -6,8 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import former_exact_conjugation_unitary
+
 from cliffordspec.cliffordrep import standard_rep
-from cliffordspec.errors import ContractError, SingularAtTolerance, SymmetryError
+from cliffordspec.errors import (
+    ContractError,
+    KindMismatchError,
+    SingularAtTolerance,
+    SymmetryError,
+)
 from cliffordspec.gallery import (
     direct_sum_sphere,
     even_odd,
@@ -18,7 +27,7 @@ from cliffordspec.gallery import (
 )
 from cliffordspec.invariants import (
     SymmetryProfile,
-    _conjugation_unitary,
+    _archetypal,
     _skew_pencil,
     archetypal,
     archetypal_sign,
@@ -30,7 +39,14 @@ from cliffordspec.invariants import (
 )
 from cliffordspec.linalg import determinant, operator_norm
 from cliffordspec.localizer import Pencil, build
-from cliffordspec.matrices import HermitianTuple, exact_zeros, float_matrix, to_float
+from cliffordspec.matrices import (
+    HermitianTuple,
+    dagger,
+    exact_zeros,
+    float_matrix,
+    from_gaussian_integers,
+    to_float,
+)
 from cliffordspec.scalars import GaussianRational
 from cliffordspec.tolerances import LAMBDA_BOUND, SKEW_CHECK_RTOL
 from cliffordspec.variance import certificate
@@ -256,30 +272,47 @@ def test_archetypal_exact_float_agreement(s, lam):
     assert exact_val * exact_val == determinant(build(t, lam=lam).matrix)
 
 
-def _former_exact_conjugation_unitary(n2):
-    """The former entry loop of the exact Q = [[I, -iZ], [iZ, I]]."""
-    half = n2 // 2
-    q = exact_zeros((2 * n2, 2 * n2))
-    one = GaussianRational(1)
-    i = GaussianRational(0, 1)
-    for k in range(n2):
-        q[k, k] = one
-        q[n2 + k, n2 + k] = one
-    for k in range(half):
-        q[k, n2 + half + k] = -i
-        q[half + k, n2 + k] = i
-        q[n2 + k, half + k] = i
-        q[n2 + half + k, k] = -i
-    return q
+def _random_self_dual_float_triple(rng, n):
+    mats = []
+    for _ in range(3):
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        m = m + m.conj().T
+        mats.append(float_matrix(m + dual(m)))
+    return HermitianTuple(mats)
 
 
-@pytest.mark.parametrize("n2", [2, 4, 6, 8])
-def test_exact_conjugation_unitary_matches_former_loop(n2):
-    got = _conjugation_unitary(n2, "exact")
-    want = _former_exact_conjugation_unitary(n2)
-    assert got.shape == want.shape
-    assert all(a == b for a, b in zip(got.reshape(-1), want.reshape(-1)))
-    assert np.array_equal(to_float(got), _conjugation_unitary(n2, "float"))
+def _conjugated_members(pencil):
+    """(1/2) Q* M Q for each member M of a localizer pencil, Q from the former loop."""
+    q = former_exact_conjugation_unitary(pencil.side // 2)
+    if pencil.kind == "exact":
+        members = from_gaussian_integers(pencil.den, pencil.re, pencil.im)
+        return [GaussianRational(Fraction(1, 2)) * (dagger(q) @ m @ q) for m in members]
+    q = to_float(q)
+    return [0.5 * (dagger(q) @ m @ q) for m in (pencil.l0, *pencil.parts)]
+
+
+@settings(max_examples=40)
+@given(st.sampled_from([2, 4, 6, 8, 10, 12]), st.integers(0, 2**32 - 1))
+def test_float_skew_pencil_members_are_the_conjugated_members(n, seed):
+    t = _random_self_dual_float_triple(np.random.default_rng(seed), n)
+    pencil = Pencil.localizer(t, standard_rep(3))
+    skew = _skew_pencil(pencil)
+    got = (skew.l0, *skew.blocks)
+    want = _conjugated_members(pencil)
+    assert len(got) == len(want) == 4
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("half, seed", [(1, 0), (1, 1), (2, 2), (2, 3), (3, 4)])
+def test_exact_skew_pencil_members_are_the_conjugated_members(half, seed):
+    rng = np.random.default_rng(seed)
+    t = HermitianTuple([_quaternionic(rng, half) for _ in range(3)])
+    pencil = Pencil.localizer(t, standard_rep(3))
+    skew = _skew_pencil(pencil)
+    got = from_gaussian_integers(skew.den, skew.re, skew.im)
+    want = _conjugated_members(pencil)
+    assert got.shape == (len(want), 4 * half, 4 * half)
+    assert all(a == b for g, w in zip(got, want) for a, b in zip(g.flat, w.flat))
 
 
 # each point query with its tuple and lambda length
@@ -334,6 +367,55 @@ def test_point_queries_take_lambda_up_to_the_bound(query):
         # an exact component beyond the bound is refused the same way
         with pytest.raises(ContractError, match="lambda component 0 .* beyond the bound"):
             fn(t, [Fraction(10**151)] + [0] * (d - 1))
+
+
+def test_archetypal_beyond_the_float_range_names_lambda():
+    t = self_dual_path(0).as_float()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for j in range(3):
+            for sign in (1.0, -1.0):
+                lam = [0.0] * 3
+                lam[j] = sign * LAMBDA_BOUND
+                # |Pf| is about |lambda|^4 = 1e600
+                with pytest.raises(ContractError, match=r"at lambda \[.*e\+150.*float range"):
+                    archetypal(t, lam)
+        # at 1e77 the value, about 1e308, is still a float
+        assert 1e307 < archetypal(t, [1e77, 0.0, 0.0]) < 1.8e308
+
+
+def test_archetypal_on_the_spectrum_takes_no_log_of_zero():
+    # X1 = diag(1, 2, 1, 2) is self-dual; at lambda = (1, 0, 0) four
+    # eigenvalues of L_lambda are exactly 0
+    zero = float_matrix(np.zeros((4, 4)))
+    t = HermitianTuple([float_matrix(np.diag([1.0, 2.0, 1.0, 2.0])), zero, zero])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert archetypal(t, [1.0, 0.0, 0.0]) == 0.0
+
+
+def test_archetypal_matches_the_unscaled_pfaffian_bit_for_bit():
+    # the value at the 2^-k scale, scaled back, is the Pfaffian of the
+    # unscaled skew matrix, as archetypal computed it before the scaling
+    rng = np.random.default_rng(200)
+    tuples = [self_dual_path(s).as_float() for s in (0, Fraction(1, 4), Fraction(1, 2))]
+    tuples += [_random_self_dual_float_triple(rng, n) for n in (2, 4, 6)]
+    for k in range(200):
+        t = tuples[k % len(tuples)]
+        lam = list(rng.normal(scale=2.0, size=3))
+        unscaled = _archetypal(Pencil.localizer(t, standard_rep(3)), lam)
+        assert archetypal(t, lam).hex() == unscaled.hex()
+
+
+_EXACT_LAMBDA_QUERIES = {"build": lambda t, lam: build(t, lam=lam), "archetypal": archetypal}
+
+
+@pytest.mark.parametrize("bad", [0.5, "x", math.inf])
+@pytest.mark.parametrize("query", sorted(_EXACT_LAMBDA_QUERIES))
+def test_exact_tuples_name_a_lambda_component_that_is_not_exact(query, bad):
+    message = f"lambda component 1 is {bad!r}, not an exact number"
+    with pytest.raises(KindMismatchError, match=re.escape(message)):
+        _EXACT_LAMBDA_QUERIES[query](self_dual_path(0), [0, bad, 0])
 
 
 def _quaternionic(rng, half):

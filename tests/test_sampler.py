@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import random_tuple
+from conftest import former_exact_conjugation_unitary, random_tuple
 
 from cliffordspec.charpoly import reduced_char_poly
 from cliffordspec.errors import ContractError
@@ -574,14 +574,13 @@ def _pfaffian_field_loop(tuple_, spec):
     """The per-point pfaffian-sign sampler: assemble each skew matrix by
     subtracting lambda_j B_j only where lambda_j is nonzero."""
     from cliffordspec.cliffordrep import rep_for
-    from cliffordspec.invariants import _conjugation_unitary
-    from cliffordspec.matrices import kron
+    from cliffordspec.matrices import kron, to_float
     from cliffordspec.sampler import _lambda_grid
 
     ft = tuple_.as_float()
     rep = rep_for(3)
     l0 = build(ft, rep, [0.0] * 3).matrix
-    q = _conjugation_unitary(ft.n, "float")
+    q = to_float(former_exact_conjugation_unitary(ft.n))
     a0 = 0.5 * (q.conj().T @ l0 @ q)
     bj = [0.5 * (q.conj().T @ kron(np.eye(ft.n, dtype=complex), g) @ q) for g in rep.as_float()]
     out = []
@@ -707,7 +706,8 @@ def test_pruned_sigma_min_nodes_lie_above_level_plus_edge(case):
     t, spec, level = case
     grid = sample(t, spec, SIGMA_MIN)
     field = grid._values
-    held = field.at_level(level)
+    # at_level returns the field's own array, which grid.values completes
+    held = field.at_level(level).copy()
     pruned = ~field._solved.reshape(held.shape)
     full = grid.values
     e = _longest_tet_edge(spec)
