@@ -16,7 +16,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from .cliffordrep import standard_rep
 from .errors import ContractError
+from .invariants import even_odd_grading
 from .matrices import HermitianTuple, dagger, exact_matrix, float_matrix
 from .multipoly import MultiPoly, variables
 from .scalars import GaussianRational
@@ -198,8 +200,6 @@ def self_dual_path(s=0) -> HermitianTuple:
 
 def gamma_tuple(s1=1, s2=1, s3=1, s4=1) -> HermitianTuple:
     """The four standard gamma matrices themselves, optionally rescaled."""
-    from .cliffordrep import standard_rep
-
     scales = [_gi(F(s)) for s in (s1, s2, s3, s4)]
     gammas = standard_rep(4).gammas
     return HermitianTuple([s * g for s, g in zip(scales, gammas)])
@@ -223,13 +223,6 @@ def even_odd(deform=0) -> HermitianTuple:
         [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
     )
     return HermitianTuple([x, y, z, h])
-
-
-def even_odd_grading(n: int = 4) -> np.ndarray:
-    """diag(1, .., 1, -1, .., -1): the grading used by the even/odd family."""
-    return exact_matrix(
-        [[(1 if i < n // 2 else -1) if i == j else 0 for j in range(n)] for i in range(n)]
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +261,8 @@ def scaled_gamma_reduced_reference() -> MultiPoly:
     return left * right
 
 
-def even_odd_reduced_reference() -> MultiPoly:
-    w, x, y, z = variables("w x y z")
-    r2 = x**2 + y**2 + z**2
-    left = r2**2 + 2 * r2 * w**2 + 6 * r2 + w**4 - 6 * w**2 + 9
-    right = r2**2 + 2 * r2 * w**2 + 14 * r2 + w**4 + 2 * w**2 - 15
-    return left * right
+# even_odd(0) has the reduced polynomial of gamma_tuple(2, 1, 1, 1)
+even_odd_reduced_reference = scaled_gamma_reduced_reference
 
 
 def torus_quadruple_imag_reference(n: int) -> MultiPoly:

@@ -11,28 +11,32 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .cliffordrep import standard_rep
 from .errors import ContractError, SymmetryError
-from .linalg import eigenvalue_signature_gap, hermitian_eigenvalues, pfaffian, signature_gap
+from .linalg import (
+    _exact_pfaffian,
+    _pfaffian_parlett_reid,
+    eigenvalue_signature_gap,
+    hermitian_eigenvalues,
+    signature_gap,
+)
 from .localizer import Pencil, _coerce_lambda, build, build_reduced
 from .matrices import (
     EXACT,
     FLOAT,
     HermitianTuple,
     defect_exceeds,
+    exact_matrix,
     eye,
-    from_gaussian_integers,
     kind_of,
     kron,
     matmul,
     max_abs,
     to_float,
 )
-from .scalars import GaussianRational
 from .tolerances import FLAG_RTOL, GRADED_HERMITIAN_RTOL, SKEW_CHECK_RTOL
 
 
@@ -166,18 +170,15 @@ def _skew_pencil(pencil: Pencil) -> Pencil:
     member is skew, which makes every member of the family skew.  Exact
     members are checked as integer identities, float ones against their scale.
     Q = I + iS, S sending quarter block k to block 3 - k with signs (-, +, +, -),
-    so each member M is moved: A = M - i S M, then (1/2) Q* M Q = (A + i A S) / 2."""
+    so each member M is moved: A = M - i S M, then (1/2) Q* M Q = (A + i A S) / 2,
+    on the real and imaginary parts of M over den, and (1/2) doubles den."""
     side = pencil.side
     perm = np.arange(side).reshape(4, -1)[::-1].ravel()
     sign = np.repeat([-1, 1, 1, -1], side // 4)
-    if pencil.kind == EXACT:
-        i, half = GaussianRational(0, 1), GaussianRational(Fraction(1, 2))
-        m = from_gaussian_integers(pencil.den, pencil.re, pencil.im)
-    else:
-        i, half = 1j, 0.5
-        m = np.stack([pencil.l0, *pencil.parts])
-    a = m - i * sign[:, None] * m[:, perm]
-    skew = Pencil.from_members(half * (a + i * sign * a[..., perm]))
+    den, re, im = pencil.gaussian_form
+    re, im = re + sign[:, None] * im[:, perm], im - sign[:, None] * re[:, perm]
+    re, im = re - sign * im[..., perm], im + sign * re[..., perm]
+    skew = Pencil.from_gaussian_form(2 * den, re, im)
     if skew.kind == EXACT:
         bad = any(np.any(p + p.transpose(0, 2, 1)) for p in (skew.re, skew.im))
     else:
@@ -196,13 +197,14 @@ def _archetypal(pencil: Pencil, lam: list, shift: int = 0):
     and scales the Pfaffian by 2^(-shift side / 2), keeping its sign."""
     skew = _skew_pencil(pencil).at(lam)
     if pencil.kind == EXACT:
-        value = pfaffian(skew)  # raises if not exactly skew
+        # exactly skew: an integer combination of exactly skew members
+        value = _exact_pfaffian(skew)
         if value.im:
             raise ArithmeticError("archetypal value has nonzero imaginary part")
         return value
     if defect_exceeds(skew + skew.T, skew, SKEW_CHECK_RTOL):
         raise SymmetryError("conjugated localizer is not skew-symmetric")
-    value = pfaffian(skew * 2.0**-shift)
+    value = _pfaffian_parlett_reid((skew * 2.0**-shift)[None])[0]
     # 1 at the scale of value, capped at the largest power of two a float holds
     unit = math.ldexp(1.0, min(-shift * (len(skew) // 2), 1023))
     if abs(value.imag) > SKEW_CHECK_RTOL * max(unit, abs(value)):
@@ -247,11 +249,11 @@ def archetypal_sign(tuple_: HermitianTuple, lam, tol: float | None = None) -> In
     return IndexReport(tuple(lam), "archetypal-sign", 1 if value > 0 else -1, gap)
 
 
-def _grading_default(n: int, kind: str):
-    from .gallery import even_odd_grading
-
-    g = even_odd_grading(n)
-    return g if kind == EXACT else to_float(g)
+def even_odd_grading(n: int = 4) -> np.ndarray:
+    """diag(1, .., 1, -1, .., -1): the grading used by the even/odd family."""
+    return exact_matrix(
+        [[(1 if i < n // 2 else -1) if i == j else 0 for j in range(n)] for i in range(n)]
+    )
 
 
 def graded_index(
@@ -268,16 +270,8 @@ def graded_index(
     lam = _coerce_lambda(ft, lam)
     if lam[3] != 0.0:
         raise SymmetryError("the graded index is defined only at lambda_4 = 0")
-    grading = _grading_default(tuple_.n, tuple_.kind) if grading is None else grading
-    profile = SymmetryProfile(
-        (
-            frozenset({"even"}),
-            frozenset({"even"}),
-            frozenset({"even"}),
-            frozenset({"odd"}),
-        ),
-        grading=grading,
-    )
+    grading = even_odd_grading(tuple_.n) if grading is None else grading
+    profile = SymmetryProfile((frozenset({"even"}),) * 3 + (frozenset({"odd"}),), grading)
     report = validate_symmetry(tuple_, profile)
     if not report.ok:
         bad = report.failures()[0]

@@ -75,6 +75,13 @@ def _coerce_lambda(tuple_: HermitianTuple, lam) -> list:
     return out
 
 
+def _lowest_terms(den: int, re: np.ndarray, im: np.ndarray) -> tuple:
+    """(den, re, im) over the gcd of den and every entry: the integer form
+    whose den is the lcm of the entry denominators."""
+    common = math.gcd(den, *re.reshape(-1), *im.reshape(-1))
+    return den // common, re // common, im // common
+
+
 class Pencil:
     """L(c) = L0 - sum_k c_k P_k, an affine family of square matrices.
 
@@ -82,8 +89,8 @@ class Pencil:
     P_j = I (x) B_j, for blocks B_j that are the gammas (:meth:`localizer`)
     or, for the reduced localizer, the d = 4 off-diagonal blocks
     (:meth:`reduced`); :meth:`from_members` takes L0 and the P_k as they
-    are, as :meth:`laplace` and the skew pencil do.  The
-    blocks are of the tuple's kind: for a float tuple those constructors
+    are, and :meth:`from_gaussian_form` as :attr:`gaussian_form` gives them.
+    The blocks are of the tuple's kind: for a float tuple those constructors
     pass the float images the representation holds.  Float pencils hold
     complex128 ``l0`` and give the P_k as ``parts``.  Exact ones hold ``re``
     and ``im``, (d + 1, side, side) object arrays of Python ints with
@@ -113,9 +120,7 @@ class Pencil:
         unit = np.eye(tuple_.n, dtype=int).astype(object) * dx
         re = np.stack([l0_re, *(kron(unit, b) for b in br)])
         im = np.stack([l0_im, *(kron(unit, b) for b in bi)])
-        # divide out what the lcm of the entry denominators does not need
-        common = math.gcd(dx * db, *re.reshape(-1), *im.reshape(-1))
-        self.den, self.re, self.im = dx * db // common, re // common, im // common
+        self.den, self.re, self.im = _lowest_terms(dx * db, re, im)
 
     @classmethod
     def localizer(cls, tuple_: HermitianTuple, rep: GammaRep) -> "Pencil":
@@ -135,14 +140,37 @@ class Pencil:
     def from_members(cls, members) -> "Pencil":
         """L(c) = members[0] - sum_k c_k members[k], all of one kind and
         side, with no identity factor."""
+        if check_same_kind(*members) == EXACT:
+            return cls.from_gaussian_form(*gaussian_integers(members))
+        stack = np.stack(members)
+        return cls.from_gaussian_form(1, stack.real, stack.imag)
+
+    @classmethod
+    def from_gaussian_form(cls, den: int, re: np.ndarray, im: np.ndarray) -> "Pencil":
+        """The pencil of members (re[k] + i im[k]) / den, with no identity
+        factor: exact, in lowest terms, for object arrays of Python ints, or
+        float for float arrays, its complex members assembled part by part."""
         pencil = cls.__new__(cls)
-        pencil.kind = check_same_kind(*members)
-        pencil.d, pencil.side = len(members) - 1, members[0].shape[0]
-        if pencil.kind == FLOAT:
-            pencil.l0, pencil.blocks, pencil.eye = members[0], tuple(members[1:]), None
-        else:
-            pencil.den, pencil.re, pencil.im = gaussian_integers(members)
+        pencil.d, pencil.side = len(re) - 1, re.shape[1]
+        if re.dtype == object:
+            pencil.kind = EXACT
+            pencil.den, pencil.re, pencil.im = _lowest_terms(den, re, im)
+            return pencil
+        pencil.kind = FLOAT
+        members = np.empty(re.shape, dtype=complex)
+        members.real, members.imag = re / den, im / den
+        pencil.l0, pencil.blocks, pencil.eye = members[0], tuple(members[1:]), None
         return pencil
+
+    @property
+    def gaussian_form(self) -> tuple:
+        """(den, re, im) with L0 and the P_k the (re[k] + i im[k]) / den: the
+        exact pencil's Python ints, or a float pencil's real and imaginary
+        parts over 1."""
+        if self.kind == EXACT:
+            return self.den, self.re, self.im
+        members = np.stack([self.l0, *self.parts])
+        return 1, members.real, members.imag
 
     @classmethod
     def laplace(cls, tuple_: HermitianTuple) -> "Pencil":

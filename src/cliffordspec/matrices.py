@@ -30,7 +30,7 @@ def exact_matrix(rows) -> np.ndarray:
     """Build an exact matrix from nested (int | Fraction | GaussianRational |
     (re, im) pair) entries."""
     n = len(rows)
-    out = np.empty((n, len(rows[0])), dtype=object)
+    out = np.empty((n, len(rows[0]) if rows else 0), dtype=object)
     for i, row in enumerate(rows):
         if len(row) != out.shape[1]:
             raise ContractError("ragged rows in matrix literal")
@@ -185,7 +185,12 @@ class HermitianTuple:
         if not mats:
             raise ContractError("a Hermitian tuple needs at least one matrix")
         kind = check_same_kind(*mats)
+        # every later matrix is checked against the shape of the first
+        if mats[0].ndim != 2:
+            raise ContractError(f"matrix 0 is a {mats[0].ndim}-D array, not a matrix")
         n = mats[0].shape[0]
+        if not n:
+            raise ContractError("a Hermitian tuple needs matrices of side at least 1")
         for k, m in enumerate(mats):
             if m.shape != (n, n):
                 raise ContractError(f"matrix {k} is not {n}x{n}")

@@ -190,24 +190,15 @@ class MultiPoly:
         if len(point) != self.nvars:
             raise ContractError("point length must equal nvars")
         exact_eval = self.kind == EXACT and all(is_exact_scalar(v) for v in point)
-        if exact_eval:
-            pt = [as_gaussian(v) for v in point]
-            total = GaussianRational(0)
-            for expo, c in self.terms.items():
-                term = c
-                for v, e in zip(pt, expo):
-                    if e:
-                        term = term * v**e
-                total = total + term
-            return total
-        pt = [complex(v) for v in point]
-        total = 0j
+        scalar = as_gaussian if exact_eval else complex
+        pt = [scalar(v) for v in point]
+        total = scalar(0)
         for expo, c in self.terms.items():
-            term = complex(c)
+            term = scalar(c)
             for v, e in zip(pt, expo):
                 if e:
-                    term *= v**e
-            total += term
+                    term = term * v**e
+            total = total + term
         return total
 
     def evaluate_abs(self, point) -> float:
@@ -258,9 +249,6 @@ def poly_equal(a: MultiPoly, b: MultiPoly, tol: float = 0.0):
     return worst <= tol * scale, worst
 
 
-GRADED_LEX = "graded-lex (ascending total degree, then lexicographic)"
-
-
 def _coeff_text(c) -> tuple[str, str]:
     if isinstance(c, GaussianRational):
         return str(c.re), str(c.im)
@@ -297,10 +285,6 @@ def substitute_polar(p: MultiPoly):
         raise ContractError("polar substitution needs a 4-variable polynomial")
 
     def value(r: float, theta: float, phi: float) -> complex:
-        coeffs = polar_radial_coefficients(p, theta, phi)
-        acc = 0j
-        for a in coeffs[::-1]:
-            acc = acc * r + a
-        return acc
+        return np.polyval(polar_radial_coefficients(p, theta, phi)[::-1], r)
 
     return value

@@ -363,9 +363,12 @@ def sample(
         rep = rep_for(d)
     pencil = Pencil.localizer(ft, rep)
     ref = operator_norm(pencil.l0)
-    lam = _lambda_grid(spec, d)
+    # the largest |lambda| of the grid is at a corner: each coordinate's
+    # largest square, summed in lambda order
+    squares = {a.index: np.max(np.square(a.nodes())) for a in spec.axes}
+    squares.update((i, float(v) * float(v)) for i, v in spec.fixed)
     # the rounding slack of every bound; ||L_lambda|| <= ref + |lambda|
-    margin = SIGMA_MIN_PRUNE_RTOL * (ref + math.sqrt(np.max(np.sum(lam * lam, axis=1))))
+    margin = SIGMA_MIN_PRUNE_RTOL * (ref + math.sqrt(np.sum([squares[i] for i in range(d)])))
     # each indicator reduces stacks of the localizer's matrices, or of the
     # skew pencil's for pfaffian-sign
     source, reduce = pencil, {
@@ -559,13 +562,6 @@ def radial_section(poly: MultiPoly, theta: float, phi: float):
     return coeffs, deriv
 
 
-def _polyval(coeffs: np.ndarray, r: float) -> float:
-    acc = 0.0
-    for c in coeffs[::-1]:
-        acc = acc * r + c
-    return float(acc)
-
-
 def torus_radius_profile(
     poly: MultiPoly,
     theta: float,
@@ -579,17 +575,17 @@ def torus_radius_profile(
     equal-radius locus, is negative at r = 0 and increasing; bisection
     finds the unique root.  Raises if the bracket shows no sign change.
     """
-    coeffs, _ = radial_section(poly, theta, phi)
+    coeffs = radial_section(poly, theta, phi)[0][::-1]  # highest power first
     lo, hi = 0.0, float(r_max)
-    f_lo = _polyval(coeffs, lo)
-    f_hi = _polyval(coeffs, hi)
+    f_lo = np.polyval(coeffs, lo)
+    f_hi = np.polyval(coeffs, hi)
     if not (f_lo < 0.0 < f_hi):
         raise ArithmeticError(
             f"no sign change on [0, {r_max}]: f(0) = {f_lo:.3e}, f(r_max) = {f_hi:.3e}"
         )
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        f_mid = _polyval(coeffs, mid)
+        f_mid = np.polyval(coeffs, mid)
         if abs(f_mid) <= residual_tol:
             return mid
         if f_mid < 0.0:

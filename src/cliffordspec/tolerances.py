@@ -7,8 +7,9 @@ none.  A ``_RTOL`` is relative to the scale named beside it, a ``_TOL``
 HERMITIAN_RTOL = 1e-12  # input Hermiticity: max |M - M*| against ||M||_F
 SINGULAR_RTOL = 1e-8  # default_tolerance: |eigenvalue| <= this * (1 + ||M||_2) is zero
 SKEW_RTOL = 1e-12  # pfaffian input: max |M + M^T| against max |M|
-# (1/2) Q* L Q is two complex products from the tuple, so its skewness (against
-# max |entry|) and its Pfaffian's imaginary part (against max(1, |Pf|)) get more
+# (1/2) Q* L Q, checked once before its Pfaffian, is rounded in L's assembly, its
+# moves and the sum over lambda, so its skewness (against max |entry|) and its
+# Pfaffian's imaginary part (against max(1, |Pf|)) get more than SKEW_RTOL
 SKEW_CHECK_RTOL = 1e-10
 GRADED_HERMITIAN_RTOL = 1e-10  # graded_index: i L_red* (grading (x) I) against max |entry|
 FLAG_RTOL = 1e-12  # validate_symmetry: each float flag against max |X_j| (1 if zero)

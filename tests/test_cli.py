@@ -372,6 +372,20 @@ def test_fault_inside_example_constructor_from_config_exits_3(monkeypatch, tmp_p
     assert "constructor fault" in err and "Traceback" in err
 
 
+def test_empty_matrices_in_config_exit_2(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    cases = [
+        ({"matrices": [[]]}, "side at least 1"),
+        ({"kind": "float", "matrices": [[]]}, "1-D array"),
+        ({"matrices": [[[]]]}, "not 1x1"),
+    ]
+    for doc, cause in cases:
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "index", str(path), "--at", "0")
+        assert code == 2, doc
+        assert cause in err, doc
+
+
 def test_malformed_example_config_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     docs = [

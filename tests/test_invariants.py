@@ -47,6 +47,7 @@ from cliffordspec.matrices import (
     from_gaussian_integers,
     to_float,
 )
+from cliffordspec.sampler import PFAFFIAN_SIGN, AxisSpec, GridSpec, sample
 from cliffordspec.scalars import GaussianRational
 from cliffordspec.tolerances import LAMBDA_BOUND, SKEW_CHECK_RTOL
 from cliffordspec.variance import certificate
@@ -313,6 +314,25 @@ def test_exact_skew_pencil_members_are_the_conjugated_members(half, seed):
     want = _conjugated_members(pencil)
     assert got.shape == (len(want), 4 * half, 4 * half)
     assert all(a == b for g, w in zip(got, want) for a, b in zip(g.flat, w.flat))
+    # the integer form of the GaussianRational products, in lowest terms
+    ref = Pencil.from_members(want)
+    assert skew.den == ref.den
+    assert np.array_equal(skew.re, ref.re) and np.array_equal(skew.im, ref.im)
+
+
+def test_archetypal_reads_the_pfaffian_grid_value():
+    # X3 + 1e4 I + 5e-11 diag(1, 0, 0, -1) is self-dual to 5e-15 relative;
+    # at lambda_3 = 1e4 its skew matrix passes SKEW_CHECK_RTOL, the pencil's
+    # check, but not the stricter check pfaffian() gives outside input
+    mats = [m.copy() for m in self_dual_path(0).as_float().matrices]
+    mats[2] = mats[2] + 1e4 * np.eye(4) + 5e-11 * np.diag([1, 0, 0, -1])
+    t = HermitianTuple(mats)
+    spec = GridSpec((AxisSpec(0, 0.5, 3.0, 2), AxisSpec(1, -1.0, 0.0, 2)), ((2, 1e4),))
+    values = sample(t, spec, PFAFFIAN_SIGN).values
+    for lam, value in (([0.5, 0.0, 1e4], values[0, 1]), ([3.0, 0.0, 1e4], values[1, 1])):
+        assert archetypal(t, lam) == value
+        assert archetypal_sign(t, lam).value == (1 if value > 0 else -1)
+    assert values[0, 1] < 0 < values[1, 1]
 
 
 # each point query with its tuple and lambda length

@@ -375,3 +375,18 @@ _FLOAT_PAULI = pauli().as_float()
 def test_bad_input_raises_contract_error_naming_it(make, message):
     with pytest.raises(ContractError, match=message):
         make()
+
+
+@pytest.mark.parametrize("make", [pauli, lambda: gamma_tuple(2, 1, 1, 1), lambda: torus_quadruple(5)])
+def test_gaussian_form_round_trips_both_kinds(make):
+    t = make()
+    for tup in {t, t.as_float()}:
+        pencil = Pencil.localizer(tup, standard_rep(tup.d))
+        back = Pencil.from_gaussian_form(*pencil.gaussian_form)
+        assert back.kind == pencil.kind and back.d == pencil.d and back.side == pencil.side
+        if tup.kind == FLOAT:
+            members = (pencil.l0, *pencil.parts)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip((back.l0, *back.blocks), members))
+        else:
+            assert back.den == pencil.den
+            assert np.array_equal(back.re, pencil.re) and np.array_equal(back.im, pencil.im)

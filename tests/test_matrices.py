@@ -71,6 +71,18 @@ def test_tuple_validation():
     assert t.d == 1 and t.n == 2 and t.kind == "exact"
 
 
+def test_tuple_rejects_empty_and_non_2d_matrices():
+    for empty in (float_matrix(np.zeros((0, 0))), exact_matrix([])):
+        with pytest.raises(ContractError, match="side at least 1"):
+            HermitianTuple([empty] * 3)
+    with pytest.raises(ContractError, match="matrix 0 is a 1-D array"):
+        HermitianTuple([np.zeros(3, dtype=complex)] * 3)
+    with pytest.raises(ContractError, match="matrix 0 is a 0-D array"):
+        HermitianTuple([np.complex128(1)])
+    with pytest.raises(ContractError, match="matrix 1 is not 2x2"):
+        HermitianTuple([float_matrix(np.eye(2)), np.zeros(2, dtype=complex)])
+
+
 def test_shift_and_direct_sum():
     t = HermitianTuple([exact_matrix([[2, 0], [0, 3]])])
     shifted = t.shifted([Fraction(1, 2)])

@@ -12,7 +12,7 @@ from cliffordspec.multipoly import (
     to_text,
     variables,
 )
-from cliffordspec.scalars import GaussianRational
+from cliffordspec.scalars import GaussianRational, as_gaussian, is_exact_scalar
 
 
 def test_expand_sphere_product():
@@ -117,3 +117,71 @@ def test_power_and_negation():
     assert ((x + 1) ** 2).terms == ((x + 1) * (x + 1)).terms
     with pytest.raises(ContractError):
         x ** (-1)
+
+
+def _former_evaluate(p, point):
+    """MultiPoly.evaluate as it was: an exact loop and a float loop."""
+    if p.kind == "exact" and all(is_exact_scalar(v) for v in point):
+        pt = [as_gaussian(v) for v in point]
+        total = GaussianRational(0)
+        for expo, c in p.terms.items():
+            term = c
+            for v, e in zip(pt, expo):
+                if e:
+                    term = term * v**e
+            total = total + term
+        return total
+    pt = [complex(v) for v in point]
+    total = 0j
+    for expo, c in p.terms.items():
+        term = complex(c)
+        for v, e in zip(pt, expo):
+            if e:
+                term *= v**e
+        total += term
+    return total
+
+
+def _former_substitute_polar(p, r, theta, phi):
+    """substitute_polar's value as it was: a Horner loop over the radial coefficients."""
+    acc = 0j
+    for a in polar_radial_coefficients(p, theta, phi)[::-1]:
+        acc = acc * r + a
+    return acc
+
+
+def _random_poly(rng, kind):
+    terms = {}
+    for _ in range(12):
+        expo = tuple(int(e) for e in rng.integers(0, 4, size=4))
+        re, im = (int(v) for v in rng.integers(-9, 10, size=2))
+        if kind == "exact":
+            terms[expo] = GaussianRational(Fraction(re, 7), Fraction(im, 5))
+        else:
+            terms[expo] = complex(re / 7, im / 5) * rng.uniform(0.5, 2.0)
+    return MultiPoly(4, terms, kind)
+
+
+def _bits(z):
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_evaluate_and_polar_substitution_match_the_former_loops(seed):
+    rng = np.random.default_rng(seed)
+    points = [
+        [Fraction(int(v), 3) for v in rng.integers(-6, 7, size=4)],
+        [float(v) for v in rng.uniform(-2, 2, size=4)],
+        [complex(a, b) for a, b in rng.uniform(-2, 2, size=(4, 2))],
+    ]
+    for kind in ("exact", "float"):
+        p = _random_poly(rng, kind)
+        for point in points:
+            got, want = p.evaluate(point), _former_evaluate(p, point)
+            assert type(got) is type(want)
+            assert got == want if isinstance(want, GaussianRational) else _bits(got) == _bits(want)
+        f = substitute_polar(p)
+        for r, theta, phi in rng.uniform(-3, 3, size=(5, 3)):
+            got, want = f(r, theta, phi), _former_substitute_polar(p, r, theta, phi)
+            assert type(got) is type(want) and _bits(got) == _bits(want)

@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 from fractions import Fraction
@@ -29,6 +30,7 @@ from cliffordspec.linalg import (
     smallest_eigen_magnitude,
 )
 from cliffordspec.cliffordrep import rep_for
+from cliffordspec.tolerances import SIGMA_MIN_PRUNE_RTOL, TORUS_RESIDUAL_TOL
 from cliffordspec.localizer import Pencil, build
 from cliffordspec.sampler import (
     DET_SIGN,
@@ -202,6 +204,38 @@ def test_torus_radius_profile():
     assert r == pytest.approx(real_roots[0], abs=1e-9)
     coeffs, _ = radial_section(p3, 0.0, 0.0)
     assert abs(sum(c * r**k for k, c in enumerate(coeffs))) <= 1e-10
+
+
+def _former_torus_radius_profile(poly, theta, phi, r_max=2.0):
+    """torus_radius_profile as it was, on a hand-written Horner loop."""
+
+    def polyval(coeffs, r):
+        acc = 0.0
+        for c in coeffs[::-1]:
+            acc = acc * r + c
+        return float(acc)
+
+    coeffs, _ = radial_section(poly, theta, phi)
+    lo, hi = 0.0, float(r_max)
+    if not (polyval(coeffs, lo) < 0.0 < polyval(coeffs, hi)):
+        return None
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        f_mid = polyval(coeffs, mid)
+        if abs(f_mid) <= TORUS_RESIDUAL_TOL:
+            return mid
+        lo, hi = (mid, hi) if f_mid < 0.0 else (lo, mid)
+    return None
+
+
+def test_torus_radius_profile_matches_the_former_loop():
+    rng = np.random.default_rng(7)
+    for n in (3, 4, 6):
+        p = reduced_char_poly(torus_quadruple(n))
+        for theta, phi in rng.uniform(0.0, 2 * np.pi, size=(12, 2)):
+            want = _former_torus_radius_profile(p, theta, phi)
+            assert want is not None
+            assert torus_radius_profile(p, theta, phi).hex() == want.hex()
 
 
 def test_torus_radius_profile_no_bracket():
@@ -828,6 +862,27 @@ def _random_axes(draw, indices):
         lo = draw(st.floats(-3.0, 0.0))
         axes.append(AxisSpec(index, lo, lo + draw(st.floats(1.0, 4.0)), draw(st.integers(2, 12))))
     return tuple(axes)
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_margin_from_the_axis_bounds_is_the_full_grid_margin(data):
+    # the margin sample takes from the axis bounds has the bits of the one
+    # it took from the largest norm of the full (N, d) lambda grid
+    d = data.draw(st.sampled_from([3, 4]))
+    fixed = data.draw(st.sets(st.integers(0, d - 1), min_size=d - 3, max_size=1))
+    axes = []
+    for index in sorted(set(range(d)) - fixed):
+        lo = data.draw(st.floats(-1e3, 1e3))
+        hi = lo + data.draw(st.floats(1e-3, 1e3))
+        axes.append(AxisSpec(index, lo, hi, data.draw(st.integers(2, 40))))
+    value = st.one_of(st.floats(-1e3, 1e3), st.integers(-(10**12), 10**12))
+    spec = GridSpec(tuple(axes), tuple((i, data.draw(value)) for i in sorted(fixed)))
+    t = (pauli() if d == 3 else even_odd(0)).as_float()
+    lam = _lambda_grid(spec, d)
+    ref = operator_norm(Pencil.localizer(t, rep_for(d)).l0)
+    want = SIGMA_MIN_PRUNE_RTOL * (ref + math.sqrt(np.max(np.sum(lam * lam, axis=1))))
+    assert sample(t, spec, SIGMA_MIN)._values._margin.hex() == want.hex()
 
 
 @st.composite
