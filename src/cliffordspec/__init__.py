@@ -39,7 +39,6 @@ from .linalg import (
 )
 from .localizer import (
     Localizer,
-    ReducedLocalizer,
     build,
     build_reduced,
     laplace,

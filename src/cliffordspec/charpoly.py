@@ -2,8 +2,9 @@
 
 det L(lambda) of an affine pencil L(lambda) = L0 - sum_j lambda_j P_j has
 total degree at most the side of L.  It is ``localizer.Pencil``, of the
-gammas (char_poly) or the d = 4 off-diagonal blocks (reduced_char_poly): its
-Gaussian-integer stack for exact tuples, complex128 L0 and P_j for float ones.
+gammas of rep_for(d) (char_poly) or the d = 4 off-diagonal blocks
+(reduced_char_poly): its Gaussian-integer stack for exact tuples,
+complex128 L0 and P_j for float ones.
 The Laplace operator sum_j (X_j - lambda_j)^2 is the same kind of pencil,
 S - sum_j c_j (2 X_j) - c_(d+1) (-I) with S = sum_j X_j^2, at the
 coefficients c = (lambda, |lambda|^2); its determinant has total degree at
@@ -64,7 +65,6 @@ from typing import Callable
 
 import numpy as np
 
-from .cliffordrep import GammaRep, rep_for
 from .errors import ContractError, InterpolationError
 from .linalg import determinant, operator_norm
 from .localizer import Pencil, laplace
@@ -412,15 +412,14 @@ def _rescaled(poly: MultiPoly, s, degree: int) -> MultiPoly:
 # public polynomials
 
 
-def char_poly(tuple_: HermitianTuple, rep: GammaRep | None = None) -> MultiPoly:
-    """det(L_lambda) as a polynomial in lambda_1..lambda_d.
+def char_poly(tuple_: HermitianTuple) -> MultiPoly:
+    """det(L_lambda) as a polynomial in lambda_1..lambda_d, L_lambda in
+    rep_for(d).
 
     Real coefficients (validated); exact tuples give exact coefficients.
     """
-    if rep is None:
-        rep = rep_for(tuple_.d)
     t, s = _normalised(tuple_)
-    family = _char_family(Pencil.localizer(t, rep))
+    family = _char_family(Pencil.localizer(t))
     poly = _force_real_coeffs(_interpolate(family))
     return _rescaled(poly, s, family.degree)
 

@@ -100,6 +100,8 @@ def _load_config_file(path: str) -> HermitianTuple:
 
 def _tuple_from_doc(doc: dict) -> HermitianTuple:
     kind = doc.get("kind", "exact")
+    if kind not in ("exact", "float"):
+        raise ContractError(f'kind must be "exact" or "float", got {kind!r}')
     mats = doc["matrices"]
     if int(doc.get("d", len(mats))) != len(mats):
         raise ContractError("d does not match the number of matrices")

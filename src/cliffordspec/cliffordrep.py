@@ -5,6 +5,8 @@ with gamma_j^2 = I and gamma_j gamma_k = -gamma_k gamma_j for j != k.
 ``standard_rep`` returns the fixed conventional choices for d <= 4 (the
 d = 4 choice is block off-diagonal, which enables the reduced localizer);
 ``generated_rep`` covers every d via the usual tensor-product ladder.
+``rep_for`` picks one of the two for each d; every computation of the
+package uses it, and only ``localizer.build`` accepts another.
 All representations are exact-kind, so the relations can be checked with
 no tolerance at all.
 """
@@ -41,10 +43,6 @@ SIGMA_X, SIGMA_Y, SIGMA_Z, EYE_2 = read_only(
     exact_matrix([[1, 0], [0, -1]]),
     exact_eye(2),
 )
-
-
-def gamma_size(d: int) -> int:
-    return 2 ** (d // 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,15 +169,15 @@ def rep_for(d: int) -> GammaRep:
     return standard_rep(d) if d <= 4 else generated_rep(d)
 
 
-def validate(rep: GammaRep, float_tol: float = REP_RELATION_TOL) -> RelationReport:
+def validate(rep: GammaRep) -> RelationReport:
     """Check Hermiticity, involution, and pairwise anticommutation.
 
     Exact representations must satisfy every relation with no tolerance;
-    float ones are allowed `float_tol` of roundoff.
+    float ones are allowed REP_RELATION_TOL of roundoff.
     """
     bad = []
     kind = kind_of(rep.gammas[0])
-    cut = float_tol if kind == FLOAT else 0.0
+    cut = REP_RELATION_TOL if kind == FLOAT else 0.0
     unit = eye(rep.g, kind)
     for j, gm in enumerate(rep.gammas):
         h = max_abs(gm - dagger(gm))

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cliffordrep import standard_rep
 from .errors import ContractError, SymmetryError
 from .linalg import (
     _exact_pfaffian,
@@ -81,7 +80,7 @@ def index(tuple_: HermitianTuple, lam, tol: float | None = None) -> IndexReport:
     """Half the signature of L_lambda for a triple, off the spectrum."""
     if tuple_.d != 3:
         raise ContractError("the half-signature index is defined for d = 3")
-    loc = build(tuple_.as_float(), standard_rep(3), lam)
+    loc = build(tuple_.as_float(), lam=lam)
     sig, gap = signature_gap(loc.matrix, tol)
     if sig % 2:
         raise ArithmeticError(f"odd localizer signature {sig}: numerical failure")
@@ -96,6 +95,8 @@ def index_along_path(
     Raises SingularAtTolerance if any sample point touches the spectrum,
     since index comparison across such a crossing is meaningless.
     """
+    if samples_per_segment < 1:
+        raise ContractError(f"samples_per_segment must be at least 1, got {samples_per_segment}")
     pts = [np.asarray(w, dtype=float) for w in waypoints]
     out = []
     for a, b in zip(pts[:-1], pts[1:]):
@@ -226,7 +227,7 @@ def archetypal(tuple_: HermitianTuple, lam):
     2^-k of archetypal_sign and scaled back exactly; one beyond the float
     range raises ContractError."""
     require_self_dual_triple(tuple_)
-    pencil = Pencil.localizer(tuple_, standard_rep(3))
+    pencil = Pencil.localizer(tuple_)
     lam = _coerce_lambda(tuple_, lam)
     if tuple_.kind == EXACT:
         return _archetypal(pencil, lam)
@@ -239,8 +240,10 @@ def archetypal(tuple_: HermitianTuple, lam):
 
 def archetypal_sign(tuple_: HermitianTuple, lam, tol: float | None = None) -> IndexReport:
     """Z_2 invariant: the sign of the archetypal value, off the spectrum."""
+    if tuple_.d != 3:
+        raise ContractError("the archetypal sign is defined for d = 3")
     ft = tuple_.as_float()
-    pencil = Pencil.localizer(ft, standard_rep(3))
+    pencil = Pencil.localizer(ft)
     lam = _coerce_lambda(ft, lam)
     eigs = hermitian_eigenvalues(pencil.at(lam))
     _, gap = eigenvalue_signature_gap(eigs, tol)  # raises on the spectrum

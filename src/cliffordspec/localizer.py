@@ -1,8 +1,11 @@
 """Spectral localizer assembly.
 
 L_lambda = sum_j (X_j - lambda_j I) (x) gamma_j is Hermitian for real
-lambda; the joint (Clifford) spectrum is where it is singular.  For d = 4
-with the block off-diagonal standard representation there is a half-size
+lambda; the joint (Clifford) spectrum is where it is singular.  The gammas
+are those of ``cliffordrep.rep_for(d)``; ``build`` alone takes another
+representation, and another irreducible one of the same rank changes L only
+by a unitary conjugation and, for odd d, perhaps a sign.  For d = 4 with
+the block off-diagonal standard representation there is a half-size
 reduced localizer built from the upper-right gamma blocks, with
 |det L| = |det L_reduced|^2.  The Laplace operator sum (X_j - lambda_j)^2
 is also provided; its determinant's zero set is the (often empty) Laplace
@@ -123,9 +126,11 @@ class Pencil:
         self.den, self.re, self.im = _lowest_terms(dx * db, re, im)
 
     @classmethod
-    def localizer(cls, tuple_: HermitianTuple, rep: GammaRep) -> "Pencil":
-        """The localizer pencil of tuple_ in rep, on rep's exact gammas or
-        on the float images it holds."""
+    def localizer(cls, tuple_: HermitianTuple, rep: GammaRep | None = None) -> "Pencil":
+        """The localizer pencil of tuple_ in rep, rep_for(tuple_.d) unless
+        given, on rep's exact gammas or on the float images it holds."""
+        if rep is None:
+            rep = rep_for(tuple_.d)
         return cls(tuple_, rep.gammas if tuple_.kind == EXACT else rep.float_gammas)
 
     @classmethod
@@ -209,35 +214,28 @@ class Pencil:
 
 @dataclass(frozen=True, eq=False)
 class Localizer:
-    tuple: HermitianTuple
-    rep: GammaRep
-    lam: tuple
-    matrix: np.ndarray
+    """A localizer matrix, full or reduced, and the lambda it was assembled at."""
 
-
-@dataclass(frozen=True, eq=False)
-class ReducedLocalizer:
-    tuple: HermitianTuple
     lam: tuple
     matrix: np.ndarray
 
 
 def build(tuple_: HermitianTuple, rep: GammaRep | None = None, lam=None) -> Localizer:
-    """Assemble L_lambda = sum (X_j - lambda_j) (x) gamma_j."""
-    if rep is None:
-        rep = rep_for(tuple_.d)
+    """Assemble L_lambda = sum (X_j - lambda_j) (x) gamma_j, in rep_for(d)
+    unless another representation is given: the one public entry that takes
+    a representation."""
     pencil = Pencil.localizer(tuple_, rep)
     lam = _coerce_lambda(tuple_, [0] * tuple_.d if lam is None else lam)
-    return Localizer(tuple_, rep, tuple(lam), pencil.at(lam))
+    return Localizer(tuple(lam), pencil.at(lam))
 
 
-def build_reduced(tuple_: HermitianTuple, lam=None) -> ReducedLocalizer:
+def build_reduced(tuple_: HermitianTuple, lam=None) -> Localizer:
     """Half-size localizer from the upper-right gamma blocks (d = 4 only)."""
     if tuple_.d != 4:
         raise ContractError("the reduced localizer needs a 4-tuple")
     pencil = Pencil.reduced(tuple_)
     lam = _coerce_lambda(tuple_, [0] * 4 if lam is None else lam)
-    return ReducedLocalizer(tuple_, tuple(lam), pencil.at(lam))
+    return Localizer(tuple(lam), pencil.at(lam))
 
 
 def laplace(tuple_: HermitianTuple, lam=None) -> np.ndarray:
@@ -250,13 +248,13 @@ def laplace(tuple_: HermitianTuple, lam=None) -> np.ndarray:
     return total
 
 
-def square_identity_residual(tuple_: HermitianTuple, rep: GammaRep | None = None, lam=None):
-    """|| L^2 - [ sum (X_j-l_j)^2 (x) I + sum_{j<k} [X_j,X_k] (x) g_j g_k ] ||.
+def square_identity_residual(tuple_: HermitianTuple, lam=None):
+    """|| L^2 - [ sum (X_j-l_j)^2 (x) I + sum_{j<k} [X_j,X_k] (x) g_j g_k ] ||,
+    in rep_for(d).
 
     Exactly zero for exact tuples (returned as a float 0.0).
     """
-    if rep is None:
-        rep = rep_for(tuple_.d)
+    rep = rep_for(tuple_.d)
     loc = build(tuple_, rep, lam)
     lsq = matmul(loc.matrix, loc.matrix)
     gammas = rep.gammas if tuple_.kind == EXACT else rep.as_float()

@@ -104,11 +104,11 @@ class MultiPoly:
     def max_abs_coeff(self) -> float:
         return max([0.0, *map(abs, self.terms.values())])
 
-    def pruned(self, rtol: float = PRUNE_RTOL) -> "MultiPoly":
-        """Drop float coefficients below rtol * max |coefficient|."""
+    def pruned(self) -> "MultiPoly":
+        """Drop float coefficients below PRUNE_RTOL * max |coefficient|."""
         if self.kind == EXACT:
             return self
-        cut = rtol * self.max_abs_coeff()
+        cut = PRUNE_RTOL * self.max_abs_coeff()
         return MultiPoly(
             self.nvars,
             {e: c for e, c in self.terms.items() if abs(c) > cut},

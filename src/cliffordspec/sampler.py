@@ -16,8 +16,9 @@ Three indicator fields are supported:
 
 Every grid from ``sample`` is one on-demand field: an indicator is a
 reducer of matrix stacks (``eigvalsh``, batched ``det`` or the stacked
-Pfaffian) and the pencil whose matrices it reduces, and a node is
-evaluated when a mesh or a read first needs it.  sigma_min is 1-Lipschitz
+Pfaffian) and the pencil whose matrices it reduces, the localizer in
+``rep_for(d)`` or its skew pencil, and a node is evaluated when a mesh or
+a read first needs it.  sigma_min is 1-Lipschitz
 in lambda, since (sum_j a_j gamma_j)^2 = |a|^2, so
 max_c(sigma(c) - |lambda - lambda_c|) over already solved nodes c bounds
 sigma_min(L_lambda) from below, up to a rounding margin.  Let e be the
@@ -59,12 +60,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cliffordrep import GammaRep, rep_for
 from .errors import ContractError
 from .invariants import _skew_pencil, require_self_dual_triple
 from .linalg import _pfaffian_parlett_reid, operator_norm
@@ -92,6 +93,11 @@ class AxisSpec:
     count: int
 
     def __post_init__(self):
+        try:
+            operator.index(self.count)
+        except TypeError:
+            what = f"axis {self.index} needs an integer count, got {self.count!r}"
+            raise ContractError(what) from None
         if self.count < 2:
             raise ContractError("axis needs at least 2 samples")
         for name, value in (("lo", self.lo), ("hi", self.hi), ("hi - lo", self.hi - self.lo)):
@@ -349,19 +355,16 @@ def sample(
     tuple_: HermitianTuple,
     spec: GridSpec,
     indicator: str,
-    rep: GammaRep | None = None,
     threads: int | None = None,
 ) -> SpectrumGrid:
     """An indicator field over a grid of lambda values, evaluated on
-    demand (see SpectrumGrid)."""
+    demand (see SpectrumGrid), of the localizer in rep_for(d)."""
     if indicator not in INDICATORS:
         raise ContractError(f"indicator must be one of {INDICATORS}")
     ft = tuple_.as_float()
     d = ft.d
     spec.validate_for(d)
-    if rep is None:
-        rep = rep_for(d)
-    pencil = Pencil.localizer(ft, rep)
+    pencil = Pencil.localizer(ft)
     ref = operator_norm(pencil.l0)
     # the largest |lambda| of the grid is at a corner: each coordinate's
     # largest square, summed in lambda order
@@ -378,8 +381,6 @@ def sample(
     }[indicator]
     if indicator == PFAFFIAN_SIGN:
         require_self_dual_triple(ft)
-        if rep.d != 3:
-            raise ContractError("the pfaffian indicator needs the d = 3 localizer")
         source = _skew_pencil(pencil)
     field = _Field(pencil, source, reduce, spec, margin, threads)
     return SpectrumGrid(spec, indicator, field, ref)
@@ -389,7 +390,6 @@ def slice_4d(
     tuple_: HermitianTuple,
     spec: GridSpec,
     indicator: str,
-    rep: GammaRep | None = None,
     threads: int | None = None,
 ) -> SpectrumGrid:
     """Sample a 3-axis slice of a 4-tuple's spectrum (one coordinate fixed)."""
@@ -397,7 +397,7 @@ def slice_4d(
         raise ContractError("slicing needs a 4-tuple")
     if len(spec.axes) != 3 or len(spec.fixed) != 1:
         raise ContractError("a 4D slice needs exactly 3 sampled axes and 1 fixed")
-    return sample(tuple_, spec, indicator, rep, threads)
+    return sample(tuple_, spec, indicator, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -567,13 +567,13 @@ def torus_radius_profile(
     theta: float,
     phi: float,
     r_max: float = 2.0,
-    residual_tol: float = TORUS_RESIDUAL_TOL,
 ) -> float:
     """Radius where the polar-substituted real part crosses zero.
 
     `poly` is a reduced characteristic polynomial whose real part, on the
     equal-radius locus, is negative at r = 0 and increasing; bisection
-    finds the unique root.  Raises if the bracket shows no sign change.
+    finds the unique root, to |f| <= TORUS_RESIDUAL_TOL.  Raises if the
+    bracket shows no sign change.
     """
     coeffs = radial_section(poly, theta, phi)[0][::-1]  # highest power first
     lo, hi = 0.0, float(r_max)
@@ -586,7 +586,7 @@ def torus_radius_profile(
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         f_mid = np.polyval(coeffs, mid)
-        if abs(f_mid) <= residual_tol:
+        if abs(f_mid) <= TORUS_RESIDUAL_TOL:
             return mid
         if f_mid < 0.0:
             lo = mid

@@ -1,7 +1,8 @@
 """Near-kernel vectors of the localizer and variance certificates.
 
-A unit vector z with ||L_lambda z|| = eps yields, by taking the largest of
-its g blocks, a unit vector w whose per-matrix variances and expectation
+A unit vector z with ||L_lambda z|| = eps, L_lambda in rep_for(d), yields,
+by taking the largest of its g blocks (g = 2^floor(d/2), the localizer's
+side over n), a unit vector w whose per-matrix variances and expectation
 offsets are bounded by eps plus g times the sum of commutator norms.  The
 certificate records both sides of that inequality.
 """
@@ -12,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cliffordrep import GammaRep, rep_for
 from .errors import ContractError
 from .linalg import hermitian_eigen, operator_norm
 from .localizer import Localizer, build
@@ -82,10 +82,8 @@ def commutator_norm_sum(tuple_: HermitianTuple) -> float:
     return total
 
 
-def certificate(
-    tuple_: HermitianTuple, rep: GammaRep | None = None, lam=None
-) -> VarianceCertificate:
-    """Variance certificate at lambda.
+def certificate(tuple_: HermitianTuple, lam=None) -> VarianceCertificate:
+    """Variance certificate at lambda, of the localizer in rep_for(d).
 
     lhs = sum_j Var(X_j)_w + |E(X_j)_w - lambda_j|^2 is compared against
     rhs = eps + g * sum_{j<k} ||[X_j, X_k]||.  Near the spectrum (eps
@@ -93,12 +91,11 @@ def certificate(
     way it lands.
     """
     ft = tuple_.as_float()
-    if rep is None:
-        rep = rep_for(ft.d)
-    loc = build(ft, rep, lam)
+    loc = build(ft, lam=lam)
     lam = loc.lam
+    g = len(loc.matrix) // ft.n
     z, eps = near_kernel(loc)
-    w = extract_w(z, rep.g, ft.n)
+    w = extract_w(z, g, ft.n)
     expectations = []
     variances = []
     lhs = 0.0
@@ -107,7 +104,7 @@ def certificate(
         expectations.append(e)
         variances.append(var)
         lhs += var + (e - lam[j]) ** 2
-    rhs = eps + rep.g * commutator_norm_sum(ft)
+    rhs = eps + g * commutator_norm_sum(ft)
     return VarianceCertificate(
         lam=lam,
         epsilon=eps,

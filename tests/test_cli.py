@@ -410,3 +410,12 @@ def test_malformed_example_config_exits_2(tmp_path, capsys):
         assert "Traceback" not in err, doc
     path.write_text(json.dumps({"example": "fuzzy_sphere_5", "params": {"t": "1/2"}}))
     assert run(capsys, "charpoly", str(path))[0] == 0
+
+
+def test_unknown_kind_in_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "kind.json"
+    for kind in ("exakt", "Float", None, ["exact"]):
+        path.write_text(json.dumps({"kind": kind, "matrices": [[[["1", "0"]]]]}))
+        code, out, err = run(capsys, "index", str(path), "--at", "0")
+        assert code == 2, kind
+        assert repr(kind) in err and not out, kind

@@ -86,6 +86,17 @@ def test_index_constant_along_path_inside_lobe():
     assert {r.value for r in reports} == {1}
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+def test_index_along_path_needs_a_sample_per_segment(samples):
+    with pytest.raises(ContractError, match="samples_per_segment"):
+        index_along_path(lemniscate(), [(0, 0.5, 0), (0, 0.9, 0)], samples_per_segment=samples)
+
+
+def test_archetypal_sign_needs_a_triple():
+    with pytest.raises(ContractError, match="d = 3"):
+        archetypal_sign(even_odd(), [0.5, 0.0, 0.0, 0.0])
+
+
 def test_dual_examples():
     eye = float_matrix(np.eye(4))
     assert np.allclose(dual(eye), eye)

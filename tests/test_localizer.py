@@ -6,10 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cliffordspec.charpoly import char_poly
 from cliffordspec.cliffordrep import generated_rep, standard_rep
 from cliffordspec.errors import ContractError, KindMismatchError
 from cliffordspec.gallery import gamma_tuple, pauli, torus_quadruple
-from cliffordspec.linalg import operator_norm, smallest_eigen_magnitude
+from cliffordspec.linalg import determinant, operator_norm, smallest_eigen_magnitude
 from cliffordspec.localizer import (
     Pencil,
     build,
@@ -26,7 +27,9 @@ from cliffordspec.matrices import (
     kron,
     to_float,
 )
+from cliffordspec.sampler import SIGMA_MIN, AxisSpec, GridSpec, sample
 from cliffordspec.scalars import GaussianRational
+from cliffordspec.variance import certificate, commutator_norm_sum
 from conftest import random_tuple
 
 
@@ -390,3 +393,43 @@ def test_gaussian_form_round_trips_both_kinds(make):
         else:
             assert back.den == pencil.den
             assert np.array_equal(back.re, pencil.re) and np.array_equal(back.im, pencil.im)
+
+
+def test_rank_5_queries_agree_with_build_on_the_generated_representation(rng):
+    """char_poly, a sigma-min grid and certificate of a d = 5 tuple read the
+    localizer that build assembles on generated_rep(5)."""
+    t = random_tuple(rng, 5, 2)
+    lams = [[float(v) for v in row] for row in rng.uniform(-1.5, 1.5, (6, 5))]
+    mats = {tuple(lam): build(t, generated_rep(5), lam).matrix for lam in lams}
+    assert all(np.array_equal(build(t, lam=lam).matrix, m) for lam, m in mats.items())
+    # the determinant at points off the unit torus that the float path samples
+    poly = char_poly(t)
+    for lam, m in mats.items():
+        want = np.linalg.det(m).real
+        scale = max(1.0, abs(want), poly.evaluate_abs(lam))
+        assert abs(poly.evaluate(lam) - want) <= 1e-9 * scale
+    # exactly, for an exact tuple at rational points
+    exact = HermitianTuple(
+        [exact_matrix([[k, (1, k)], [(1, -k), Fraction(-1, k + 1)]]) for k in range(5)]
+    )
+    exact_poly = char_poly(exact)
+    for lam in ([0, 0, 0, 0, 0], [Fraction(1, 2), -1, 0, Fraction(2, 3), 3]):
+        want = determinant(build(exact, generated_rep(5), lam).matrix)
+        assert exact_poly.evaluate([GaussianRational(v) for v in lam]) == want
+    spec = GridSpec(
+        (AxisSpec(0, -1.0, 1.0, 4), AxisSpec(2, -1.0, 1.0, 3), AxisSpec(4, -0.5, 1.0, 3)),
+        ((1, 0.25), (3, -0.5)),
+    )
+    values = sample(t, spec, SIGMA_MIN).values
+    nodes = [a.nodes() for a in spec.axes]
+    for idx in np.ndindex(values.shape):
+        lam = [0.0, 0.25, 0.0, -0.5, 0.0]
+        for axis, x, i in zip(spec.axes, nodes, idx):
+            lam[axis.index] = float(x[i])
+        m = build(t, generated_rep(5), lam).matrix
+        assert values[idx] == pytest.approx(smallest_eigen_magnitude(m), rel=1e-12, abs=1e-14)
+    for lam, m in mats.items():
+        cert = certificate(t, lam=list(lam))
+        assert cert.epsilon == pytest.approx(smallest_eigen_magnitude(m), rel=1e-12, abs=1e-14)
+        assert len(cert.w) == t.n
+        assert cert.rhs == cert.epsilon + generated_rep(5).g * commutator_norm_sum(t)

@@ -74,6 +74,17 @@ def test_axis_bounds_must_be_finite(lo, hi, cause):
         AxisSpec(0, lo, hi, 5)
 
 
+@pytest.mark.parametrize("count", [5.5, 5.0, "5", None])
+def test_axis_count_must_be_an_integer(count):
+    with pytest.raises(ContractError, match="axis 2 needs an integer count"):
+        AxisSpec(2, -1.0, 1.0, count)
+
+
+def test_axis_count_takes_numpy_integers():
+    spec = GridSpec((AxisSpec(0, -1, 1, np.int64(3)), AxisSpec(1, -1, 1, np.int32(4))), ((2, 0.0),))
+    assert sample(pauli(), spec, SIGMA_MIN).values.shape == (3, 4)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_fixed_coordinate_and_level_must_be_finite(value):
     with pytest.raises(ContractError, match="fixed lambda 3 must be finite"):
