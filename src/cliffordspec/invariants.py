@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -95,13 +96,16 @@ def index_along_path(
     Raises SingularAtTolerance if any sample point touches the spectrum,
     since index comparison across such a crossing is meaningless.
     """
-    if samples_per_segment < 1:
-        raise ContractError(f"samples_per_segment must be at least 1, got {samples_per_segment}")
+    count = samples_per_segment
+    if isinstance(count, bool) or not isinstance(count, Integral) or count < 1:
+        raise ContractError(f"samples_per_segment must be an integer >= 1, got {count!r}")
     pts = [np.asarray(w, dtype=float) for w in waypoints]
+    if len(pts) < 2:
+        raise ContractError(f"a path needs at least two waypoints, got {len(pts)}")
     out = []
     for a, b in zip(pts[:-1], pts[1:]):
-        for k in range(samples_per_segment + 1):
-            lam = a + (b - a) * (k / samples_per_segment)
+        for k in range(count + 1):
+            lam = a + (b - a) * (k / count)
             out.append(index(tuple_, lam, tol))
     return out
 
@@ -192,12 +196,18 @@ def _skew_pencil(pencil: Pencil) -> Pencil:
     return skew
 
 
-def _archetypal(pencil: Pencil, lam: list, shift: int = 0):
-    """Pf((1/2) Q* L(lam) Q) of a self-dual triple's localizer pencil, at
-    coerced lam.  A float matrix is first scaled by 2^-shift, which is exact
-    and scales the Pfaffian by 2^(-shift side / 2), keeping its sign."""
-    skew = _skew_pencil(pencil).at(lam)
-    if pencil.kind == EXACT:
+def _self_dual_skew_pencil(tuple_: HermitianTuple) -> Pencil:
+    """require_self_dual_triple, then the skew pencil of the localizer pencil."""
+    require_self_dual_triple(tuple_)
+    return _skew_pencil(Pencil.localizer(tuple_))
+
+
+def _archetypal(skew_pencil: Pencil, lam: list, shift: int = 0):
+    """Pf((1/2) Q* L(lam) Q) at coerced lam, off a self-dual triple's skew
+    pencil.  A float matrix is first scaled by 2^-shift, which is exact and
+    scales the Pfaffian by 2^(-shift side / 2), keeping its sign."""
+    skew = skew_pencil.at(lam)
+    if skew_pencil.kind == EXACT:
         # exactly skew: an integer combination of exactly skew members
         value = _exact_pfaffian(skew)
         if value.im:
@@ -226,14 +236,13 @@ def archetypal(tuple_: HermitianTuple, lam):
     self-dual Hermitian triples.  A float value is computed at the scale
     2^-k of archetypal_sign and scaled back exactly; one beyond the float
     range raises ContractError."""
-    require_self_dual_triple(tuple_)
-    pencil = Pencil.localizer(tuple_)
+    skew = tuple_._held(_self_dual_skew_pencil)
     lam = _coerce_lambda(tuple_, lam)
     if tuple_.kind == EXACT:
-        return _archetypal(pencil, lam)
-    shift = _scale_exponent(hermitian_eigenvalues(pencil.at(lam)))
+        return _archetypal(skew, lam)
+    shift = _scale_exponent(hermitian_eigenvalues(Pencil.localizer(tuple_).at(lam)))
     try:
-        return math.ldexp(_archetypal(pencil, lam, shift), shift * (pencil.side // 2))
+        return math.ldexp(_archetypal(skew, lam, shift), shift * (skew.side // 2))
     except OverflowError:
         raise ContractError(f"archetypal value at lambda {lam} is beyond the float range") from None
 
@@ -243,12 +252,10 @@ def archetypal_sign(tuple_: HermitianTuple, lam, tol: float | None = None) -> In
     if tuple_.d != 3:
         raise ContractError("the archetypal sign is defined for d = 3")
     ft = tuple_.as_float()
-    pencil = Pencil.localizer(ft)
     lam = _coerce_lambda(ft, lam)
-    eigs = hermitian_eigenvalues(pencil.at(lam))
+    eigs = hermitian_eigenvalues(Pencil.localizer(ft).at(lam))
     _, gap = eigenvalue_signature_gap(eigs, tol)  # raises on the spectrum
-    require_self_dual_triple(ft)
-    value = _archetypal(pencil, lam, _scale_exponent(eigs))
+    value = _archetypal(ft._held(_self_dual_skew_pencil), lam, _scale_exponent(eigs))
     return IndexReport(tuple(lam), "archetypal-sign", 1 if value > 0 else -1, gap)
 
 

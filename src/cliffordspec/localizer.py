@@ -41,6 +41,7 @@ from .matrices import (
     kron,
     matmul,
     max_abs,
+    read_only,
 )
 from .linalg import operator_norm
 from .scalars import as_gaussian, is_exact_scalar
@@ -82,7 +83,7 @@ def _lowest_terms(den: int, re: np.ndarray, im: np.ndarray) -> tuple:
     """(den, re, im) over the gcd of den and every entry: the integer form
     whose den is the lcm of the entry denominators."""
     common = math.gcd(den, *re.reshape(-1), *im.reshape(-1))
-    return den // common, re // common, im // common
+    return den // common, *read_only(re // common, im // common)
 
 
 class Pencil:
@@ -112,6 +113,7 @@ class Pencil:
             self.l0 = kron(tuple_.matrices[0], self.blocks[0])
             for x, b in zip(tuple_.matrices[1:], self.blocks[1:]):
                 self.l0 = self.l0 + kron(x, b)
+            self.l0.setflags(write=False)
             return
         check_same_kind(tuple_.matrices[0], *blocks)
         dx, xr, xi = gaussian_integers(tuple_.matrices)
@@ -127,19 +129,17 @@ class Pencil:
 
     @classmethod
     def localizer(cls, tuple_: HermitianTuple, rep: GammaRep | None = None) -> "Pencil":
-        """The localizer pencil of tuple_ in rep, rep_for(tuple_.d) unless
-        given, on rep's exact gammas or on the float images it holds."""
-        if rep is None:
-            rep = rep_for(tuple_.d)
-        return cls(tuple_, rep.gammas if tuple_.kind == EXACT else rep.float_gammas)
+        """The localizer pencil of tuple_ in rep, the one the tuple holds for
+        rep_for(tuple_.d), the default, on exact gammas or their float images."""
+        if rep is None or rep is rep_for(tuple_.d):
+            return tuple_._held(_localizer_pencil)
+        return _localizer_pencil(tuple_, rep)
 
     @classmethod
     def reduced(cls, tuple_: HermitianTuple) -> "Pencil":
         """The reduced localizer pencil of a 4-tuple, on the off-diagonal
-        blocks of the standard d = 4 representation."""
-        rep = standard_rep(4)
-        exact = tuple_.kind == EXACT
-        return cls(tuple_, rep.off_diagonal_blocks if exact else rep.float_off_diagonal_blocks)
+        blocks of the standard d = 4 representation, held by the tuple."""
+        return tuple_._held(_reduced_pencil)
 
     @classmethod
     def from_members(cls, members) -> "Pencil":
@@ -164,6 +164,7 @@ class Pencil:
         pencil.kind = FLOAT
         members = np.empty(re.shape, dtype=complex)
         members.real, members.imag = re / den, im / den
+        members.setflags(write=False)
         pencil.l0, pencil.blocks, pencil.eye = members[0], tuple(members[1:]), None
         return pencil
 
@@ -210,6 +211,17 @@ class Pencil:
         """L(c) for each row c of lam, shape (count, d), in one buffer."""
         mats = np.tensordot(lam, self.parts, axes=(1, 0))
         return np.subtract(self.l0[None], mats, out=mats)
+
+
+def _localizer_pencil(tuple_: HermitianTuple, rep: GammaRep | None = None) -> Pencil:
+    rep = rep_for(tuple_.d) if rep is None else rep
+    return Pencil(tuple_, rep.gammas if tuple_.kind == EXACT else rep.float_gammas)
+
+
+def _reduced_pencil(tuple_: HermitianTuple) -> Pencil:
+    rep = standard_rep(4)
+    exact = tuple_.kind == EXACT
+    return Pencil(tuple_, rep.off_diagonal_blocks if exact else rep.float_off_diagonal_blocks)
 
 
 @dataclass(frozen=True, eq=False)

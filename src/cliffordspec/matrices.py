@@ -79,12 +79,11 @@ def to_float(m: np.ndarray) -> np.ndarray:
 
 
 def read_only(*mats) -> tuple:
-    """Views of mats that refuse writes; the arrays passed in keep their own
-    flags."""
-    views = tuple(m.view() for m in mats)
-    for v in views:
-        v.setflags(write=False)
-    return views
+    """Read-only copies of mats (arrays or nested sequences)."""
+    copies = tuple(np.array(m) for m in mats)
+    for c in copies:
+        c.setflags(write=False)
+    return copies
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -173,15 +172,15 @@ def direct_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class HermitianTuple:
     """d Hermitian n-by-n matrices of a uniform scalar kind, immutable: the
-    matrices are read-only views, so the float image of an exact tuple, formed
-    on the first :meth:`as_float` and held, cannot go stale."""
+    matrices are read-only copies of the input, so a fact held by
+    :meth:`_held`, such as the float image of an exact tuple, cannot go stale."""
 
     matrices: tuple = field()
     kind: str = field(init=False)
-    _float_image: "HermitianTuple | None" = field(init=False, repr=False)
+    _facts: dict = field(init=False, repr=False)
 
     def __init__(self, matrices):
-        mats = read_only(*(np.asarray(m) for m in matrices))
+        mats = read_only(*matrices)
         if not mats:
             raise ContractError("a Hermitian tuple needs at least one matrix")
         kind = check_same_kind(*mats)
@@ -199,7 +198,15 @@ class HermitianTuple:
             require_hermitian(m, f"matrix {k}")
         object.__setattr__(self, "matrices", mats)
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "_float_image", None)
+        object.__setattr__(self, "_facts", {})
+
+    def _held(self, make):
+        """make(self), a read-only lambda-independent fact, formed by the first
+        call with this make and held for the life of the tuple (threads that
+        race may each form it).  A make that raises holds nothing."""
+        if make not in self._facts:
+            self._facts[make] = make(self)
+        return self._facts[make]
 
     @property
     def d(self) -> int:
@@ -210,14 +217,12 @@ class HermitianTuple:
         return self.matrices[0].shape[0]
 
     def as_float(self) -> "HermitianTuple":
-        """The float-kind tuple: self, or for an exact tuple one image shared
-        by every call, converted (and checked Hermitian) on the first."""
-        if self.kind == FLOAT:
-            return self
-        if self._float_image is None:
-            image = HermitianTuple([to_float(m) for m in self.matrices])
-            object.__setattr__(self, "_float_image", image)
-        return self._float_image
+        """The float-kind tuple: self, or for an exact tuple one held image
+        shared by every call, converted (and checked Hermitian) on the first."""
+        return self if self.kind == FLOAT else self._held(HermitianTuple._float_image)
+
+    def _float_image(self) -> "HermitianTuple":
+        return HermitianTuple([to_float(m) for m in self.matrices])
 
     def shifted(self, mu) -> "HermitianTuple":
         """Subtract mu_j from the diagonal of each matrix."""

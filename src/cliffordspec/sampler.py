@@ -67,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .invariants import _skew_pencil, require_self_dual_triple
+from .invariants import _self_dual_skew_pencil
 from .linalg import _pfaffian_parlett_reid, operator_norm
 from .localizer import Pencil
 from .matrices import HermitianTuple
@@ -380,8 +380,7 @@ def sample(
         PFAFFIAN_SIGN: lambda m: _pfaffian_parlett_reid(m).real,
     }[indicator]
     if indicator == PFAFFIAN_SIGN:
-        require_self_dual_triple(ft)
-        source = _skew_pencil(pencil)
+        source = ft._held(_self_dual_skew_pencil)
     field = _Field(pencil, source, reduce, spec, margin, threads)
     return SpectrumGrid(spec, indicator, field, ref)
 

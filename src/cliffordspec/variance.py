@@ -74,12 +74,9 @@ def extract_w(z: np.ndarray, g: int, n: int) -> np.ndarray:
 
 
 def commutator_norm_sum(tuple_: HermitianTuple) -> float:
-    ft = tuple_.as_float()
-    total = 0.0
-    for j in range(ft.d):
-        for k in range(j + 1, ft.d):
-            total += operator_norm(commutator(ft.matrices[j], ft.matrices[k]))
-    return total
+    """sum_{j<k} ||[X_j, X_k]|| in float; certificate reads the held one."""
+    x = tuple_.as_float().matrices
+    return sum((operator_norm(commutator(a, b)) for j, a in enumerate(x) for b in x[j + 1 :]), 0.0)
 
 
 def certificate(tuple_: HermitianTuple, lam=None) -> VarianceCertificate:
@@ -104,7 +101,7 @@ def certificate(tuple_: HermitianTuple, lam=None) -> VarianceCertificate:
         expectations.append(e)
         variances.append(var)
         lhs += var + (e - lam[j]) ** 2
-    rhs = eps + g * commutator_norm_sum(ft)
+    rhs = eps + g * ft._held(commutator_norm_sum)
     return VarianceCertificate(
         lam=lam,
         epsilon=eps,

@@ -92,6 +92,18 @@ def test_index_along_path_needs_a_sample_per_segment(samples):
         index_along_path(lemniscate(), [(0, 0.5, 0), (0, 0.9, 0)], samples_per_segment=samples)
 
 
+@pytest.mark.parametrize("samples", [2.5, "3", True])
+def test_index_along_path_needs_an_integer_sample_count(samples):
+    with pytest.raises(ContractError, match="samples_per_segment must be an integer >= 1"):
+        index_along_path(lemniscate(), [(0, 0.5, 0), (0, 0.9, 0)], samples_per_segment=samples)
+
+
+@pytest.mark.parametrize("waypoints", [[], [(0, 0.5, 0)]])
+def test_index_along_path_needs_two_waypoints(waypoints):
+    with pytest.raises(ContractError, match=f"at least two waypoints, got {len(waypoints)}"):
+        index_along_path(lemniscate(), waypoints)
+
+
 def test_archetypal_sign_needs_a_triple():
     with pytest.raises(ContractError, match="d = 3"):
         archetypal_sign(even_odd(), [0.5, 0.0, 0.0, 0.0])
@@ -434,7 +446,7 @@ def test_archetypal_matches_the_unscaled_pfaffian_bit_for_bit():
     for k in range(200):
         t = tuples[k % len(tuples)]
         lam = list(rng.normal(scale=2.0, size=3))
-        unscaled = _archetypal(Pencil.localizer(t, standard_rep(3)), lam)
+        unscaled = _archetypal(_skew_pencil(Pencil.localizer(t, standard_rep(3))), lam)
         assert archetypal(t, lam).hex() == unscaled.hex()
 
 

@@ -1,19 +1,22 @@
-"""Point queries on held float images: an exact tuple converts once, the
-gamma representations hold their float images, and every report equals the
-one computed from a freshly converted float tuple."""
+"""Point queries on held facts: an exact tuple converts once, a tuple forms
+its localizer pencils, commutator norm sum and skew pencil once, the gamma
+representations hold their float images, and every report equals the one
+computed from a freshly converted float tuple."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cliffordspec import invariants, variance
 from cliffordspec.cliffordrep import STANDARD_REPS, GammaRep, generated_rep, standard_rep
-from cliffordspec.errors import SingularAtTolerance
+from cliffordspec.errors import SingularAtTolerance, SymmetryError
 from cliffordspec.gallery import even_odd, pauli, self_dual_path, sykora_two_torus
-from cliffordspec.invariants import archetypal_sign, graded_index, index
+from cliffordspec.invariants import archetypal, archetypal_sign, graded_index, index
 from cliffordspec.linalg import default_tolerance, signature_gap
 from cliffordspec.localizer import Pencil
 from cliffordspec.matrices import EXACT, HermitianTuple, float_matrix, to_float
+from cliffordspec.sampler import PFAFFIAN_SIGN, GridSpec, sample
 from cliffordspec.scalars import GaussianRational
 from cliffordspec.variance import certificate
 
@@ -50,16 +53,20 @@ def _report(fn: str, t: HermitianTuple, lam: list) -> tuple:
     return (r.lam, r.kind, r.value, r.gap)
 
 
-def _count_conversions(monkeypatch) -> list:
+def _count_calls(monkeypatch, owner, name) -> list:
     calls = [0]
-    original = GaussianRational.to_complex
+    original = getattr(owner, name)
 
-    def counted(self):
+    def counted(*args, **kwargs):
         calls[0] += 1
-        return original(self)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(GaussianRational, "to_complex", counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def _count_conversions(monkeypatch) -> list:
+    return _count_calls(monkeypatch, GaussianRational, "to_complex")
 
 
 def test_exact_tuple_converts_once_over_many_queries(monkeypatch):
@@ -87,6 +94,77 @@ def test_float_pencils_convert_no_gamma(monkeypatch):
     assert calls[0] == 0
 
 
+def _count_facts(monkeypatch) -> dict:
+    """Call counters of the pencil assembly and of each held fact's make."""
+    return {
+        "pencil": _count_calls(monkeypatch, Pencil, "__init__"),
+        "commutator_norm_sum": _count_calls(monkeypatch, variance, "commutator_norm_sum"),
+        "require_self_dual_triple": _count_calls(
+            monkeypatch, invariants, "require_self_dual_triple"
+        ),
+        "skew_pencil": _count_calls(monkeypatch, invariants, "_skew_pencil"),
+    }
+
+
+def test_each_fact_is_formed_once_over_many_queries(monkeypatch):
+    t = self_dual_path()
+    ft = t.as_float()
+    counts = _count_facts(monkeypatch)
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        lam = [float(v) for v in rng.uniform(-2, 2, 3)]
+        for query in (index, archetypal_sign, lambda t, lam: certificate(t, lam=lam)):
+            try:
+                query(t, lam)
+            except SingularAtTolerance:
+                pass
+        archetypal(ft, lam)
+    for _ in range(3):
+        sample(ft, GridSpec.cube(3, -1.5, 1.5, 5), PFAFFIAN_SIGN).values
+    # every query read the float image's localizer and skew pencils and
+    # commutator norm sum, each formed on the first query
+    assert {k: c[0] for k, c in counts.items()} == dict.fromkeys(counts, 1)
+    four = even_odd().as_float()
+    for k in range(300):
+        lam = [float(v) for v in rng.uniform(-2, 2, 4)]
+        certificate(four, lam=lam)
+        if k % 30 == 0:
+            graded_index(four, lam[:3] + [0.0])
+    # the 4-tuple's localizer pencil and reduced pencil
+    assert counts["pencil"][0] == 3 and counts["commutator_norm_sum"][0] == 2
+
+
+def test_held_arrays_refuse_writes():
+    t = self_dual_path()
+    ft = t.as_float()
+    archetypal_sign(t, [0.1, 0.2, 0.3])
+    held = [Pencil.localizer(ft), ft._held(invariants._self_dual_skew_pencil)]
+    held.append(Pencil.reduced(even_odd().as_float()))
+    arrays = [a for p in held for a in (p.l0, *p.blocks)]
+    exact = Pencil.localizer(t)
+    arrays += [exact.re, exact.im, *t.matrices, *ft.matrices]
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 7
+
+
+def test_failed_verdicts_are_never_held(monkeypatch):
+    t = pauli()  # not self-dual
+    calls = _count_calls(monkeypatch, invariants, "require_self_dual_triple")
+    for _ in range(2):
+        with pytest.raises(SymmetryError):
+            archetypal_sign(t, [0.1, 0.2, 0.3])
+        with pytest.raises(SymmetryError):
+            archetypal(t, [0, 0, 0])
+        with pytest.raises(SymmetryError):
+            sample(t, GridSpec.cube(3, -1.5, 1.5, 5), PFAFFIAN_SIGN)
+    assert calls[0] == 6
+    # on the spectrum, the spectrum is reported before the symmetry
+    for _ in range(2):
+        with pytest.raises(SingularAtTolerance):
+            archetypal_sign(t, [1, 0, 0])
+
+
 @settings(max_examples=25)
 @given(st.sampled_from(sorted(_HELD)), st.integers(0, 2**32 - 1))
 def test_held_image_reports_equal_fresh_conversion(fn, seed):
@@ -111,15 +189,22 @@ def test_as_float_is_one_read_only_image(make):
             f[0, 0] = 7.0
 
 
-def test_tuple_matrices_are_read_only_views_of_writable_input(rng):
+def test_tuple_matrices_are_read_only_copies_of_writable_input(rng):
     inputs = [float_matrix(random_hermitian(rng, 3)) for _ in range(3)]
     t = HermitianTuple(inputs)
+    before = [m.tobytes() for m in t.matrices]
+    lam = [0.1, -0.2, 0.3]
+    report = index(t, lam)
     for x, m in zip(inputs, t.matrices):
         assert not m.flags.writeable
         with pytest.raises(ValueError):
             m[0, 0] = 1.0
         assert x.flags.writeable
         x[0, 0] += 1.0  # the caller's array stays the caller's
+    # and the tuple's matrices, and what it holds, stay the tuple's
+    assert [m.tobytes() for m in t.matrices] == before
+    assert index(t, lam) == report
+    assert index(HermitianTuple(t.matrices), lam) == report
     exact = pauli()
     with pytest.raises(ValueError):
         exact.matrices[0][0, 0] = GaussianRational(7)
