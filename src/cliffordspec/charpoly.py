@@ -398,14 +398,16 @@ def _normalised(tuple_: HermitianTuple):
 
 def _rescaled(poly: MultiPoly, s, degree: int) -> MultiPoly:
     """The polynomial of the tuple s * X from that of X, each coefficient
-    c_alpha times s^(degree - |alpha|)."""
+    c_alpha times s^(degree - |alpha|); a power of s beyond the float range
+    raises ContractError."""
     if s == 1:
         return poly
-    return MultiPoly(
-        poly.nvars,
-        {e: c * s ** (degree - sum(e)) for e, c in poly.terms.items()},
-        poly.kind,
-    )
+    try:
+        terms = {e: c * s ** (degree - sum(e)) for e, c in poly.terms.items()}
+    except OverflowError:
+        msg = f"scale {s:.3e} to the power {degree} is beyond the float range"
+        raise ContractError(msg) from None
+    return MultiPoly(poly.nvars, terms, poly.kind)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .linalg import (
     hermitian_eigenvalues,
     signature_gap,
 )
-from .localizer import Pencil, _coerce_lambda, build, build_reduced
+from .localizer import Pencil, _coerce_lambda, build
 from .matrices import (
     EXACT,
     FLOAT,
@@ -187,7 +187,7 @@ def _skew_pencil(pencil: Pencil) -> Pencil:
     if skew.kind == EXACT:
         bad = any(np.any(p + p.transpose(0, 2, 1)) for p in (skew.re, skew.im))
     else:
-        bad = any(defect_exceeds(m + m.T, m, SKEW_CHECK_RTOL) for m in (skew.l0, *skew.blocks))
+        bad = any(defect_exceeds(m + m.T, m, SKEW_CHECK_RTOL) for m in skew.members)
     if bad:
         raise SymmetryError(
             "conjugated localizer is not skew-symmetric; "
@@ -289,12 +289,12 @@ def graded_index(
             f"matrix {bad.matrix_index} violates the {bad.flag} grading "
             f"by {bad.violation:.3e}"
         )
-    red = build_reduced(ft, lam)
+    red = Pencil.reduced(ft).at(lam)
     gamma_block = kron(to_float(grading), eye(2, FLOAT))
     # adjoint (lower-left) block orientation: the published index values
     # are normalized against this block, the tabulated polynomials against
     # the other; the two give opposite half-signatures
-    herm = 1j * (red.matrix.conj().T @ gamma_block)
+    herm = 1j * (red.conj().T @ gamma_block)
     if defect_exceeds(herm - herm.conj().T, herm, GRADED_HERMITIAN_RTOL):
         raise SymmetryError("graded localizer is not Hermitian; grading invalid")
     sig, gap = signature_gap(0.5 * (herm + herm.conj().T), tol)

@@ -24,7 +24,7 @@ from .matrices import (
     EXACT,
     FLOAT,
     defect_exceeds,
-    gaussian_integers,
+    gaussian_form,
     kind_of,
     require_hermitian,
     to_float,
@@ -154,7 +154,7 @@ def exact_determinant(m: np.ndarray) -> GaussianRational:
     n = m.shape[0]
     if n == 0:
         return GaussianRational(1)
-    den, re, im = gaussian_integers((m,))
+    den, re, im = gaussian_form((m,))
     dr, di = _gaussian_int_bareiss(re[0].tolist(), im[0].tolist(), n)
     scale = Fraction(1, den**n)
     return GaussianRational(dr * scale, di * scale)

@@ -15,7 +15,9 @@ Both localizers, the Laplace operator as a function of (lambda,
 |lambda|^2) and the archetypal skew pencil (1/2) Q* L Q are affine
 pencils, the internal :class:`Pencil`, which the characteristic
 polynomials, the sampler and the archetypal invariants assemble by ``at``
-at one point or ``at_rows`` at many.
+at one point or ``at_rows`` at many.  Both localizer pencils come from one
+formula on the Gaussian form (den, re, im) of ``matrices.gaussian_form``,
+of either kind: L0 = sum_j X_j (x) B_j and P_j = I (x) B_j.
 """
 
 from __future__ import annotations
@@ -33,11 +35,10 @@ from .matrices import (
     EXACT,
     FLOAT,
     HermitianTuple,
-    check_same_kind,
     commutator,
     eye,
     from_gaussian_integers,
-    gaussian_integers,
+    gaussian_form,
     kron,
     matmul,
     max_abs,
@@ -89,43 +90,15 @@ def _lowest_terms(den: int, re: np.ndarray, im: np.ndarray) -> tuple:
 class Pencil:
     """L(c) = L0 - sum_k c_k P_k, an affine family of square matrices.
 
-    The localizer pencil has c = lambda, L0 = sum_j X_j (x) B_j and
-    P_j = I (x) B_j, for blocks B_j that are the gammas (:meth:`localizer`)
-    or, for the reduced localizer, the d = 4 off-diagonal blocks
-    (:meth:`reduced`); :meth:`from_members` takes L0 and the P_k as they
-    are, and :meth:`from_gaussian_form` as :attr:`gaussian_form` gives them.
-    The blocks are of the tuple's kind: for a float tuple those constructors
-    pass the float images the representation holds.  Float pencils hold
-    complex128 ``l0`` and give the P_k as ``parts``.  Exact ones hold ``re``
-    and ``im``, (d + 1, side, side) object arrays of Python ints with
-    L0 = (re[0] + i im[0]) / den and P_k = (re[k] + i im[k]) / den;
-    GaussianRational entries are formed only for a matrix ``at`` returns."""
-
-    def __init__(self, tuple_: HermitianTuple, blocks):
-        if len(blocks) != tuple_.d:
-            raise ContractError("representation rank must match tuple length")
-        self.kind = tuple_.kind
-        self.d = tuple_.d
-        self.side = tuple_.n * blocks[0].shape[0]
-        if self.kind == FLOAT:
-            self.blocks = tuple(blocks)
-            self.eye = np.eye(tuple_.n, dtype=complex)
-            self.l0 = kron(tuple_.matrices[0], self.blocks[0])
-            for x, b in zip(tuple_.matrices[1:], self.blocks[1:]):
-                self.l0 = self.l0 + kron(x, b)
-            self.l0.setflags(write=False)
-            return
-        check_same_kind(tuple_.matrices[0], *blocks)
-        dx, xr, xi = gaussian_integers(tuple_.matrices)
-        db, br, bi = gaussian_integers(blocks)
-        l0_re = l0_im = 0
-        for j in range(self.d):
-            l0_re = l0_re + kron(xr[j], br[j]) - kron(xi[j], bi[j])
-            l0_im = l0_im + kron(xr[j], bi[j]) + kron(xi[j], br[j])
-        unit = np.eye(tuple_.n, dtype=int).astype(object) * dx
-        re = np.stack([l0_re, *(kron(unit, b) for b in br)])
-        im = np.stack([l0_im, *(kron(unit, b) for b in bi)])
-        self.den, self.re, self.im = _lowest_terms(dx * db, re, im)
+    Every pencil comes from :meth:`from_gaussian_form`, the members
+    (re[k] + i im[k]) / den with L0 first, as :attr:`gaussian_form` gives
+    them back; :meth:`from_members` takes the members as matrices.  The
+    localizer pencils (:meth:`localizer`, :meth:`reduced`) are assembled by
+    one formula, ``_affine_pencil``.  Float pencils hold one read-only
+    complex128 stack ``members``, (d + 1, side, side).  Exact ones hold
+    ``den`` and read-only ``re`` and ``im``, object arrays of Python ints of
+    that shape in lowest terms; GaussianRational entries are formed only
+    for a matrix ``at`` returns."""
 
     @classmethod
     def localizer(cls, tuple_: HermitianTuple, rep: GammaRep | None = None) -> "Pencil":
@@ -143,18 +116,14 @@ class Pencil:
 
     @classmethod
     def from_members(cls, members) -> "Pencil":
-        """L(c) = members[0] - sum_k c_k members[k], all of one kind and
-        side, with no identity factor."""
-        if check_same_kind(*members) == EXACT:
-            return cls.from_gaussian_form(*gaussian_integers(members))
-        stack = np.stack(members)
-        return cls.from_gaussian_form(1, stack.real, stack.imag)
+        """L(c) = members[0] - sum_k c_k members[k], all of one kind and side."""
+        return cls.from_gaussian_form(*gaussian_form(members))
 
     @classmethod
     def from_gaussian_form(cls, den: int, re: np.ndarray, im: np.ndarray) -> "Pencil":
-        """The pencil of members (re[k] + i im[k]) / den, with no identity
-        factor: exact, in lowest terms, for object arrays of Python ints, or
-        float for float arrays, its complex members assembled part by part."""
+        """The pencil of members (re[k] + i im[k]) / den: exact, in lowest
+        terms, for object arrays of Python ints, or float for float arrays,
+        its complex members assembled part by part."""
         pencil = cls.__new__(cls)
         pencil.d, pencil.side = len(re) - 1, re.shape[1]
         if re.dtype == object:
@@ -162,10 +131,9 @@ class Pencil:
             pencil.den, pencil.re, pencil.im = _lowest_terms(den, re, im)
             return pencil
         pencil.kind = FLOAT
-        members = np.empty(re.shape, dtype=complex)
-        members.real, members.imag = re / den, im / den
-        members.setflags(write=False)
-        pencil.l0, pencil.blocks, pencil.eye = members[0], tuple(members[1:]), None
+        pencil.members = np.empty(re.shape, dtype=complex)
+        pencil.members.real, pencil.members.imag = re / den, im / den
+        pencil.members.setflags(write=False)
         return pencil
 
     @property
@@ -175,8 +143,7 @@ class Pencil:
         parts over 1."""
         if self.kind == EXACT:
             return self.den, self.re, self.im
-        members = np.stack([self.l0, *self.parts])
-        return 1, members.real, members.imag
+        return 1, self.members.real, self.members.imag
 
     @classmethod
     def laplace(cls, tuple_: HermitianTuple) -> "Pencil":
@@ -186,42 +153,54 @@ class Pencil:
         members = (laplace(tuple_), *(x * 2 for x in tuple_.matrices), -eye(tuple_.n, tuple_.kind))
         return cls.from_members(members)
 
-    def _lift(self, b: np.ndarray) -> np.ndarray:
-        """I (x) b, or b itself for a pencil without an identity factor."""
-        return b if self.eye is None else kron(self.eye, b)
-
     def at(self, lam) -> np.ndarray:
         """L(lam) for real lam: float, or GaussianRational entries when exact
         (lam then rational or real GaussianRational)."""
         if self.kind == FLOAT:
-            shift = sum((v * b for v, b in zip(lam[1:], self.blocks[1:])), lam[0] * self.blocks[0])
-            return self.l0 - self._lift(shift)
+            p = self.members[1:]
+            return self.members[0] - sum((v * m for v, m in zip(lam[1:], p[1:])), lam[0] * p[0])
         lam = [as_gaussian(v).re for v in lam]
         q = math.lcm(*(v.denominator for v in lam))
         c = np.array([int(v * q) for v in lam], dtype=object)[:, None, None]
         re, im = (part[0] * q - (c * part[1:]).sum(axis=0) for part in (self.re, self.im))
         return from_gaussian_integers(self.den * q, re, im)
 
-    @property
-    def parts(self) -> np.ndarray:
-        """The float P_k as one (d, side, side) stack, formed when read (build never reads it)."""
-        return np.stack([self._lift(b) for b in self.blocks])
-
     def at_rows(self, lam: np.ndarray) -> np.ndarray:
         """L(c) for each row c of lam, shape (count, d), in one buffer."""
-        mats = np.tensordot(lam, self.parts, axes=(1, 0))
-        return np.subtract(self.l0[None], mats, out=mats)
+        mats = np.tensordot(lam, self.members[1:], axes=(1, 0))
+        return np.subtract(self.members[0][None], mats, out=mats)
+
+
+def _affine_pencil(tuple_: HermitianTuple, blocks) -> Pencil:
+    """The pencil L0 = sum_j X_j (x) B_j, P_j = I (x) B_j, for blocks B_j of
+    the tuple's kind, formed on the Gaussian forms of the tuple and the
+    blocks: exactly on Python ints, or on float parts over 1.  L0 starts from
+    the j = 0 term and adds each further term whole, so a float pencil has
+    the bits of the complex sum of the kron(X_j, B_j)."""
+    if len(blocks) != tuple_.d:
+        raise ContractError("representation rank must match tuple length")
+    dx, xr, xi = gaussian_form(tuple_.matrices)
+    db, br, bi = gaussian_form(blocks)
+    terms = [
+        (kron(xr[j], br[j]) - kron(xi[j], bi[j]), kron(xr[j], bi[j]) + kron(xi[j], br[j]))
+        for j in range(tuple_.d)
+    ]
+    l0_re, l0_im = (sum(part[1:], part[0]) for part in zip(*terms))
+    unit = np.eye(tuple_.n, dtype=xr.dtype) * dx
+    re = np.stack([l0_re, *(kron(unit, b) for b in br)])
+    im = np.stack([l0_im, *(kron(unit, b) for b in bi)])
+    return Pencil.from_gaussian_form(dx * db, re, im)
 
 
 def _localizer_pencil(tuple_: HermitianTuple, rep: GammaRep | None = None) -> Pencil:
     rep = rep_for(tuple_.d) if rep is None else rep
-    return Pencil(tuple_, rep.gammas if tuple_.kind == EXACT else rep.float_gammas)
+    return _affine_pencil(tuple_, rep.gammas if tuple_.kind == EXACT else rep.float_gammas)
 
 
 def _reduced_pencil(tuple_: HermitianTuple) -> Pencil:
     rep = standard_rep(4)
-    exact = tuple_.kind == EXACT
-    return Pencil(tuple_, rep.off_diagonal_blocks if exact else rep.float_off_diagonal_blocks)
+    blocks = rep.off_diagonal_blocks if tuple_.kind == EXACT else rep.float_off_diagonal_blocks
+    return _affine_pencil(tuple_, blocks)
 
 
 @dataclass(frozen=True, eq=False)

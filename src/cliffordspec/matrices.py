@@ -8,9 +8,10 @@ package-wide by :func:`kron`: the *second* factor indexes the blocks,
 
 which is the opposite of ``numpy.kron``.  Every tensor product in the
 package routes through this one function, on float, GaussianRational or
-Python-int object arrays.  :func:`gaussian_integers` gives exact matrices
-their integer form, one common denominator and (re, im) arrays of Python
-ints, in which exact determinants and the localizer pencil compute.
+Python-int object arrays.  :func:`gaussian_form` gives matrices of either
+kind one common denominator and (re, im) parts: Python ints for exact
+matrices, in which exact determinants compute, float parts over 1 for float
+ones; every affine pencil is assembled on this form.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import ContractError, KindMismatchError
 from .scalars import EXACT, FLOAT, GaussianRational, as_gaussian
-from .tolerances import HERMITIAN_RTOL
+from .tolerances import ENTRY_BOUND, HERMITIAN_RTOL
 
 
 def exact_matrix(rows) -> np.ndarray:
@@ -108,10 +109,14 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (b[:, None, :, None] * a[None, :, None, :]).reshape(r * p, s * q)
 
 
-def gaussian_integers(mats) -> tuple:
-    """(den, re, im) for exact matrices of one shape: den is the lcm of the
-    entry denominators and den * mats[k] = re[k] + i im[k], with re and im
-    (k, rows, cols) object arrays of Python ints."""
+def gaussian_form(mats) -> tuple:
+    """(den, re, im) for matrices of one kind and shape, with
+    den * mats[k] = re[k] + i im[k]: for exact matrices den is the lcm of the
+    entry denominators and re and im are (k, rows, cols) object arrays of
+    Python ints, for float ones den is 1 and re and im the float parts."""
+    if check_same_kind(*mats) == FLOAT:
+        stack = np.stack(mats)
+        return 1, stack.real, stack.imag
     flat = [e for m in mats for e in m.reshape(-1)]
     den = math.lcm(*(e.re.denominator for e in flat), *(e.im.denominator for e in flat))
     shape = (len(mats), *mats[0].shape)
@@ -123,7 +128,7 @@ def gaussian_integers(mats) -> tuple:
 
 def from_gaussian_integers(den: int, re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """The exact matrix (re + i im) / den, for integer arrays re and im of one
-    shape: the inverse of :func:`gaussian_integers` for one matrix."""
+    shape: the inverse of :func:`gaussian_form` for one exact matrix."""
     out = [GaussianRational(Fraction(x, den), Fraction(y, den)) for x, y in zip(re.flat, im.flat)]
     return np.array(out, dtype=object).reshape(re.shape)
 
@@ -151,7 +156,10 @@ def is_hermitian(m: np.ndarray) -> bool:
         return False
     if kind_of(m) == EXACT:
         return bool(np.all(m == dagger(m)))
-    scale = float(np.linalg.norm(m)) or 1.0
+    # ||M||_F over the largest real or imaginary part, so that no square overflows
+    parts = np.stack((m.real, m.imag))
+    peak = max_abs(parts)
+    scale = peak * float(np.linalg.norm(parts / peak)) if peak else 1.0
     return max_abs(m - dagger(m)) <= HERMITIAN_RTOL * scale
 
 
@@ -195,6 +203,8 @@ class HermitianTuple:
                 raise ContractError(f"matrix {k} is not {n}x{n}")
             if kind == FLOAT and not np.isfinite(m).all():
                 raise ContractError(f"matrix {k} has a non-finite entry")
+            if kind == FLOAT and max_abs(m) > ENTRY_BOUND:
+                raise ContractError(f"matrix {k} has an entry beyond the bound {ENTRY_BOUND:g}")
             require_hermitian(m, f"matrix {k}")
         object.__setattr__(self, "matrices", mats)
         object.__setattr__(self, "kind", kind)

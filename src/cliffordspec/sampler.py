@@ -365,7 +365,7 @@ def sample(
     d = ft.d
     spec.validate_for(d)
     pencil = Pencil.localizer(ft)
-    ref = operator_norm(pencil.l0)
+    ref = operator_norm(pencil.members[0])
     # the largest |lambda| of the grid is at a corner: each coordinate's
     # largest square, summed in lambda order
     squares = {a.index: np.max(np.square(a.nodes())) for a in spec.axes}

@@ -31,3 +31,5 @@ SIGMA_MIN_PRUNE_RTOL = 1e-9
 # _coerce_lambda: the largest |lambda_j| a float query takes; squares and sums
 # of squares of such components, and of the entries of L_lambda, stay finite
 LAMBDA_BOUND = 1e150
+# HermitianTuple: the largest |entry| of a float tuple's matrices, for the same reason
+ENTRY_BOUND = 1e150

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -44,7 +45,7 @@ from cliffordspec.gallery import (
     torus_quadruple,
 )
 from cliffordspec.linalg import _gaussian_int_bareiss
-from cliffordspec.localizer import Pencil, build
+from cliffordspec.localizer import Pencil, _affine_pencil, build
 from cliffordspec.matrices import HermitianTuple, exact_matrix, to_float
 from cliffordspec.multipoly import MultiPoly, poly_equal, variables
 from cliffordspec.scalars import GaussianRational
@@ -431,7 +432,7 @@ def test_exact_interpolation_checks_raise(monkeypatch):
     rep = rep_for(3)
 
     def family():
-        return _char_family(Pencil(t, rep.gammas))
+        return _char_family(_affine_pencil(t, rep.gammas))
 
     # a degree bound one short still gives integer divided differences, so
     # only the held-out determinant can tell
@@ -592,3 +593,15 @@ def test_laplace_pencil_matches_former_float_assembly(t, seed):
     # at most about that times the unit roundoff
     scale = np.prod(np.linalg.norm(ops, axis=2), axis=1)
     assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+def test_float_polynomials_beyond_the_float_range_raise_contract_error():
+    # s^side of the rescaling overflows where the unit-scale polynomial does not
+    big = HermitianTuple([m * 1e40 for m in sykora_two_torus().as_float().matrices])
+    four = HermitianTuple([m * 1e40 for m in torus_quadruple(5).matrices])
+    cases = [(char_poly, big), (laplace_det_poly, big), (reduced_char_poly, four)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn, t in cases:
+            with pytest.raises(ContractError, match="to the power 1[02] is beyond the float range"):
+                fn(t)

@@ -1,6 +1,7 @@
 import json
 
 from cliffordspec.cli import main
+from cliffordspec.gallery import sykora_two_torus
 
 
 def run(capsys, *argv):
@@ -419,3 +420,21 @@ def test_unknown_kind_in_config_exits_2(tmp_path, capsys):
         code, out, err = run(capsys, "index", str(path), "--at", "0")
         assert code == 2, kind
         assert repr(kind) in err and not out, kind
+
+
+def _float_config(path, mats):
+    rows = [[[[str(z.real), str(z.imag)] for z in row] for row in m] for m in mats]
+    path.write_text(json.dumps({"kind": "float", "matrices": rows}))
+
+
+def test_float_range_probes_exit_2(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    anti = [[0, 1e300], [-1e300, 0]]
+    _float_config(path, [anti] * 3)
+    code, out, err = run(capsys, "index", str(path), "--at", "0", "0", "0")
+    assert code == 2 and not out
+    assert "matrix 0 has an entry beyond the bound" in err
+    _float_config(path, [m * 1e40 for m in sykora_two_torus().as_float().matrices])
+    code, out, err = run(capsys, "charpoly", str(path))
+    assert code == 2 and not out
+    assert "beyond the float range" in err and "Traceback" not in err

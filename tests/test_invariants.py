@@ -312,7 +312,7 @@ def _conjugated_members(pencil):
         members = from_gaussian_integers(pencil.den, pencil.re, pencil.im)
         return [GaussianRational(Fraction(1, 2)) * (dagger(q) @ m @ q) for m in members]
     q = to_float(q)
-    return [0.5 * (dagger(q) @ m @ q) for m in (pencil.l0, *pencil.parts)]
+    return [0.5 * (dagger(q) @ m @ q) for m in pencil.members]
 
 
 @settings(max_examples=40)
@@ -321,7 +321,7 @@ def test_float_skew_pencil_members_are_the_conjugated_members(n, seed):
     t = _random_self_dual_float_triple(np.random.default_rng(seed), n)
     pencil = Pencil.localizer(t, standard_rep(3))
     skew = _skew_pencil(pencil)
-    got = (skew.l0, *skew.blocks)
+    got = skew.members
     want = _conjugated_members(pencil)
     assert len(got) == len(want) == 4
     assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))

@@ -13,6 +13,7 @@ from cliffordspec.gallery import gamma_tuple, pauli, torus_quadruple
 from cliffordspec.linalg import determinant, operator_norm, smallest_eigen_magnitude
 from cliffordspec.localizer import (
     Pencil,
+    _affine_pencil,
     build,
     build_reduced,
     laplace,
@@ -274,6 +275,33 @@ def test_float_pencil_equals_former_assembly(d, n, scale, seed):
         assert np.array_equal(got, _reference_localizer(t, blocks, lam))
 
 
+def _former_float_pencil(tuple_, blocks, lam):
+    """The former float assembly: L0 the complex kron sum from the j = 0
+    term, the P_j = I (x) B_j, and L(lam) = L0 - I (x) sum_j lam_j B_j."""
+    l0 = kron(tuple_.matrices[0], blocks[0])
+    for x, b in zip(tuple_.matrices[1:], blocks[1:]):
+        l0 = l0 + kron(x, b)
+    unit = np.eye(tuple_.n, dtype=complex)
+    shift = sum((v * b for v, b in zip(lam[1:], blocks[1:])), lam[0] * blocks[0])
+    return [l0, *(kron(unit, b) for b in blocks)], l0 - kron(unit, shift)
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 5), st.integers(1, 5), _SCALES, st.integers(0, 2**32 - 1))
+def test_float_members_and_values_keep_the_former_float_bits(d, n, scale, seed):
+    rng = np.random.default_rng(seed)
+    t = HermitianTuple([x * scale for x in random_tuple(rng, d, n).matrices])
+    lam = [float(v) for v in rng.uniform(-2, 2, d) * scale]
+    cases = [(Pencil.localizer(t, rep), rep.float_gammas) for rep in _reps(d)]
+    if d == 4:
+        cases.append((Pencil.reduced(t), standard_rep(4).float_off_diagonal_blocks))
+    for pencil, blocks in cases:
+        members, value = _former_float_pencil(t, blocks, lam)
+        assert pencil.members.shape == (d + 1, *members[0].shape)
+        assert [m.tobytes() for m in pencil.members] == [m.tobytes() for m in members]
+        assert pencil.at(lam).tobytes() == value.tobytes()
+
+
 _ENTRY = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 
 
@@ -317,7 +345,7 @@ def test_exact_pencil_equals_former_assembly(case):
         want = _reference_localizer(t, blocks, lam)
         assert got.shape == want.shape
         assert all(a == b for a, b in zip(got.reshape(-1), want.reshape(-1)))
-        pencil = Pencil(t, blocks)
+        pencil = _affine_pencil(t, blocks)
         den, re, im = _reference_integer_stack(t, blocks)
         assert pencil.den == den
         assert np.array_equal(pencil.re, re) and np.array_equal(pencil.im, im)
@@ -388,8 +416,7 @@ def test_gaussian_form_round_trips_both_kinds(make):
         back = Pencil.from_gaussian_form(*pencil.gaussian_form)
         assert back.kind == pencil.kind and back.d == pencil.d and back.side == pencil.side
         if tup.kind == FLOAT:
-            members = (pencil.l0, *pencil.parts)
-            assert all(a.tobytes() == b.tobytes() for a, b in zip((back.l0, *back.blocks), members))
+            assert back.members.tobytes() == pencil.members.tobytes()
         else:
             assert back.den == pencil.den
             assert np.array_equal(back.re, pencil.re) and np.array_equal(back.im, pencil.im)

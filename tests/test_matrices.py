@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,8 @@ from cliffordspec.matrices import (
     kron,
     to_float,
 )
-from cliffordspec.invariants import dual
+from cliffordspec.invariants import dual, index
+from cliffordspec.linalg import hermitian_eigen
 from cliffordspec.scalars import GaussianRational
 
 
@@ -81,6 +83,25 @@ def test_tuple_rejects_empty_and_non_2d_matrices():
         HermitianTuple([np.complex128(1)])
     with pytest.raises(ContractError, match="matrix 1 is not 2x2"):
         HermitianTuple([float_matrix(np.eye(2)), np.zeros(2, dtype=complex)])
+
+
+def test_float_entries_beyond_the_bound_are_refused_without_overflow():
+    # ||M||_F of entries near 1e300 overflows; the anti-Hermitian m once
+    # passed the Hermitian check against an infinite scale
+    m = float_matrix([[0, 1e300], [-1e300, 0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractError, match="matrix 0 has an entry beyond the bound 1e\\+150"):
+            HermitianTuple([m, m, m])
+        with pytest.raises(ContractError, match="not Hermitian"):
+            hermitian_eigen(m)
+        big = float_matrix([[1e200, 1e200j], [-1e200j, 1e200]])
+        assert is_hermitian(big) and not is_hermitian(big * 1j)
+        with pytest.raises(ContractError, match="matrix 1 has an entry beyond the bound"):
+            HermitianTuple([float_matrix(np.eye(2)), big])
+        # the bound itself is taken
+        edge = float_matrix([[1e150, 0], [0, -1e150]])
+        assert index(HermitianTuple([edge, edge * 0, edge * 0]), [0.0, 0.0, 0.0]).value == 0
 
 
 def test_shift_and_direct_sum():

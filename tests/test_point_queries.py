@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliffordspec import invariants, variance
+from cliffordspec import invariants, localizer, variance
 from cliffordspec.cliffordrep import STANDARD_REPS, GammaRep, generated_rep, standard_rep
 from cliffordspec.errors import SingularAtTolerance, SymmetryError
 from cliffordspec.gallery import even_odd, pauli, self_dual_path, sykora_two_torus
 from cliffordspec.invariants import archetypal, archetypal_sign, graded_index, index
 from cliffordspec.linalg import default_tolerance, signature_gap
 from cliffordspec.localizer import Pencil
-from cliffordspec.matrices import EXACT, HermitianTuple, float_matrix, to_float
+from cliffordspec.matrices import EXACT, HermitianTuple, float_matrix, kron, to_float
 from cliffordspec.sampler import PFAFFIAN_SIGN, GridSpec, sample
 from cliffordspec.scalars import GaussianRational
 from cliffordspec.variance import certificate
@@ -97,7 +97,7 @@ def test_float_pencils_convert_no_gamma(monkeypatch):
 def _count_facts(monkeypatch) -> dict:
     """Call counters of the pencil assembly and of each held fact's make."""
     return {
-        "pencil": _count_calls(monkeypatch, Pencil, "__init__"),
+        "pencil": _count_calls(monkeypatch, localizer, "_affine_pencil"),
         "commutator_norm_sum": _count_calls(monkeypatch, variance, "commutator_norm_sum"),
         "require_self_dual_triple": _count_calls(
             monkeypatch, invariants, "require_self_dual_triple"
@@ -140,7 +140,7 @@ def test_held_arrays_refuse_writes():
     archetypal_sign(t, [0.1, 0.2, 0.3])
     held = [Pencil.localizer(ft), ft._held(invariants._self_dual_skew_pencil)]
     held.append(Pencil.reduced(even_odd().as_float()))
-    arrays = [a for p in held for a in (p.l0, *p.blocks)]
+    arrays = [p.members for p in held]
     exact = Pencil.localizer(t)
     arrays += [exact.re, exact.im, *t.matrices, *ft.matrices]
     for a in arrays:
@@ -230,7 +230,9 @@ def test_standard_reps_are_formed_once():
     for d in range(1, 5):
         assert standard_rep(d).float_gammas is STANDARD_REPS[d].float_gammas
     t = _fresh_float(pauli())
-    assert all(a is b for a, b in zip(Pencil.localizer(t, standard_rep(3)).blocks, standard_rep(3).float_gammas))
+    parts = Pencil.localizer(t, standard_rep(3)).members[1:]
+    lifted = [kron(np.eye(t.n, dtype=complex), g) for g in standard_rep(3).float_gammas]
+    assert [p.tobytes() for p in parts] == [g.tobytes() for g in lifted]
 
 
 def test_float_rep_images_leave_caller_arrays_writable():

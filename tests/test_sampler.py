@@ -891,7 +891,7 @@ def test_margin_from_the_axis_bounds_is_the_full_grid_margin(data):
     spec = GridSpec(tuple(axes), tuple((i, data.draw(value)) for i in sorted(fixed)))
     t = (pauli() if d == 3 else even_odd(0)).as_float()
     lam = _lambda_grid(spec, d)
-    ref = operator_norm(Pencil.localizer(t, rep_for(d)).l0)
+    ref = operator_norm(Pencil.localizer(t, rep_for(d)).members[0])
     want = SIGMA_MIN_PRUNE_RTOL * (ref + math.sqrt(np.max(np.sum(lam * lam, axis=1))))
     assert sample(t, spec, SIGMA_MIN)._values._margin.hex() == want.hex()
 
