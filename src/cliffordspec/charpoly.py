@@ -20,10 +20,11 @@ determinants of den * L, den the lcm of the entry denominators, so every
 divided difference is an exact integer division, the falling-factorial
 basis changes to monomials with integer (Stirling) coefficients, and
 1/den^side applies to the final terms only.  The node determinants come
-from batched eliminations in int64, one per prime p = 1 (mod 4) and chunk
-of up to 4096 nodes, under both embeddings i -> +-sqrt(-1) of Z[i] into F_p, recombined
-by CRT once the primes exceed twice a Hadamard bound (Abbott, Bronstein &
-Mulders, ISSAC 1999).  The held-out check evaluates the coefficients at
+from batched eliminations in int64, one per prime p = 1 (mod 4) and block
+of nodes (``parallel.blocks``, at 16 side^2 stack bytes per node), under
+both embeddings i -> +-sqrt(-1) of Z[i] into F_p, recombined by CRT once
+the primes exceed twice a Hadamard bound (Abbott, Bronstein & Mulders,
+ISSAC 1999).  The held-out check evaluates the coefficients at
 the non-node (side + 1, side + 2, ...) and compares with a fraction-free
 Bareiss determinant there, of the assembled localizer or, for the Laplace
 polynomial, of ``localizer.laplace``.
@@ -31,11 +32,11 @@ polynomial, of ``localizer.laplace``.
 Float tuples are first divided by s = max ||X_j||_2, so the pencil has unit
 scale.  det L is then sampled on the unit torus along a rank-1 lattice,
 lambda_j = w^(t g_j) for t = 0..M - 1 and w = exp(2 pi i / M), with
-batched complex128 determinants.  There lambda^alpha = w^(t key_alpha),
-key_alpha = alpha . g mod M, and every monomial of det L lies in the lower
-set; when the keys are distinct on it, no two coefficients share a
-frequency, and the 1-D FFT of the M values divided by M holds each c_alpha
-alone at index key_alpha (Kammerer, SIAM J. Numer. Anal. 2013; the tensor
+batched complex128 determinants, block by block.  There lambda^alpha =
+w^(t key_alpha), key_alpha = alpha . g mod M, and every monomial of det L
+lies in the lower set; when the keys are distinct on it, no two
+coefficients share a frequency, and the 1-D FFT of the M values divided by
+M holds each c_alpha alone at index key_alpha (Kammerer, SIAM J. Numer. Anal. 2013; the tensor
 torus FFT of Hromcik & Sebek, ECC 1999, is the case g_j = (side + 1)^j).
 The generator is g = (1, k, ..., k^(d - 1)) mod M, k the least integer
 >= side + 1 with k = 1 (mod d - 1) and M = (k^d - 1) / (d - 1).  Its keys
@@ -70,10 +71,9 @@ from .linalg import determinant, operator_norm
 from .localizer import Pencil, laplace
 from .matrices import EXACT, FLOAT, HermitianTuple
 from .multipoly import MultiPoly
+from .parallel import blocks
 from .scalars import GaussianRational
 from .tolerances import HELD_OUT_RTOL, REAL_COEFF_RTOL
-
-_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -216,28 +216,33 @@ def _modular_dets(pencil: tuple, coeffs: np.ndarray) -> tuple:
     object arrays of Python ints.
 
     Each prime p = 1 (mod 4) has a square root s of -1, so Z[i] maps to F_p
-    by i -> s and by i -> -s.  The stack is eliminated mod p under both, and
-    d+ = re + s im, d- = re - s im give re and im mod p.  Primes are added
-    until their product M exceeds four times the Hadamard bound (twice, and
-    one bit for the rounding of its float logarithm), and the residues
-    combine by CRT into the symmetric range (-M/2, M/2] (Abbott, Bronstein &
-    Mulders, ISSAC 1999)."""
+    by i -> s and by i -> -s.  The stack is eliminated mod p under both,
+    block by block of nodes, and d+ = re + s im, d- = re - s im give re and
+    im mod p.  Primes are added until their product M exceeds four times
+    the Hadamard bound of all the nodes (twice, and one bit for the
+    rounding of its float logarithm), and the residues combine by CRT into
+    the symmetric range (-M/2, M/2] (Abbott, Bronstein & Mulders, ISSAC
+    1999)."""
     bits = _hadamard_bits(pencil, coeffs)
     n = pencil[0].shape[1]
     count = len(coeffs)
     modulus = 1
     value = (np.zeros(count, dtype=object), np.zeros(count, dtype=object))
+    # a node's stack is two n x n int64 matrices, one per embedding
+    parts = blocks(count, 16 * n * n)
     for p, s in _primes():
         re, im = ((part % p).astype(np.int64) for part in pencil)
+        embedded = [(re + root * im) % p for root in (s, p - s)]
         c = coeffs % p
-        stack = np.empty((2, count, n, n), dtype=np.int64)
-        for members, root in zip(stack, (s, p - s)):
-            m = (re + root * im) % p
-            members[:] = m[0]
-            for k in range(1, len(m)):
-                members -= c[:, k - 1, None, None] * m[k]
-                members %= p
-        plus, minus = _det_mod(stack.reshape(2 * count, n, n), p).reshape(2, count)
+        plus, minus = np.empty((2, count), dtype=np.int64)
+        for part in parts:
+            stack = np.empty((2, part.stop - part.start, n, n), dtype=np.int64)
+            for members, m in zip(stack, embedded):
+                members[:] = m[0]
+                for k in range(1, len(m)):
+                    members -= c[part, k - 1, None, None] * m[k]
+                    members %= p
+            plus[part], minus[part] = _det_mod(stack.reshape(-1, n, n), p).reshape(2, -1)
         half = (p + 1) // 2
         residues = ((plus + minus) * half % p, (plus - minus) % p * pow(2 * s, -1, p) % p)
         inv = pow(modulus, -1, p)
@@ -327,12 +332,7 @@ def _interpolate(family: _Family) -> MultiPoly:
     expo = _lower_set(d, m)
     pencil = family.pencil
     if pencil.kind == EXACT:
-        coeffs = family.coeffs(expo)
-        chunks = [
-            _modular_dets((pencil.re, pencil.im), coeffs[i : i + _CHUNK])
-            for i in range(0, len(expo), _CHUNK)
-        ]
-        v = tuple(np.concatenate(part) for part in zip(*chunks))
+        v = _modular_dets((pencil.re, pencil.im), family.coeffs(expo))
         _newton_to_monomial(v, expo, m)
         den = pencil.den**pencil.side
         _validate_exact(family, expo, v, den)
@@ -345,9 +345,9 @@ def _interpolate(family: _Family) -> MultiPoly:
     # the phase t g_j mod modulus is reduced exactly in int64 before exp
     phase = np.arange(modulus, dtype=np.int64)[:, None] * g % modulus
     points = np.exp(2j * np.pi / modulus * phase)
-    vals = np.concatenate(
-        [family.float_dets(points[i : i + _CHUNK]) for i in range(0, modulus, _CHUNK)]
-    )
+    # a node's stack is one complex128 matrix
+    parts = blocks(modulus, 16 * pencil.side**2)
+    vals = np.concatenate([family.float_dets(points[part]) for part in parts])
     coeffs = np.fft.fft(vals)[keys] / modulus
     terms = {tuple(a): complex(c) for a, c in zip(expo.tolist(), coeffs)}
     poly = MultiPoly(d, terms, FLOAT).pruned()

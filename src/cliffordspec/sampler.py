@@ -12,7 +12,7 @@ Three indicator fields are supported:
   triples, which restores sign changes where the determinant is a square.
   It is the Pfaffian of (1/2) Q* L_lambda Q = A0 - sum_j lambda_j B_j, a
   ``Pencil`` formed by signed moves of the localizer's members and checked
-  skew once per grid, and assembled per chunk of nodes by ``at_rows``.
+  skew once per grid, and assembled per block of nodes by ``at_rows``.
 
 Every grid from ``sample`` is one on-demand field: an indicator is a
 reducer of matrix stacks (``eigvalsh``, batched ``det`` or the stacked
@@ -44,14 +44,17 @@ the full grid only the value.  A node left unsolved holds its bound,
 signed like the value at the coarser node that attains it, so the mesh
 reads the values, or the signs, it would read from the full field.  The
 first read of ``SpectrumGrid.values`` evaluates every node left in the
-same chunks; a node's value does not depend on the nodes that share its
-chunk, so the full field is bit-identical to evaluating every node at
-once.
+same blocks; a node's value does not depend on the nodes that share its
+block, so the full field is bit-identical to evaluating every node at
+once.  A det-sign or pfaffian-sign field whose values could pass the float
+range reduces its pencil scaled by one power of two (``_in_range``), which
+keeps every sign.
 
 Isosurfaces use marching tetrahedra on the Kuhn 6-tetrahedron cube split:
 the split tiles space consistently, has no ambiguous cases, and closed
-level sets yield closed meshes.  Every stage runs on whole arrays: fields
-per chunk of grid nodes (Pfaffians by a stacked Parlett-Reid), crossed
+level sets yield closed meshes.  Every stage runs on arrays: fields per
+block of grid nodes (Pfaffians by a stacked Parlett-Reid), the bounds and
+the candidate cubes slab by slab of grid rows (``parallel.blocks``), crossed
 edges from a 6 x 16 case table, one vertex per grid edge numbered by first
 encounter, and topology from unique-edge and component-label arrays.
 """
@@ -72,8 +75,8 @@ from .linalg import _pfaffian_parlett_reid, operator_norm
 from .localizer import Pencil
 from .matrices import HermitianTuple
 from .multipoly import MultiPoly, polar_radial_coefficients
-from .parallel import ordered_chunk_map
-from .tolerances import DEGENERATE_AREA, SIGMA_MIN_PRUNE_RTOL, TORUS_RESIDUAL_TOL
+from .parallel import blocks, ordered_chunk_map
+from .tolerances import DEGENERATE_AREA, LAMBDA_BOUND, SIGMA_MIN_PRUNE_RTOL, TORUS_RESIDUAL_TOL
 
 DET_SIGN = "det-sign"
 SIGMA_MIN = "sigma-min"
@@ -81,8 +84,10 @@ PFAFFIAN_SIGN = "pfaffian-sign"
 INDICATORS = (DET_SIGN, SIGMA_MIN, PFAFFIAN_SIGN)
 
 SIGMA_MIN_LEVEL_FACTOR = 1e-2  # default isolevel: 1e-2 * ||L_0||
-_CHUNK = 4096
 _LADDER = (4, 2, 1)  # on-demand lattice strides, coarse to fine
+# a pass over a slab of grid nodes (lattice bounds, cube classification)
+# holds about eight float64 or int64 arrays of the slab: its bytes per node
+_GRID_NODE_BYTES = 64
 
 
 @dataclass(frozen=True)
@@ -105,6 +110,8 @@ class AxisSpec:
                 raise ContractError(f"axis {self.index} needs a finite {name}, got {value}")
         if not self.lo < self.hi:
             raise ContractError("axis needs lo < hi")
+        if max(-self.lo, self.hi) > LAMBDA_BOUND:
+            raise ContractError(f"axis {self.index} reaches beyond the lambda bound {LAMBDA_BOUND:g}")
 
     def nodes(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.count)
@@ -119,6 +126,8 @@ class GridSpec:
         for i, v in self.fixed:
             if not math.isfinite(v):
                 raise ContractError(f"fixed lambda {i} must be finite, got {v}")
+            if abs(v) > LAMBDA_BOUND:
+                raise ContractError(f"fixed lambda {i} is beyond the lambda bound {LAMBDA_BOUND:g}")
 
     @staticmethod
     def cube(d: int, lo: float, hi: float, count: int, fixed: dict | None = None) -> "GridSpec":
@@ -211,16 +220,6 @@ def _lambda_grid(spec: GridSpec, d: int, flat: np.ndarray | None = None) -> np.n
     return out
 
 
-def _evaluate(run, rows: np.ndarray, threads: int | None) -> np.ndarray:
-    """run on the rows in chunks of _CHUNK nodes, in order; all finite."""
-    chunks = [rows[i : i + _CHUNK] for i in range(0, len(rows), _CHUNK)]
-    pieces = ordered_chunk_map(run, chunks, threads)
-    values = np.concatenate(pieces) if pieces else np.zeros(0)
-    if not np.all(np.isfinite(values)):
-        raise ArithmeticError("indicator field produced non-finite values")
-    return values
-
-
 def _sigma_min(m: np.ndarray) -> np.ndarray:
     """sigma_min of each Hermitian matrix of a stack: its least |eigenvalue|."""
     return np.min(np.abs(np.linalg.eigvalsh(m)), axis=1)
@@ -243,6 +242,7 @@ class _Field:
         self._spec = spec
         self._coords = [a.nodes() for a in spec.axes]
         self._threads = threads
+        self._node_bytes = 16 * pencil.side**2  # one complex128 matrix per node
         self._margin = margin  # the rounding slack of every bound
         size = math.prod(len(x) for x in self._coords)
         self._sigma = np.full(size, np.nan)  # sigma_min or its bound, coarse lattices
@@ -260,21 +260,27 @@ class _Field:
         m = self._pencil.at_rows(rows)
         sigma = _sigma_min(m)
         if self._bounds_values:
-            return np.column_stack([sigma, sigma])
+            return np.stack([sigma, sigma])
         source = m if self._source is self._pencil else self._source.at_rows(rows)
-        return np.column_stack([sigma, self._reduce(source)])
+        return np.stack([sigma, self._reduce(source)])
 
     def _solve(self, flat: np.ndarray, coarse: bool = False) -> None:
         """Evaluate the nodes of flat not yet solved, with sigma_min on a
-        coarse lattice."""
+        coarse lattice, one block of matrices per worker at a time."""
         flat = flat[~self._solved[flat]]
-        lam = _lambda_grid(self._spec, self._pencil.d, flat)
-        if coarse:
-            pairs = _evaluate(self._run_coarse, lam, self._threads).reshape(-1, 2)
-            self._sigma[flat], self._values[flat] = pairs.T
-        else:
-            self._values[flat] = _evaluate(self._run, lam, self._threads)
+        parts = [flat[part] for part in blocks(len(flat), self._node_bytes)]
+        ordered_chunk_map(lambda part: self._solve_block(part, coarse), parts, self._threads)
         self._solved[flat] = True
+
+    def _solve_block(self, flat: np.ndarray, coarse: bool) -> None:
+        lam = _lambda_grid(self._spec, self._pencil.d, flat)
+        out = self._run_coarse(lam) if coarse else self._run(lam)
+        if not np.all(np.isfinite(out)):
+            raise ArithmeticError("indicator field produced non-finite values")
+        if coarse:
+            self._sigma[flat], self._values[flat] = out
+        else:
+            self._values[flat] = out
 
     def complete(self) -> np.ndarray:
         with self._lock:
@@ -305,25 +311,48 @@ class _Field:
             if (level != 0 and not self._bounds_values) or self._solved.all():
                 self._solve(np.flatnonzero(~self._solved))
                 return values
-            sigma = self._sigma.reshape(shape)
             coarse = None
             for stride in _LADDER:
                 idx = [np.append(np.arange(0, n - 1, stride), n - 1) for n in shape]
-                sub = np.ix_(*idx)
-                flat = np.ravel_multi_index(sub, shape)
                 if coarse is None:
-                    self._solve(flat, coarse=True)
+                    flat = np.ravel_multi_index(np.ix_(*idx), shape).reshape(-1)
                 else:
-                    bound, placeholder = _coarse_bound(sigma, values, coords, idx, coarse)
-                    self._solve(flat[bound <= limit], coarse=stride > 1)
-                    solved = self._solved[flat]
-                    values[sub] = np.where(solved, values[sub], placeholder)
-                    if stride > 1:
-                        sigma[sub] = np.where(solved, sigma[sub], bound)
+                    flat = self._place(idx, coarse, limit, stride > 1)
+                self._solve(flat, coarse=stride > 1)
                 coarse = idx
             if self._bounds_values:
                 self._floor = max(self._floor, level + e)
         return values
+
+    def _place(self, idx, coarse, limit, hold_bounds) -> np.ndarray:
+        """Bound every node of the lattice idx from the coarser lattice
+        coarse; give each unsolved node whose bound exceeds limit its
+        placeholder (and its bound as sigma, if hold_bounds) and return the
+        row-major flat indices of the nodes left to solve.  It runs in slabs
+        of lattice rows along the first axis, in grid order, each cut at a
+        row of the coarser lattice, so a slab reads only coarse rows that
+        no earlier slab has written."""
+        shape = [len(x) for x in self._coords]
+        values = self._values.reshape(shape)
+        sigma = self._sigma.reshape(shape)
+        # slabs of about one block of rows, each ending where a coarse row starts
+        row_bytes = _GRID_NODE_BYTES * math.prod(len(i) for i in idx[1:])
+        starts = np.append(np.flatnonzero(np.isin(idx[0], coarse[0])), len(idx[0]))
+        ends = {int(starts[np.searchsorted(starts, p.stop)]) for p in blocks(len(idx[0]), row_bytes)}
+        edges = [0, *sorted(ends)]
+        need = []
+        for a, b in zip(edges, edges[1:]):
+            part = [idx[0][a:b], *idx[1:]]
+            sub = np.ix_(*part)
+            flat = np.ravel_multi_index(sub, shape)
+            bound, placeholder = _coarse_bound(sigma, values, self._coords, part, coarse)
+            read = bound <= limit
+            keep = self._solved[flat] | read
+            need.append(flat[read])
+            values[sub] = np.where(keep, values[sub], placeholder)
+            if hold_bounds:
+                sigma[sub] = np.where(keep, sigma[sub], bound)
+        return np.concatenate(need)
 
 
 def _coarse_bound(sigma, values, coords, idx, coarse):
@@ -337,16 +366,16 @@ def _coarse_bound(sigma, values, coords, idx, coarse):
         below = c[np.searchsorted(c, fine, side="right") - 1]
         above = c[np.searchsorted(c, fine, side="left")]
         sides.append([(n * step, (x[fine] - x[n]) ** 2) for n in (below, above)])
-    positive = values > 0
     bound = sign = None
     for pick in itertools.product(*sides):
         at = sum(np.ix_(*[n for n, _ in pick]))
         value = sigma.take(at) - np.sqrt(sum(np.ix_(*[d2 for _, d2 in pick])))
+        positive = values.take(at) > 0
         if bound is None:
-            bound, sign = value, positive.take(at)
+            bound, sign = value, positive
             continue
         better = value > bound
-        sign = (sign & ~better) | (positive.take(at) & better)
+        sign = (sign & ~better) | (positive & better)
         bound = np.maximum(bound, value)
     return bound, np.where(sign, bound, -bound)
 
@@ -370,8 +399,9 @@ def sample(
     # largest square, summed in lambda order
     squares = {a.index: np.max(np.square(a.nodes())) for a in spec.axes}
     squares.update((i, float(v) * float(v)) for i, v in spec.fixed)
-    # the rounding slack of every bound; ||L_lambda|| <= ref + |lambda|
-    margin = SIGMA_MIN_PRUNE_RTOL * (ref + math.sqrt(np.sum([squares[i] for i in range(d)])))
+    # ||L_lambda|| <= ref + |lambda| <= reach on the grid
+    reach = ref + math.sqrt(np.sum([squares[i] for i in range(d)]))
+    margin = SIGMA_MIN_PRUNE_RTOL * reach  # the rounding slack of every bound
     # each indicator reduces stacks of the localizer's matrices, or of the
     # skew pencil's for pfaffian-sign
     source, reduce = pencil, {
@@ -381,8 +411,23 @@ def sample(
     }[indicator]
     if indicator == PFAFFIAN_SIGN:
         source = ft._held(_self_dual_skew_pencil)
+    if indicator != SIGMA_MIN:
+        source = _in_range(source, reach)
     field = _Field(pencil, source, reduce, spec, margin, threads)
     return SpectrumGrid(spec, indicator, field, ref)
+
+
+def _in_range(pencil: Pencil, reach: float) -> Pencil:
+    """The float pencil scaled by 2^-e for the whole field, e >= 0 the least
+    integer with (2^-e reach)^side <= 2^1020, reach a bound on the norm of
+    the pencil's matrices on the grid.  Their determinants and Pfaffians
+    then stay within 2^1020 in modulus and keep their signs and zero set.
+    The pencil itself when e = 0."""
+    e = max(0, math.ceil(math.log2(reach) - 1020 / pencil.side))
+    if e == 0:
+        return pencil
+    _, re, im = pencil.gaussian_form
+    return Pencil.from_gaussian_form(2.0**e, re, im)
 
 
 def slice_4d(
@@ -436,15 +481,78 @@ def _case_table() -> np.ndarray:
 
 
 _CASE_EDGES = _case_table()
-_CASE_EDGE_COUNT = np.array([(0, 3, 4, 3, 0)[bin(code).count("1")] for code in range(16)])
+_CASE_EDGE_COUNT = np.array([(0, 3, 4, 3, 0)[bin(code).count("1")] for code in range(16)], dtype=np.int8)
 # triangles as edge-list positions by list length less 3: (ac, ad, bd), (ac, bd, bc)
-_CASE_TRIANGLES = np.array([[[0, 1, 2], [0, 0, 0]], [[0, 1, 3], [0, 3, 2]]])
+_CASE_TRIANGLES = np.array([[[0, 1, 2], [0, 0, 0]], [[0, 1, 3], [0, 3, 2]]], dtype=np.int8)
+# the distinct steps, as corner offsets, of the Kuhn tets' edges, lower end first
+_EDGE_STEPS = np.array(
+    sorted({tuple(abs(_CORNERS[a] - _CORNERS[b])) for t in _TETS for a, b in itertools.combinations(t, 2)})
+)
 
 
 def default_level(grid: SpectrumGrid) -> float:
     if grid.indicator == SIGMA_MIN:
         return SIGMA_MIN_LEVEL_FACTOR * grid.reference_norm
     return 0.0
+
+
+def _crossings(values: np.ndarray, level: float, index) -> tuple:
+    """The crossed (cube, tet) pairs of the field values at level, in walk
+    order, as their case codes and (P, 4) masks of the case edge slots in
+    use, and the grid edges of those slots, in the same order, as lower and
+    upper row-major node indices of dtype index.  Candidate cubes, whose
+    corner values straddle the level, are found slab by slab of cube rows."""
+    nx, ny, nz = values.shape
+    cands = []
+    for part in blocks(nx - 1, _GRID_NODE_BYTES * ny * nz):
+        f = values[part.start : part.stop + 1] - level
+        views = [f[dx : len(f) - 1 + dx, dy : ny - 1 + dy, dz : nz - 1 + dz] for dx, dy, dz in _CORNERS]
+        cmin, cmax = views[0].copy(), views[0].copy()
+        for view in views[1:]:
+            np.minimum(cmin, view, out=cmin)
+            np.maximum(cmax, view, out=cmax)
+        cand = np.argwhere((cmin <= 0.0) & (cmax > 0.0))
+        cand[:, 0] += part.start
+        cands.append(cand)
+
+    # row-major node index of each candidate cube's corners; each tet's code
+    base, offsets = (np.ravel_multi_index(x.T, values.shape) for x in (np.concatenate(cands), _CORNERS))
+    nodes = base.astype(index)[:, None] + offsets.astype(index)
+    codes = (values.reshape(-1)[nodes] - level > 0.0)[:, _TETS] @ (1 << np.arange(4, dtype=np.int8))
+
+    # crossed (cube, tet) pairs in walk order, and their edges as node pairs
+    cube, tet = (x.astype(index) for x in np.nonzero(_CASE_EDGE_COUNT[codes]))
+    code = codes[cube, tet]
+    used = np.arange(4) < _CASE_EDGE_COUNT[code][:, None]
+    corners = _CASE_EDGES[tet, code]
+    ends = [nodes[cube[:, None], corners[:, :, e]][used] for e in (0, 1)]
+    return code, used, np.minimum(*ends), np.maximum(*ends)
+
+
+def _triangles(values: np.ndarray, level: float, index) -> tuple:
+    """The triangles of the field values at level as (T, 3) vertex numbers,
+    and each vertex's grid edge as its lower and upper row-major nodes: one
+    vertex per grid edge, numbered by first encounter.  An edge's key is its
+    lower node and which of the Kuhn-tet edge steps leads to its upper one."""
+    code, used, lo, hi = _crossings(values, level, index)
+    steps = np.ravel_multi_index(_EDGE_STEPS.T, values.shape)
+    keys = lo * index(len(steps)) + np.searchsorted(steps, hi - lo).astype(index)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    slot_vertex = np.zeros(used.shape, dtype=index)
+    slot_vertex[used] = np.argsort(order).astype(index)[inverse]
+    first = first[order]
+    n_edges = _CASE_EDGE_COUNT[code]
+    tris = slot_vertex[np.arange(len(code), dtype=index)[:, None, None], _CASE_TRIANGLES[n_edges - 3]]
+    return tris[np.arange(2) < (n_edges - 2)[:, None]], (lo[first], hi[first])
+
+
+def _areas(vertices: np.ndarray, tris: np.ndarray) -> np.ndarray:
+    """Area of each triangle of the (T, 3) vertex index array tris."""
+    p0, p1, p2 = (vertices[tris[:, k]] for k in range(3))
+    cross = np.cross(p1 - p0, p2 - p0)
+    # row dot products round like np.linalg.norm of one vector; norm(axis=1) does not
+    return 0.5 * np.sqrt((cross[:, None, :] @ cross[:, :, None]).reshape(-1))
 
 
 def extract_isosurface(grid: SpectrumGrid, level: float | None = None) -> SpectrumMesh:
@@ -465,55 +573,24 @@ def extract_isosurface(grid: SpectrumGrid, level: float | None = None) -> Spectr
     if not math.isfinite(level):
         raise ContractError(f"isosurface level must be finite, got {level}")
     held = grid._values
-    f = (held.at_level(level) if isinstance(held, _Field) else grid.values) - level
-    nx, ny, nz = f.shape
-    flat_f = f.reshape(-1)
-
-    # candidate cubes: those whose corner values straddle 0
-    views = [f[dx : nx - 1 + dx, dy : ny - 1 + dy, dz : nz - 1 + dz] for dx, dy, dz in _CORNERS]
-    cmin, cmax = views[0].copy(), views[0].copy()
-    for view in views[1:]:
-        np.minimum(cmin, view, out=cmin)
-        np.maximum(cmax, view, out=cmax)
-    cand = np.argwhere((cmin <= 0.0) & (cmax > 0.0))
-
-    # row-major node index of each candidate cube's corners; each tet's code
-    offsets = (_CORNERS[:, 0] * ny + _CORNERS[:, 1]) * nz + _CORNERS[:, 2]
-    nodes = ((cand[:, 0] * ny + cand[:, 1]) * nz + cand[:, 2])[:, None] + offsets
-    codes = (flat_f[nodes] > 0.0)[:, _TETS] @ (1 << np.arange(4))
-
-    # crossed (cube, tet) pairs in walk order, and their edges as node pairs
-    cube, tet = np.nonzero(_CASE_EDGE_COUNT[codes])
-    code = codes[cube, tet]
-    n_edges = _CASE_EDGE_COUNT[code]
-    used = np.arange(4) < n_edges[:, None]
-    corners = _CASE_EDGES[tet, code]
-    ends = [nodes[cube[:, None], corners[:, :, e]][used] for e in (0, 1)]
-    lo, hi = np.minimum(*ends), np.maximum(*ends)
-
-    # one vertex per grid edge, numbered by first encounter
-    _, first, inverse = np.unique(lo * f.size + hi, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.argsort(order)
-    slot_vertex = np.zeros(used.shape, dtype=np.int64)
-    slot_vertex[used] = rank[inverse]
-
-    va, vb = lo[first[order]], hi[first[order]]
-    t = flat_f[va] / (flat_f[va] - flat_f[vb])
-    ia, ib = np.unravel_index(va, f.shape), np.unravel_index(vb, f.shape)
-    vertices = np.zeros((len(va), 3))
+    values = held.at_level(level) if isinstance(held, _Field) else grid.values
+    # every surface-sized index array is int32 when the edge keys fit
+    index = np.int32 if len(_EDGE_STEPS) * values.size < 2**31 else np.int64
+    tris, (va, vb) = _triangles(values, level, index)
+    flat = values.reshape(-1)
+    fa, fb = flat[va] - level, flat[vb] - level
+    t = fa / (fa - fb)
+    ia, ib = np.unravel_index(va, values.shape), np.unravel_index(vb, values.shape)
+    vertices = np.zeros((len(t), 3))
     for m, axis in enumerate(grid.spec.axes):
         x = axis.nodes()
         vertices[:, m] = x[ia[m]] + t * (x[ib[m]] - x[ia[m]])
 
-    local = _CASE_TRIANGLES[n_edges - 3]
-    tris = slot_vertex[np.arange(len(code))[:, None, None], local]
-    tris = tris[np.arange(2) < (n_edges - 2)[:, None]]
-    p0, p1, p2 = (vertices[tris[:, k]] for k in range(3))
-    cross = np.cross(p1 - p0, p2 - p0)
-    # row dot products round like np.linalg.norm of one vector; norm(axis=1) does not
-    area = 0.5 * np.sqrt((cross[:, None, :] @ cross[:, :, None]).reshape(-1))
-    triangles = tris[area > DEGENERATE_AREA]
+    # a triangle's area passes through about ten float64 rows of three
+    keep = np.ones(len(tris), dtype=bool)
+    for part in blocks(len(tris), 240):
+        keep[part] = _areas(vertices, tris[part]) > DEGENERATE_AREA
+    triangles = tris[keep]
 
     channel = None
     if grid.spec.fixed:
@@ -598,15 +675,12 @@ def torus_radius_profile(
 # export
 
 
-# rows formatted per write: one block's Python floats and text stay small
-_WRITE_ROWS = 1024
-
-
 def _write_rows(fh, line: str, rows: np.ndarray) -> None:
     """Write each row of the 2-D array rows through the %-format line, one
-    block of rows per write; '%.17g' % x is f"{x:.17g}"."""
-    for i in range(0, len(rows), _WRITE_ROWS):
-        block = rows[i : i + _WRITE_ROWS]
+    block of rows per write, a number counting as its Python float, its
+    list slot and its text; '%.17g' % x is f"{x:.17g}"."""
+    for part in blocks(len(rows), 64 * rows.shape[1]):
+        block = rows[part]
         fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
@@ -624,13 +698,17 @@ def export_mesh_obj(mesh: SpectrumMesh, path) -> None:
 
 
 def export_grid_csv(grid: SpectrumGrid, path) -> None:
-    """CSV of every node, row-major in axis order, 17 significant digits."""
+    """CSV of every node, row-major in axis order, 17 significant digits,
+    its lambda rows formed block by block."""
     d = len(grid.spec.axes) + len(grid.spec.fixed)
     header = ",".join([f"l{i + 1}" for i in range(d)] + ["value"])
-    rows = np.column_stack([_lambda_grid(grid.spec, d), grid.values.reshape(-1)])
+    line = ",".join(["%.17g"] * (d + 1)) + "\n"
+    values = grid.values.reshape(-1)
     try:
         with open(path, "w") as fh:
             fh.write(header + "\n")
-            _write_rows(fh, ",".join(["%.17g"] * (d + 1)) + "\n", rows)
+            for part in blocks(len(values), 64 * (d + 1)):
+                lam = _lambda_grid(grid.spec, d, np.arange(part.start, part.stop))
+                _write_rows(fh, line, np.column_stack([lam, values[part]]))
     except OSError as exc:
         raise OSError(f"writing CSV to {path}: {exc}") from exc

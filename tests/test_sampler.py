@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import former_exact_conjugation_unitary, random_tuple
 
+from cliffordspec import parallel
 from cliffordspec.charpoly import reduced_char_poly
 from cliffordspec.errors import ContractError
 from cliffordspec.gallery import (
@@ -30,7 +31,8 @@ from cliffordspec.linalg import (
     smallest_eigen_magnitude,
 )
 from cliffordspec.cliffordrep import rep_for
-from cliffordspec.tolerances import SIGMA_MIN_PRUNE_RTOL, TORUS_RESIDUAL_TOL
+from cliffordspec.matrices import HermitianTuple
+from cliffordspec.tolerances import ENTRY_BOUND, SIGMA_MIN_PRUNE_RTOL, TORUS_RESIDUAL_TOL
 from cliffordspec.localizer import Pencil, build
 from cliffordspec.sampler import (
     DET_SIGN,
@@ -39,7 +41,6 @@ from cliffordspec.sampler import (
     SIGMA_MIN,
     AxisSpec,
     SpectrumGrid,
-    _WRITE_ROWS,
     _lambda_grid,
     default_level,
     export_grid_csv,
@@ -72,6 +73,16 @@ def test_grid_spec_validation():
 def test_axis_bounds_must_be_finite(lo, hi, cause):
     with pytest.raises(ContractError, match=f"finite {cause},"):
         AxisSpec(0, lo, hi, 5)
+
+
+def test_grid_coordinates_are_bounded_like_lambda():
+    AxisSpec(0, -1e150, 1e150, 5)
+    GridSpec.cube(4, -1, 1, 5, fixed={3: -1e150})
+    for lo, hi in ((-2e150, 0.0), (0.0, 2e150)):
+        with pytest.raises(ContractError, match="axis 0 reaches beyond the lambda bound 1e"):
+            AxisSpec(0, lo, hi, 5)
+    with pytest.raises(ContractError, match="fixed lambda 3 is beyond the lambda bound 1e"):
+        GridSpec.cube(4, -1, 1, 5, fixed={3: 2e150})
 
 
 @pytest.mark.parametrize("count", [5.5, 5.0, "5", None])
@@ -311,12 +322,46 @@ _SPECIAL = np.array(
 )
 
 
-def test_exports_match_per_row_writer(tmp_path):
+def test_export_csv_of_several_blocks(tmp_path):
+    """A 27^3 grid is three blocks of CSV rows at the default budget; the
+    block-wise rows are the per-node writer's bytes."""
+    grid = sample(pauli(), GridSpec.cube(3, -1, 1, 27), DET_SIGN)
+    assert len(parallel.blocks(27**3, 64 * 4)) == 3
+    path = tmp_path / "grid.csv"
+    export_grid_csv(grid, path)
+    assert path.read_bytes() == _csv_reference(grid)
+
+
+def _at_entry_bound(tuple_):
+    """The tuple scaled to entries of modulus up to ENTRY_BOUND."""
+    ft = tuple_.as_float()
+    scale = ENTRY_BOUND / max(np.max(np.abs(m)) for m in ft.matrices)
+    return HermitianTuple([m * scale for m in ft.matrices])
+
+
+@pytest.mark.parametrize("make, indicator", [(pauli, DET_SIGN), (self_dual_path, PFAFFIAN_SIGN)])
+def test_sign_fields_at_the_entry_bound_keep_their_signs(make, indicator):
+    """det L and Pf pass the float range at entries of 1e150; the field is
+    scaled by one power of two instead of overflowing.  On [-1, 1]^3, lambda
+    is negligible against the entries, so every node has the sign of the
+    unscaled tuple's value at lambda = 0."""
+    spec = GridSpec.cube(3, -1.0, 1.0, 5)
+    grid = sample(_at_entry_bound(make()), spec, indicator)
+    at_zero = sample(make(), GridSpec.cube(3, -1.0, 1.0, 3), indicator).values[1, 1, 1]
+    assert at_zero != 0.0
+    assert np.all(np.isfinite(grid.values))
+    assert np.all(np.sign(grid.values) == np.sign(at_zero))
+    assert len(extract_isosurface(grid).triangles) == 0
+
+
+def test_exports_match_per_row_writer(tmp_path, monkeypatch):
     path = tmp_path / "out"
     # a sampled mesh with a channel, of several blocks of rows, and its
     # special-value twin
     mesh = extract_isosurface(slice_4d(even_odd(0), GridSpec.cube(4, -2.5, 2.5, 31, fixed={3: 0.3}), SIGMA_MIN))
-    assert len(mesh.vertices) > 4 * _WRITE_ROWS and mesh.channel is not None
+    # 97 rows of four numbers per block of the writer
+    monkeypatch.setattr(parallel, "BLOCK_BYTES", 97 * 4 * 64)
+    assert len(mesh.vertices) > 4 * 97 and mesh.channel is not None
     rng = np.random.default_rng(11)
     channel = rng.normal(size=len(mesh.vertices)) * 10.0 ** rng.integers(-300, 300, size=len(mesh.vertices))
     channel[: len(_SPECIAL)] = _SPECIAL
