@@ -19,11 +19,10 @@ import numpy as np
 
 from .errors import ContractError
 from .matrices import (
-    FLOAT,
     dagger,
+    defect_exceeds,
     exact_eye,
     exact_matrix,
-    exact_zeros,
     eye,
     kind_of,
     kron,
@@ -102,8 +101,8 @@ class RelationReport:
 
 
 def _embed_off_diagonal(block: np.ndarray) -> np.ndarray:
-    """[[0, B], [B*, 0]] as an exact matrix."""
-    zero = exact_zeros(block.shape)
+    """[[0, B], [B*, 0]], of B's kind."""
+    zero = 0 * block
     return np.block([[zero, block], [dagger(block), zero]])
 
 
@@ -170,31 +169,20 @@ def rep_for(d: int) -> GammaRep:
 
 
 def validate(rep: GammaRep) -> RelationReport:
-    """Check Hermiticity, involution, and pairwise anticommutation.
-
-    Exact representations must satisfy every relation with no tolerance;
-    float ones are allowed REP_RELATION_TOL of roundoff.
-    """
-    bad = []
-    kind = kind_of(rep.gammas[0])
-    cut = REP_RELATION_TOL if kind == FLOAT else 0.0
-    unit = eye(rep.g, kind)
+    """Check Hermiticity, involution, pairwise anticommutation and the
+    off-diagonal split by ``matrices.defect_exceeds``: exactly, or with
+    REP_RELATION_TOL of roundoff (against max |I| = 1) for float gammas."""
+    unit = eye(rep.g, kind_of(rep.gammas[0]))
+    defects = []
     for j, gm in enumerate(rep.gammas):
-        h = max_abs(gm - dagger(gm))
-        if h > cut:
-            bad.append(RelationViolation("hermitian", (j,), h))
-        s = max_abs(matmul(gm, gm) - unit)
-        if s > cut:
-            bad.append(RelationViolation("involution", (j,), s))
+        defects.append(("hermitian", (j,), gm - dagger(gm)))
+        defects.append(("involution", (j,), matmul(gm, gm) - unit))
     for j in range(rep.d):
         for k in range(j + 1, rep.d):
             a = matmul(rep.gammas[j], rep.gammas[k]) + matmul(rep.gammas[k], rep.gammas[j])
-            m = max_abs(a)
-            if m > cut:
-                bad.append(RelationViolation("anticommutation", (j, k), m))
-    if rep.off_diagonal_blocks is not None and kind != FLOAT:
+            defects.append(("anticommutation", (j, k), a))
+    if rep.off_diagonal_blocks is not None:
         for j, (gm, blk) in enumerate(zip(rep.gammas, rep.off_diagonal_blocks)):
-            m = max_abs(gm - _embed_off_diagonal(blk))
-            if m:
-                bad.append(RelationViolation("off_diagonal_split", (j,), m))
-    return RelationReport(tuple(bad))
+            defects.append(("off_diagonal_split", (j,), gm - _embed_off_diagonal(blk)))
+    bad = [(r, ix, x) for r, ix, x in defects if defect_exceeds(x, unit, REP_RELATION_TOL)]
+    return RelationReport(tuple(RelationViolation(r, ix, max_abs(x)) for r, ix, x in bad))

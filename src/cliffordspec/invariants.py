@@ -16,14 +16,8 @@ from numbers import Integral
 import numpy as np
 
 from .errors import ContractError, SymmetryError
-from .linalg import (
-    _exact_pfaffian,
-    _pfaffian_parlett_reid,
-    eigenvalue_signature_gap,
-    hermitian_eigenvalues,
-    signature_gap,
-)
-from .localizer import Pencil, _coerce_lambda, build
+from .linalg import _exact_pfaffian, _pfaffian_parlett_reid, eigenvalue_signature_gap
+from .localizer import Pencil, _coerce_lambda
 from .matrices import (
     EXACT,
     FLOAT,
@@ -31,7 +25,6 @@ from .matrices import (
     defect_exceeds,
     exact_matrix,
     eye,
-    kind_of,
     kron,
     matmul,
     max_abs,
@@ -81,11 +74,13 @@ def index(tuple_: HermitianTuple, lam, tol: float | None = None) -> IndexReport:
     """Half the signature of L_lambda for a triple, off the spectrum."""
     if tuple_.d != 3:
         raise ContractError("the half-signature index is defined for d = 3")
-    loc = build(tuple_.as_float(), lam=lam)
-    sig, gap = signature_gap(loc.matrix, tol)
+    ft = tuple_.as_float()
+    lam = _coerce_lambda(ft, lam)
+    # L_lambda is Hermitian at real lam: the tuple's matrices were checked on entry
+    sig, gap = eigenvalue_signature_gap(np.linalg.eigvalsh(Pencil.localizer(ft).at(lam)), tol)
     if sig % 2:
         raise ArithmeticError(f"odd localizer signature {sig}: numerical failure")
-    return IndexReport(loc.lam, "half-signature", sig // 2, gap)
+    return IndexReport(tuple(lam), "half-signature", sig // 2, gap)
 
 
 def index_along_path(
@@ -126,34 +121,35 @@ def dual(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_flag(m: np.ndarray, flag: str, grading) -> float:
+def _check_flag(m: np.ndarray, flag: str, grading) -> np.ndarray:
+    """The defect of flag on m, zero where it holds, with the grading in m's kind."""
     if flag == "symmetric":
-        return max_abs(m - m.T)
+        return m - m.T
     if flag == "anti-symmetric":
-        return max_abs(m + m.T)
+        return m + m.T
     if flag == "self-dual":
-        return max_abs(m - dual(m))
+        return m - dual(m)
     if flag in ("even", "odd"):
         if grading is None:
             raise ContractError("even/odd flags need a grading matrix")
-        g = to_float(grading) if kind_of(m) == FLOAT else grading
+        g = grading.astype(m.dtype, copy=False)
         mg = matmul(m, g)
         gm = matmul(g, m)
-        return max_abs(mg - gm) if flag == "even" else max_abs(mg + gm)
+        return mg - gm if flag == "even" else mg + gm
     raise ContractError(f"unknown symmetry flag {flag!r}")
 
 
 def validate_symmetry(tuple_: HermitianTuple, profile: SymmetryProfile) -> SymmetryReport:
-    """Check each asserted flag; exact matrices must satisfy them exactly."""
+    """Check each asserted flag by ``matrices.defect_exceeds`` against FLAG_RTOL;
+    a violation is max |defect| as a float, inf past the float range."""
     if len(profile.flags) != tuple_.d:
         raise ContractError("profile must carry one flag set per matrix")
     results = []
     for k, (m, flags) in enumerate(zip(tuple_.matrices, profile.flags)):
-        scale = max_abs(m) or 1.0
         for flag in sorted(flags):
-            v = _check_flag(m, flag, profile.grading)
-            ok = v == 0.0 if tuple_.kind == EXACT else v <= FLAG_RTOL * scale
-            results.append(FlagResult(k, flag, ok, v))
+            defect = _check_flag(m, flag, profile.grading)
+            ok = not defect_exceeds(defect, m, FLAG_RTOL)
+            results.append(FlagResult(k, flag, ok, max_abs(defect)))
     return SymmetryReport(tuple(results))
 
 
@@ -172,8 +168,8 @@ def require_self_dual_triple(tuple_: HermitianTuple) -> None:
 def _skew_pencil(pencil: Pencil) -> Pencil:
     """The pencil (1/2) Q* L(lambda) Q = A0 - sum_j lambda_j B_j of a
     self-dual triple's localizer pencil; raises SymmetryError unless every
-    member is skew, which makes every member of the family skew.  Exact
-    members are checked as integer identities, float ones against their scale.
+    member is skew (``matrices.defect_exceeds`` against SKEW_CHECK_RTOL),
+    which makes every member of the family skew.
     Q = I + iS, S sending quarter block k to block 3 - k with signs (-, +, +, -),
     so each member M is moved: A = M - i S M, then (1/2) Q* M Q = (A + i A S) / 2,
     on the real and imaginary parts of M over den, and (1/2) doubles den."""
@@ -184,11 +180,7 @@ def _skew_pencil(pencil: Pencil) -> Pencil:
     re, im = re + sign[:, None] * im[:, perm], im - sign[:, None] * re[:, perm]
     re, im = re - sign * im[..., perm], im + sign * re[..., perm]
     skew = Pencil.from_gaussian_form(2 * den, re, im)
-    if skew.kind == EXACT:
-        bad = any(np.any(p + p.transpose(0, 2, 1)) for p in (skew.re, skew.im))
-    else:
-        bad = any(defect_exceeds(m + m.T, m, SKEW_CHECK_RTOL) for m in skew.members)
-    if bad:
+    if any(defect_exceeds(m + m.T, m, SKEW_CHECK_RTOL) for m in skew.matrices):
         raise SymmetryError(
             "conjugated localizer is not skew-symmetric; "
             "the Pfaffian needs the standard triple representation"
@@ -240,7 +232,7 @@ def archetypal(tuple_: HermitianTuple, lam):
     lam = _coerce_lambda(tuple_, lam)
     if tuple_.kind == EXACT:
         return _archetypal(skew, lam)
-    shift = _scale_exponent(hermitian_eigenvalues(Pencil.localizer(tuple_).at(lam)))
+    shift = _scale_exponent(np.linalg.eigvalsh(Pencil.localizer(tuple_).at(lam)))
     try:
         return math.ldexp(_archetypal(skew, lam, shift), shift * (skew.side // 2))
     except OverflowError:
@@ -253,7 +245,7 @@ def archetypal_sign(tuple_: HermitianTuple, lam, tol: float | None = None) -> In
         raise ContractError("the archetypal sign is defined for d = 3")
     ft = tuple_.as_float()
     lam = _coerce_lambda(ft, lam)
-    eigs = hermitian_eigenvalues(Pencil.localizer(ft).at(lam))
+    eigs = np.linalg.eigvalsh(Pencil.localizer(ft).at(lam))
     _, gap = eigenvalue_signature_gap(eigs, tol)  # raises on the spectrum
     value = _archetypal(ft._held(_self_dual_skew_pencil), lam, _scale_exponent(eigs))
     return IndexReport(tuple(lam), "archetypal-sign", 1 if value > 0 else -1, gap)
@@ -297,7 +289,7 @@ def graded_index(
     herm = 1j * (red.conj().T @ gamma_block)
     if defect_exceeds(herm - herm.conj().T, herm, GRADED_HERMITIAN_RTOL):
         raise SymmetryError("graded localizer is not Hermitian; grading invalid")
-    sig, gap = signature_gap(0.5 * (herm + herm.conj().T), tol)
+    sig, gap = eigenvalue_signature_gap(np.linalg.eigvalsh(0.5 * (herm + herm.conj().T)), tol)
     if sig % 2:
         raise ArithmeticError(f"odd graded signature {sig}: numerical failure")
     return IndexReport(tuple(lam), "graded-half-signature", sig // 2, gap)

@@ -176,8 +176,7 @@ def determinant(m: np.ndarray):
 def _require_skew(m: np.ndarray) -> None:
     if m.shape[0] != m.shape[1] or m.shape[0] % 2:
         raise ContractError("pfaffian needs an even-sided square matrix")
-    bad = np.any(m + m.T) if kind_of(m) == EXACT else defect_exceeds(m + m.T, m, SKEW_RTOL)
-    if bad:
+    if defect_exceeds(m + m.T, m, SKEW_RTOL):
         raise ContractError("matrix is not skew-symmetric")
 
 

@@ -141,14 +141,21 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def max_abs(m: np.ndarray) -> float:
-    """Largest entry magnitude as a float, 0.0 for an empty matrix."""
-    return float(np.max(np.abs(m), initial=0.0))
+    """Largest entry magnitude as a float, 0.0 for an empty matrix and inf
+    for an exact entry beyond the float range."""
+    try:
+        return float(np.max(np.abs(m), initial=0.0))
+    except OverflowError:
+        return math.inf
 
 
 def defect_exceeds(defect: np.ndarray, m: np.ndarray, rtol: float) -> bool:
-    """max |defect| > rtol * max |m| (1 for a zero m): the float check of a
-    symmetry such as M = -M^T, with defect = M + M^T, against the scale of M."""
-    return max_abs(defect) > rtol * (max_abs(m) or 1.0)
+    """Whether a symmetry such as M = -M^T, with defect = M + M^T, fails: an
+    exact defect on any nonzero entry, with no float conversion, a float one
+    unless max |defect| <= rtol * max |m| (1 for a zero m), so a NaN fails."""
+    if kind_of(defect) == EXACT:
+        return bool(np.any(defect))
+    return not max_abs(defect) <= rtol * (max_abs(m) or 1.0)
 
 
 def is_hermitian(m: np.ndarray) -> bool:
