@@ -156,14 +156,17 @@ def _hadamard_bits(pencil: tuple, coeffs: np.ndarray) -> float:
     """An upper bound on log2 |det| over the members of the stack
     pencil[0] - sum_k coeffs[:, k] pencil[k + 1]: by Hadamard's inequality
     and the triangle inequality on each row,
-    |det| <= prod_i (|row_i of pencil[0]| + sum_k |c_k| |row_i of pencil[k + 1]|)."""
+    |det| <= prod_i (|row_i of pencil[0]| + sum_k |c_k| |row_i of pencil[k + 1]|).
+    Where the row sums could pass the float range, the norms are taken over
+    2^shift, rounded up, and the bound gains shift bits a row; elsewhere
+    shift is 0 and the bits are the unscaled ones."""
     re, im = pencil
-    norms = np.array(
-        [math.isqrt(int(x)) + 1 for x in (re * re + im * im).sum(axis=2).reshape(-1)],
-        dtype=float,
-    ).reshape(re.shape[:2])
+    norms = [math.isqrt(int(x)) + 1 for x in (re * re + im * im).sum(axis=2).reshape(-1)]
+    reach = 1 + int(np.abs(coeffs).sum(axis=1).max(initial=0))
+    shift = max(0, max(norms).bit_length() + reach.bit_length() - 1020)
+    norms = np.array([-(-x >> shift) for x in norms], dtype=float).reshape(re.shape[:2])
     rows = norms[0] + np.abs(coeffs) @ norms[1:]
-    return float(np.log2(rows).sum(axis=1).max())
+    return float(np.log2(rows).sum(axis=1).max()) + shift * re.shape[1]
 
 
 def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:

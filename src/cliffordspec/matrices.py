@@ -235,11 +235,19 @@ class HermitianTuple:
 
     def as_float(self) -> "HermitianTuple":
         """The float-kind tuple: self, or for an exact tuple one held image
-        shared by every call, converted (and checked Hermitian) on the first."""
+        shared by every call, converted (and checked Hermitian) on the first;
+        an exact entry beyond ENTRY_BOUND raises ContractError."""
         return self if self.kind == FLOAT else self._held(HermitianTuple._float_image)
 
     def _float_image(self) -> "HermitianTuple":
-        return HermitianTuple([to_float(m) for m in self.matrices])
+        mats = []
+        for k, m in enumerate(self.matrices):
+            try:
+                mats.append(to_float(m))
+            except OverflowError:  # past the float range, so past ENTRY_BOUND too
+                what = f"matrix {k} has an entry beyond the bound {ENTRY_BOUND:g}"
+                raise ContractError(what) from None
+        return HermitianTuple(mats)
 
     def shifted(self, mu) -> "HermitianTuple":
         """Subtract mu_j from the diagonal of each matrix."""

@@ -586,10 +586,16 @@ def extract_isosurface(grid: SpectrumGrid, level: float | None = None) -> Spectr
         x = axis.nodes()
         vertices[:, m] = x[ia[m]] + t * (x[ib[m]] - x[ia[m]])
 
+    # edges are at most the widest axis span long; past 2^250 the vertices,
+    # and so the edges, are scaled by 2^-shift and the cut by 4^-shift, so
+    # that no squared area overflows
+    shift = max(0, math.frexp(max(a.hi - a.lo for a in grid.spec.axes))[1] - 250)
+    scaled = np.ldexp(vertices, -shift) if shift else vertices
+    cut = math.ldexp(DEGENERATE_AREA, -2 * shift)
     # a triangle's area passes through about ten float64 rows of three
     keep = np.ones(len(tris), dtype=bool)
     for part in blocks(len(tris), 240):
-        keep[part] = _areas(vertices, tris[part]) > DEGENERATE_AREA
+        keep[part] = _areas(scaled, tris[part]) > cut
     triangles = tris[keep]
 
     channel = None

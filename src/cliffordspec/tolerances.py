@@ -1,7 +1,10 @@
 """The numerical tolerance policy: every float tolerance of the package, each
 a constant that no function takes as an option, imported from here by the
-function named beside it.  Exact-kind checks take none.  A ``_RTOL`` is
-relative to the scale named beside it, a ``_TOL`` (and DEGENERATE_AREA) is absolute.
+function named beside it.  Exact-kind checks take none: the symmetry flags,
+skewness and gamma relations decide in ``matrices.defect_exceeds``, the one
+place that rule lives, where an exact defect fails on any nonzero entry.  A
+``_RTOL`` is relative to the scale named beside it, a ``_TOL`` (and
+DEGENERATE_AREA) is absolute.
 """
 
 HERMITIAN_RTOL = 1e-12  # matrices.is_hermitian: max |M - M*| against ||M||_F
@@ -13,12 +16,14 @@ SKEW_RTOL = 1e-12  # linalg.pfaffian's input: max |M + M^T| against max |M|
 SKEW_CHECK_RTOL = 1e-10
 GRADED_HERMITIAN_RTOL = 1e-10  # graded_index: i L_red* (grading (x) I) against max |entry|
 FLAG_RTOL = 1e-12  # validate_symmetry: each float flag against max |X_j| (1 if zero)
-REP_RELATION_TOL = 1e-12  # cliffordrep.validate: roundoff in each float gamma relation
+REP_RELATION_TOL = 1e-12  # cliffordrep.validate: each float gamma relation against max |I| = 1
 HELD_OUT_RTOL = 1e-9  # charpoly held-out det residual against max(1, |det|, sum |c lambda^alpha|)
 REAL_COEFF_RTOL = 1e-9  # float char_poly imaginary part against its largest coefficient
 PRUNE_RTOL = 1e-12  # MultiPoly.pruned drops coefficients up to this * the largest
 POLY_EQUAL_SCALE_FLOOR = 1e-300  # poly_equal's scale floor, so zero polynomials compare
-DEGENERATE_AREA = 1e-12  # extract_isosurface drops triangles of no larger area
+# extract_isosurface drops triangles of no larger area (times 4^-shift when an
+# axis span past 2^250 scales the edge vectors by 2^-shift)
+DEGENERATE_AREA = 1e-12
 TORUS_RESIDUAL_TOL = 1e-10  # torus_radius_profile: |f| at which bisection stops
 UNIT_TOL = 1e-12  # expectation_variance, extract_w: unit norms and nonnegative variances
 # sample: the on-demand field's pruning margin, against ||L_0|| + max |lambda| of

@@ -40,6 +40,7 @@ from cliffordspec.gallery import (
     lemniscate_char_reference,
     pauli,
     scaled_gamma_reduced_reference,
+    scaled_pauli,
     sphere_char_reference,
     sykora_two_torus,
     torus_quadruple,
@@ -605,3 +606,13 @@ def test_float_polynomials_beyond_the_float_range_raise_contract_error():
         for fn, t in cases:
             with pytest.raises(ContractError, match="to the power 1[02] is beyond the float range"):
                 fn(t)
+
+
+def test_exact_char_poly_beyond_the_float_range_scales_exactly():
+    """The polynomial of c X has coefficients c^(side - |alpha|) c_alpha(X):
+    exactly, with no float, for c = 10^400, whose entries no float holds."""
+    c = 10**400
+    base = char_poly(pauli())
+    scaled = char_poly(scaled_pauli(c, c, c))
+    side = 4
+    assert scaled.terms == {a: v * c ** (side - sum(a)) for a, v in base.terms.items()}

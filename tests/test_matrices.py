@@ -18,9 +18,11 @@ from cliffordspec.matrices import (
     kron,
     to_float,
 )
-from cliffordspec.invariants import dual, index
+from cliffordspec.invariants import dual, graded_index, index
 from cliffordspec.linalg import hermitian_eigen
+from cliffordspec.sampler import GridSpec, sample
 from cliffordspec.scalars import GaussianRational
+from cliffordspec.variance import certificate
 
 
 def test_kron_blocks_indexed_by_second_factor():
@@ -102,6 +104,27 @@ def test_float_entries_beyond_the_bound_are_refused_without_overflow():
         # the bound itself is taken
         edge = float_matrix([[1e150, 0], [0, -1e150]])
         assert index(HermitianTuple([edge, edge * 0, edge * 0]), [0.0, 0.0, 0.0]).value == 0
+
+
+def test_exact_entries_beyond_the_float_range_are_refused_by_name():
+    """An exact tuple takes entries of any size; its float image, which the
+    float point queries and grids read, refuses them like a float tuple."""
+    big = exact_matrix([[10**400, 0], [0, 1]])
+    pauli_big = HermitianTuple([exact_matrix([[0, 1], [1, 0]]), exact_matrix([[1, 0], [0, -1]]), big])
+    even = exact_matrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]])
+    quad = HermitianTuple([even, even, even * 10**400, exact_matrix([[0] * 4] * 4)])
+    queries = [
+        lambda: pauli_big.as_float(),
+        lambda: index(pauli_big, [0, 0, 0]),
+        lambda: certificate(pauli_big, [0, 0, 0]),
+        lambda: sample(pauli_big, GridSpec.cube(3, -1, 1, 3), "det-sign"),
+        lambda: graded_index(quad, [0, 0, 0, 0]),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for query in queries:
+            with pytest.raises(ContractError, match="matrix 2 has an entry beyond the bound 1e\\+150"):
+                query()
 
 
 def test_shift_and_direct_sum():

@@ -354,6 +354,14 @@ def test_sign_fields_at_the_entry_bound_keep_their_signs(make, indicator):
     assert len(extract_isosurface(grid).triangles) == 0
 
 
+def test_mesh_of_a_grid_near_the_lambda_bound_has_finite_areas():
+    """Edges 2.5e149 long square past the float range in the area filter
+    unless scaled; tier-1 turns the overflow warning into an error."""
+    grid = sample(pauli(), GridSpec.cube(3, -1e150, 1e150, 9), SIGMA_MIN)
+    mesh = extract_isosurface(grid, 1e149)
+    assert len(mesh.triangles) and mesh_topology(mesh) == (2, 1)
+
+
 def test_exports_match_per_row_writer(tmp_path, monkeypatch):
     path = tmp_path / "out"
     # a sampled mesh with a channel, of several blocks of rows, and its
