@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ContractError, SymmetryError
 from .linalg import _exact_pfaffian, _pfaffian_parlett_reid, eigenvalue_signature_gap
-from .localizer import Pencil, _coerce_lambda
+from .localizer import Pencil, _coerce_lambda, build
 from .matrices import (
     EXACT,
     FLOAT,
@@ -74,13 +74,12 @@ def index(tuple_: HermitianTuple, lam, tol: float | None = None) -> IndexReport:
     """Half the signature of L_lambda for a triple, off the spectrum."""
     if tuple_.d != 3:
         raise ContractError("the half-signature index is defined for d = 3")
-    ft = tuple_.as_float()
-    lam = _coerce_lambda(ft, lam)
+    loc = build(tuple_.as_float(), lam=lam)
     # L_lambda is Hermitian at real lam: the tuple's matrices were checked on entry
-    sig, gap = eigenvalue_signature_gap(np.linalg.eigvalsh(Pencil.localizer(ft).at(lam)), tol)
+    sig, gap = eigenvalue_signature_gap(np.linalg.eigvalsh(loc.matrix), tol)
     if sig % 2:
         raise ArithmeticError(f"odd localizer signature {sig}: numerical failure")
-    return IndexReport(tuple(lam), "half-signature", sig // 2, gap)
+    return IndexReport(loc.lam, "half-signature", sig // 2, gap)
 
 
 def index_along_path(
@@ -168,8 +167,8 @@ def require_self_dual_triple(tuple_: HermitianTuple) -> None:
 def _skew_pencil(pencil: Pencil) -> Pencil:
     """The pencil (1/2) Q* L(lambda) Q = A0 - sum_j lambda_j B_j of a
     self-dual triple's localizer pencil; raises SymmetryError unless every
-    member is skew (``matrices.defect_exceeds`` against SKEW_CHECK_RTOL),
-    which makes every member of the family skew.
+    member is skew (``matrices.defect_exceeds`` on its real and imaginary
+    parts, against SKEW_CHECK_RTOL), which makes every member of the family skew.
     Q = I + iS, S sending quarter block k to block 3 - k with signs (-, +, +, -),
     so each member M is moved: A = M - i S M, then (1/2) Q* M Q = (A + i A S) / 2,
     on the real and imaginary parts of M over den, and (1/2) doubles den."""
@@ -179,13 +178,13 @@ def _skew_pencil(pencil: Pencil) -> Pencil:
     den, re, im = pencil.gaussian_form
     re, im = re + sign[:, None] * im[:, perm], im - sign[:, None] * re[:, perm]
     re, im = re - sign * im[..., perm], im + sign * re[..., perm]
-    skew = Pencil.from_gaussian_form(2 * den, re, im)
-    if any(defect_exceeds(m + m.T, m, SKEW_CHECK_RTOL) for m in skew.matrices):
+    parts = np.stack((re, im), axis=1)  # each member's real and imaginary parts
+    if any(defect_exceeds(p + p.swapaxes(1, 2), p, SKEW_CHECK_RTOL) for p in parts):
         raise SymmetryError(
             "conjugated localizer is not skew-symmetric; "
             "the Pfaffian needs the standard triple representation"
         )
-    return skew
+    return Pencil.from_gaussian_form(2 * den, re, im)
 
 
 def _self_dual_skew_pencil(tuple_: HermitianTuple) -> Pencil:

@@ -98,7 +98,7 @@ class Pencil:
     complex128 stack ``members``, (d + 1, side, side).  Exact ones hold
     ``den`` and read-only ``re`` and ``im``, object arrays of Python ints of
     that shape in lowest terms; GaussianRational entries are formed only
-    for the matrices ``at`` and ``matrices`` return."""
+    for a matrix ``at`` returns."""
 
     @classmethod
     def localizer(cls, tuple_: HermitianTuple, rep: GammaRep | None = None) -> "Pencil":
@@ -144,13 +144,6 @@ class Pencil:
         if self.kind == EXACT:
             return self.den, self.re, self.im
         return 1, self.members.real, self.members.imag
-
-    @property
-    def matrices(self) -> tuple:
-        """L0 and the P_k as matrices of the pencil's kind."""
-        if self.kind == EXACT:
-            return tuple(from_gaussian_integers(self.den, r, i) for r, i in zip(self.re, self.im))
-        return tuple(self.members)
 
     @classmethod
     def laplace(cls, tuple_: HermitianTuple) -> "Pencil":
