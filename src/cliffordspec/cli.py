@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands cover the package's capabilities with deterministic file
-outputs.  Exit codes: 2 config/usage error, 3 numeric or other failure
-inside a computation, 4 lambda on the spectrum, 5 symmetry violation, 6
-certified inequality violated.
+outputs.  The library checks its own inputs, and one table, _EXIT_CODES,
+maps its errors to exit codes: 2 config/usage error, 3 numeric or other
+failure inside a computation, 4 lambda on the spectrum, 5 symmetry
+violation, 6 certified inequality violated.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .charpoly import char_poly, reduced_char_poly
 from .errors import (
     ContractError,
     InterpolationError,
-    KindMismatchError,
     SingularAtTolerance,
     SymmetryError,
     TheoremViolation,
@@ -48,6 +48,16 @@ EXIT_NUMERIC = 3
 EXIT_ON_SPECTRUM = 4
 EXIT_SYMMETRY = 5
 EXIT_THEOREM = 6
+
+# each error's exit code, first match wins: a SymmetryError is a ContractError
+# (as is a KindMismatchError), and SingularAtTolerance an ArithmeticError
+_EXIT_CODES = (
+    (SymmetryError, EXIT_SYMMETRY),
+    ((ContractError, OSError), EXIT_CONFIG),
+    (SingularAtTolerance, EXIT_ON_SPECTRUM),
+    (TheoremViolation, EXIT_THEOREM),
+    ((InterpolationError, ArithmeticError, np.linalg.LinAlgError), EXIT_NUMERIC),
+)
 
 
 class _CliError(Exception):
@@ -122,7 +132,7 @@ def _tuple_from_doc(doc: dict) -> HermitianTuple:
 
 
 def _load_tuple(args) -> HermitianTuple:
-    if getattr(args, "example", None):
+    if args.example:
         params = {}
         for spec in args.param or []:
             key, _, value = spec.partition("=")
@@ -133,17 +143,13 @@ def _load_tuple(args) -> HermitianTuple:
         # unknown names and parameters raise ContractError (exit 2); any
         # other exception from a constructor is a fault (exit 3)
         return named_example(args.example, **params).tuple
-    if getattr(args, "config", None):
+    if args.config:
         return _load_config_file(args.config)
     raise _CliError(EXIT_CONFIG, "provide a JSON config path or --example NAME")
 
 
-def _add_tuple_args(sub):
-    sub.add_argument("config", nargs="?", help="JSON tuple description")
-    sub.add_argument("--example", help="named example from list-examples")
-    sub.add_argument(
-        "--param", action="append", metavar="KEY=VALUE", help="example parameter"
-    )
+def _join(values, spec="g") -> str:
+    return ",".join(format(v, spec) for v in values)
 
 
 def _cmd_list_examples(args) -> int:
@@ -154,13 +160,7 @@ def _cmd_list_examples(args) -> int:
 
 def _cmd_charpoly(args) -> int:
     tup = _load_tuple(args)
-    if args.reduced:
-        if tup.d != 4:
-            raise _CliError(EXIT_CONFIG, "--reduced needs a 4-tuple")
-        poly = reduced_char_poly(tup)
-    else:
-        poly = char_poly(tup)
-    text = to_text(poly)
+    text = to_text((reduced_char_poly if args.reduced else char_poly)(tup))
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -169,55 +169,44 @@ def _cmd_charpoly(args) -> int:
     return 0
 
 
+_QUERIES = {"half": index, "arch": archetypal_sign, "graded": graded_index}
+
+
 def _cmd_index(args) -> int:
     tup = _load_tuple(args)
     on_spectrum = False
     for lam in args.at:
-        if len(lam) != tup.d:
-            raise _CliError(EXIT_CONFIG, f"--at needs {tup.d} components")
         try:
-            if args.kind == "half":
-                rep = index(tup, lam, args.tol)
-            elif args.kind == "arch":
-                rep = archetypal_sign(tup, lam, args.tol)
-            else:
-                rep = graded_index(tup, lam, tol=args.tol)
-            lam_text = ",".join(f"{v:g}" for v in rep.lam)
-            print(f"lambda={lam_text} gap={rep.gap:.6e} index={rep.value}")
+            rep = _QUERIES[args.kind](tup, lam, tol=args.tol)
         except SingularAtTolerance as exc:
-            lam_text = ",".join(f"{float(v):g}" for v in lam)
-            print(f"lambda={lam_text} gap={exc.gap:.6e} index=on-spectrum")
+            print(f"lambda={_join(lam)} gap={exc.gap:.6e} index=on-spectrum")
             on_spectrum = True
+        else:
+            print(f"lambda={_join(rep.lam)} gap={rep.gap:.6e} index={rep.value}")
     return EXIT_ON_SPECTRUM if on_spectrum else 0
 
 
-def _grid_spec_from_args(args, d: int) -> GridSpec:
-    fixed = {}
-    for spec in args.fix or []:
-        key, _, value = spec.partition("=")
-        if not value:
-            raise _CliError(EXIT_CONFIG, f"malformed --fix {spec!r}; use axis=value")
-        with _config_errors(f"--fix {spec!r}"):
-            fixed[int(key)] = float(value)
-    lo, hi = args.range
-    return GridSpec.cube(d, lo, hi, args.res, fixed)
-
-
-def _summarize_mesh(mesh, min_indicator: float) -> None:
-    print(
-        f"vertices={len(mesh.vertices)} triangles={len(mesh.triangles)} "
-        f"min_indicator={min_indicator:.6e}"
-    )
-
-
-def _cmd_mesh(args, need_fixed: bool = False) -> int:
+def _sampled(args):
+    """The grid of mesh, slice and grid; a mesh's 3 axes are checked before
+    any node is evaluated."""
     tup = _load_tuple(args)
-    spec = _grid_spec_from_args(args, tup.d)
-    if need_fixed and not spec.fixed:
+    fixed = {}
+    for fix in args.fix or []:
+        key, _, value = fix.partition("=")
+        if not value:
+            raise _CliError(EXIT_CONFIG, f"malformed --fix {fix!r}; use axis=value")
+        with _config_errors(f"--fix {fix!r}"):
+            fixed[int(key)] = float(value)
+    spec = GridSpec.cube(tup.d, *args.range, args.res, fixed)
+    if args.command == "slice" and not spec.fixed:
         raise _CliError(EXIT_CONFIG, "slicing needs --fix axis=value")
-    if len(spec.axes) != 3:
+    if args.command != "grid" and len(spec.axes) != 3:
         raise _CliError(EXIT_CONFIG, "meshing needs exactly 3 sampled axes")
-    grid = sample(tup, spec, args.indicator, threads=args.threads)
+    return sample(tup, spec, args.indicator, threads=args.threads)
+
+
+def _cmd_mesh(args) -> int:
+    grid = _sampled(args)
     # the least value of a sign field completes it; read first, the mesh then
     # takes the full field and solves no coarse sigma_min.  A sigma-min field's
     # is settled by the nodes its mesh solves
@@ -225,14 +214,16 @@ def _cmd_mesh(args, need_fixed: bool = False) -> int:
     mesh = extract_isosurface(grid, args.level)
     if args.out:
         export_mesh_obj(mesh, args.out)
-    _summarize_mesh(mesh, grid.min_value if least is None else least)
+    least = grid.min_value if least is None else least
+    print(
+        f"vertices={len(mesh.vertices)} triangles={len(mesh.triangles)} "
+        f"min_indicator={least:.6e}"
+    )
     return 0
 
 
 def _cmd_grid(args) -> int:
-    tup = _load_tuple(args)
-    spec = _grid_spec_from_args(args, tup.d)
-    grid = sample(tup, spec, args.indicator, threads=args.threads)
+    grid = _sampled(args)
     if args.out:
         export_grid_csv(grid, args.out)
     print(
@@ -244,16 +235,13 @@ def _cmd_grid(args) -> int:
 def _cmd_variance(args) -> int:
     tup = _load_tuple(args)
     for lam in args.at:
-        if len(lam) != tup.d:
-            raise _CliError(EXIT_CONFIG, f"--at needs {tup.d} components")
         cert = certificate(tup, lam=lam)
-        lam_text = ",".join(f"{v:g}" for v in cert.lam)
-        e_text = ",".join(f"{v:.9g}" for v in cert.expectations)
-        var_text = ",".join(f"{v:.9g}" for v in cert.variances)
+        lam_text = _join(cert.lam)
         verdict = "HOLDS" if cert.holds else "VIOLATED"
         print(
-            f"lambda={lam_text} epsilon={cert.epsilon:.9g} E={e_text} "
-            f"Var={var_text} lhs={cert.lhs:.9g} rhs={cert.rhs:.9g} {verdict}"
+            f"lambda={lam_text} epsilon={cert.epsilon:.9g} "
+            f"E={_join(cert.expectations, '.9g')} Var={_join(cert.variances, '.9g')} "
+            f"lhs={cert.lhs:.9g} rhs={cert.rhs:.9g} {verdict}"
         )
         if not cert.holds:
             raise TheoremViolation(
@@ -263,6 +251,23 @@ def _cmd_variance(args) -> int:
     return 0
 
 
+def _tuple_command(subs, name, help_text, run, points=False):
+    """A subcommand that runs run(args) on a tuple, and with points, on the
+    lambda values of each --at."""
+    sp = subs.add_parser(name, help=help_text)
+    sp.set_defaults(run=run)
+    sp.add_argument("config", nargs="?", help="JSON tuple description")
+    sp.add_argument("--example", help="named example from list-examples")
+    sp.add_argument(
+        "--param", action="append", metavar="KEY=VALUE", help="example parameter"
+    )
+    if points:
+        sp.add_argument(
+            "--at", action="append", nargs="+", type=float, required=True, metavar="L"
+        )
+    return sp
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cliffordspec",
@@ -270,95 +275,59 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    subs.add_parser("list-examples", help="print gallery example names")
+    sp = subs.add_parser("list-examples", help="print gallery example names")
+    sp.set_defaults(run=_cmd_list_examples)
 
-    sp = subs.add_parser("charpoly", help="characteristic polynomial")
-    _add_tuple_args(sp)
+    sp = _tuple_command(subs, "charpoly", "characteristic polynomial", _cmd_charpoly)
     sp.add_argument("--reduced", action="store_true", help="half-size d=4 polynomial")
     sp.add_argument("--out", help="output file (canonical polynomial text)")
 
-    sp = subs.add_parser("index", help="topological index at points")
-    _add_tuple_args(sp)
-    sp.add_argument(
-        "--at", action="append", nargs="+", type=float, required=True, metavar="L"
+    sp = _tuple_command(
+        subs, "index", "topological index at points", _cmd_index, points=True
     )
-    sp.add_argument("--kind", choices=("half", "arch", "graded"), default="half")
+    sp.add_argument("--kind", choices=tuple(_QUERIES), default="half")
     sp.add_argument("--tol", type=float, default=None)
 
-    for name, help_text in (
-        ("mesh", "isosurface mesh (OBJ)"),
-        ("slice", "mesh of a 4D slice (OBJ with 4th-coordinate channel)"),
+    # slice runs _cmd_mesh, which tells it from mesh by args.command
+    for name, help_text, run in (
+        ("mesh", "isosurface mesh (OBJ)", _cmd_mesh),
+        ("slice", "mesh of a 4D slice (OBJ with 4th-coordinate channel)", _cmd_mesh),
+        ("grid", "raw indicator field (CSV)", _cmd_grid),
     ):
-        sp = subs.add_parser(name, help=help_text)
-        _add_tuple_args(sp)
+        mesh = run is _cmd_mesh
+        sp = _tuple_command(subs, name, help_text, run)
         sp.add_argument("--threads", type=int, default=None, help="worker cap")
         sp.add_argument("--range", nargs=2, type=float, default=(-2.0, 2.0))
-        sp.add_argument("--res", type=int, default=41)
+        sp.add_argument("--res", type=int, default=41 if mesh else 21)
         sp.add_argument("--indicator", choices=INDICATORS, default=SIGMA_MIN)
-        sp.add_argument("--level", type=float, default=None)
+        if mesh:
+            sp.add_argument("--level", type=float, default=None)
         sp.add_argument("--fix", action="append", metavar="AXIS=VALUE")
-        sp.add_argument("--out", help="output OBJ path")
+        sp.add_argument("--out", help=f"output {'OBJ' if mesh else 'CSV'} path")
 
-    sp = subs.add_parser("grid", help="raw indicator field (CSV)")
-    _add_tuple_args(sp)
-    sp.add_argument("--threads", type=int, default=None, help="worker cap")
-    sp.add_argument("--range", nargs=2, type=float, default=(-2.0, 2.0))
-    sp.add_argument("--res", type=int, default=21)
-    sp.add_argument("--indicator", choices=INDICATORS, default=SIGMA_MIN)
-    sp.add_argument("--fix", action="append", metavar="AXIS=VALUE")
-    sp.add_argument("--out", help="output CSV path")
-
-    sp = subs.add_parser("variance", help="variance certificate at points")
-    _add_tuple_args(sp)
-    sp.add_argument(
-        "--at", action="append", nargs="+", type=float, required=True, metavar="L"
+    _tuple_command(
+        subs, "variance", "variance certificate at points", _cmd_variance, points=True
     )
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "list-examples": _cmd_list_examples,
-        "charpoly": _cmd_charpoly,
-        "index": _cmd_index,
-        "mesh": lambda a: _cmd_mesh(a, need_fixed=False),
-        "slice": lambda a: _cmd_mesh(a, need_fixed=True),
-        "grid": _cmd_grid,
-        "variance": _cmd_variance,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (KindMismatchError, SymmetryError) as exc:
-        # symmetry problems get their own exit code; kind mixing is config
-        code = EXIT_SYMMETRY if isinstance(exc, SymmetryError) else EXIT_CONFIG
+        return args.run(args)
+    except Exception as exc:
+        if isinstance(exc, _CliError):
+            code = exc.code
+        else:
+            code = next((c for types, c in _EXIT_CODES if isinstance(exc, types)), None)
+        if code is None:
+            # input errors were turned into _CliError where they were parsed, so
+            # anything else is a failure inside a computation
+            traceback.print_exc()
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return EXIT_NUMERIC
         print(f"error: {exc}", file=sys.stderr)
         return code
-    except ContractError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SingularAtTolerance as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ON_SPECTRUM
-    except TheoremViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_THEOREM
-    except (InterpolationError, ArithmeticError, np.linalg.LinAlgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except Exception as exc:
-        # input errors were turned into _CliError where they were parsed, so
-        # anything else is a failure inside a computation
-        traceback.print_exc()
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

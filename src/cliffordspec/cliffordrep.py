@@ -13,7 +13,8 @@ no tolerance at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,22 +51,21 @@ class GammaRep:
     upper-right blocks when every gamma is block off-diagonal.
 
     ``float_gammas`` and ``float_off_diagonal_blocks`` are read-only
-    complex128 images of both, formed once with the representation, so that
-    a float localizer reads them instead of converting."""
+    complex128 images of both, formed on first read and held, so that a
+    float localizer reads them instead of converting; an exact entry past
+    the float range raises ContractError there, naming its matrix."""
 
     gammas: tuple
     off_diagonal_blocks: tuple | None = None
-    float_gammas: tuple = field(init=False, repr=False)
-    float_off_diagonal_blocks: tuple | None = field(init=False, repr=False)
 
-    def __post_init__(self):
+    @cached_property
+    def float_gammas(self) -> tuple:
+        return _float_images(self.gammas, "gamma")
+
+    @cached_property
+    def float_off_diagonal_blocks(self) -> tuple | None:
         blocks = self.off_diagonal_blocks
-        object.__setattr__(self, "float_gammas", read_only(*map(to_float, self.gammas)))
-        object.__setattr__(
-            self,
-            "float_off_diagonal_blocks",
-            None if blocks is None else read_only(*map(to_float, blocks)),
-        )
+        return None if blocks is None else _float_images(blocks, "off-diagonal block")
 
     @property
     def d(self) -> int:
@@ -78,6 +78,17 @@ class GammaRep:
     def as_float(self) -> tuple:
         """The gammas as float matrices: the shared read-only images."""
         return self.float_gammas
+
+
+def _float_images(mats, what: str) -> tuple:
+    """Read-only complex128 images of mats, each named by what and its place."""
+    images = []
+    for k, m in enumerate(mats):
+        try:
+            images.append(to_float(m))
+        except OverflowError:
+            raise ContractError(f"{what} {k} has an entry beyond the float range") from None
+    return read_only(*images)
 
 
 @dataclass(frozen=True)

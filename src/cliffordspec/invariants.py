@@ -26,6 +26,7 @@ from .matrices import (
     exact_matrix,
     eye,
     kron,
+    magnitude_text,
     matmul,
     max_abs,
     to_float,
@@ -155,12 +156,19 @@ def validate_symmetry(tuple_: HermitianTuple, profile: SymmetryProfile) -> Symme
 def require_self_dual_triple(tuple_: HermitianTuple) -> None:
     if tuple_.d != 3:
         raise SymmetryError("self-dual machinery needs a triple")
-    profile = SymmetryProfile((frozenset({"self-dual"}),) * 3)
+    _require_flags(tuple_, SymmetryProfile((frozenset({"self-dual"}),) * 3), "self-duality")
+
+
+def _require_flags(tuple_: HermitianTuple, profile: SymmetryProfile, what: str) -> None:
+    """validate_symmetry, raising SymmetryError at the first failed flag with
+    the size of its defect; what names the symmetry, its {} the flag."""
     report = validate_symmetry(tuple_, profile)
     if not report.ok:
         bad = report.failures()[0]
+        defect = _check_flag(tuple_.matrices[bad.matrix_index], bad.flag, profile.grading)
         raise SymmetryError(
-            f"matrix {bad.matrix_index} violates self-duality by {bad.violation:.3e}"
+            f"matrix {bad.matrix_index} violates {what.format(bad.flag)} "
+            f"by {magnitude_text(defect)}"
         )
 
 
@@ -273,13 +281,7 @@ def graded_index(
         raise SymmetryError("the graded index is defined only at lambda_4 = 0")
     grading = even_odd_grading(tuple_.n) if grading is None else grading
     profile = SymmetryProfile((frozenset({"even"}),) * 3 + (frozenset({"odd"}),), grading)
-    report = validate_symmetry(tuple_, profile)
-    if not report.ok:
-        bad = report.failures()[0]
-        raise SymmetryError(
-            f"matrix {bad.matrix_index} violates the {bad.flag} grading "
-            f"by {bad.violation:.3e}"
-        )
+    _require_flags(tuple_, profile, "the {} grading")
     red = Pencil.reduced(ft).at(lam)
     gamma_block = kron(to_float(grading), eye(2, FLOAT))
     # adjoint (lower-left) block orientation: the published index values

@@ -149,6 +149,24 @@ def max_abs(m: np.ndarray) -> float:
         return math.inf
 
 
+def magnitude_text(m: np.ndarray) -> str:
+    """max |m| as message text: ``max_abs`` in %.3e or, for an exact m whose
+    nonzero peak reads 0 or inf as a float, the power of ten 10^k <= peak < 10^(k+1)
+    found in Fraction arithmetic, "at least 1e-400" say."""
+    peak = max_abs(m)
+    if kind_of(m) != EXACT or 0 < peak < math.inf or not np.any(m):
+        return f"{peak:.3e}"
+    square = max(z.re * z.re + z.im * z.im for z in m.flat)
+    # k = floor(log10 |z|^2), estimated from bit lengths and then made exact
+    bits = square.numerator.bit_length() - square.denominator.bit_length()
+    k = math.floor(bits * math.log10(2))
+    while Fraction(10) ** k > square:
+        k -= 1
+    while Fraction(10) ** (k + 1) <= square:
+        k += 1
+    return f"at least 1e{k // 2}"
+
+
 def defect_exceeds(defect: np.ndarray, m: np.ndarray, rtol: float) -> bool:
     """Whether a symmetry such as M = -M^T, with defect = M + M^T, fails: an
     exact defect on any nonzero entry, with no float conversion, a float one

@@ -46,9 +46,10 @@ reads the values, or the signs, it would read from the full field.  The
 first read of ``SpectrumGrid.values`` evaluates every node left in the
 same blocks; a node's value does not depend on the nodes that share its
 block, so the full field is bit-identical to evaluating every node at
-once.  A det-sign or pfaffian-sign field whose values could pass the float
-range reduces its pencil scaled by one power of two (``_in_range``), which
-keeps every sign.
+once.  A det-sign or pfaffian-sign field whose values could leave the
+float range, above or below, reduces its pencil scaled by one power of two
+(``_in_range``), which keeps every sign.  Grid steps are at least
+STEP_BOUND, so no squared node distance of the bounds underflows.
 
 Isosurfaces use marching tetrahedra on the Kuhn 6-tetrahedron cube split:
 the split tiles space consistently, has no ambiguous cases, and closed
@@ -76,7 +77,13 @@ from .localizer import Pencil
 from .matrices import HermitianTuple
 from .multipoly import MultiPoly, polar_radial_coefficients
 from .parallel import blocks, ordered_chunk_map
-from .tolerances import DEGENERATE_AREA, LAMBDA_BOUND, SIGMA_MIN_PRUNE_RTOL, TORUS_RESIDUAL_TOL
+from .tolerances import (
+    DEGENERATE_AREA,
+    LAMBDA_BOUND,
+    SIGMA_MIN_PRUNE_RTOL,
+    STEP_BOUND,
+    TORUS_RESIDUAL_TOL,
+)
 
 DET_SIGN = "det-sign"
 SIGMA_MIN = "sigma-min"
@@ -112,6 +119,8 @@ class AxisSpec:
             raise ContractError("axis needs lo < hi")
         if max(-self.lo, self.hi) > LAMBDA_BOUND:
             raise ContractError(f"axis {self.index} reaches beyond the lambda bound {LAMBDA_BOUND:g}")
+        if (self.hi - self.lo) / (self.count - 1) < STEP_BOUND:
+            raise ContractError(f"axis {self.index} has a step below the bound {STEP_BOUND:g}")
 
     def nodes(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.count)
@@ -418,14 +427,17 @@ def sample(
 
 
 def _in_range(pencil: Pencil, reach: float) -> Pencil:
-    """The float pencil scaled by 2^-e for the whole field, e >= 0 the least
-    integer with (2^-e reach)^side <= 2^1020, reach a bound on the norm of
-    the pencil's matrices on the grid.  Their determinants and Pfaffians
-    then stay within 2^1020 in modulus and keep their signs and zero set.
-    The pencil itself when e = 0."""
-    e = max(0, math.ceil(math.log2(reach) - 1020 / pencil.side))
-    if e == 0:
+    """The float pencil itself when reach^side lies within [2^-1020, 2^1020],
+    reach a bound on the norm of the pencil's matrices on the grid, and
+    otherwise scaled by 2^-e for the whole field, e the least integer with
+    (2^-e reach)^side <= 2^1020.  Their determinants and Pfaffians then do
+    not overflow and keep their signs and zero set; scaled up to the top of
+    the range rather than its bottom, they lose no precision near the
+    spectrum, where a value far below the largest would be subnormal, or 0."""
+    log_reach, room = math.log2(reach), 1020 / pencil.side
+    if abs(log_reach) <= room:
         return pencil
+    e = math.ceil(log_reach - room)
     _, re, im = pencil.gaussian_form
     return Pencil.from_gaussian_form(2.0**e, re, im)
 
@@ -582,20 +594,17 @@ def extract_isosurface(grid: SpectrumGrid, level: float | None = None) -> Spectr
     t = fa / (fa - fb)
     ia, ib = np.unravel_index(va, values.shape), np.unravel_index(vb, values.shape)
     vertices = np.zeros((len(t), 3))
+    cells = np.zeros((len(t), 3))  # the vertices in grid-index units
     for m, axis in enumerate(grid.spec.axes):
         x = axis.nodes()
         vertices[:, m] = x[ia[m]] + t * (x[ib[m]] - x[ia[m]])
+        cells[:, m] = ia[m] + t * (ib[m] - ia[m])
 
-    # edges are at most the widest axis span long; past 2^250 the vertices,
-    # and so the edges, are scaled by 2^-shift and the cut by 4^-shift, so
-    # that no squared area overflows
-    shift = max(0, math.frexp(max(a.hi - a.lo for a in grid.spec.axes))[1] - 250)
-    scaled = np.ldexp(vertices, -shift) if shift else vertices
-    cut = math.ldexp(DEGENERATE_AREA, -2 * shift)
-    # a triangle's area passes through about ten float64 rows of three
+    # a triangle is degenerate by its area in grid cells, whatever the scale
+    # of lambda; it passes through about ten float64 rows of three
     keep = np.ones(len(tris), dtype=bool)
     for part in blocks(len(tris), 240):
-        keep[part] = _areas(scaled, tris[part]) > cut
+        keep[part] = _areas(cells, tris[part]) > DEGENERATE_AREA
     triangles = tris[keep]
 
     channel = None

@@ -21,8 +21,8 @@ HELD_OUT_RTOL = 1e-9  # charpoly held-out det residual against max(1, |det|, sum
 REAL_COEFF_RTOL = 1e-9  # float char_poly imaginary part against its largest coefficient
 PRUNE_RTOL = 1e-12  # MultiPoly.pruned drops coefficients up to this * the largest
 POLY_EQUAL_SCALE_FLOOR = 1e-300  # poly_equal's scale floor, so zero polynomials compare
-# extract_isosurface drops triangles of no larger area (times 4^-shift when an
-# axis span past 2^250 scales the edge vectors by 2^-shift)
+# extract_isosurface drops triangles of no larger area, taken on the vertices
+# in grid-index units (a grid cell has sides 1), so the cut scales with the grid
 DEGENERATE_AREA = 1e-12
 TORUS_RESIDUAL_TOL = 1e-10  # torus_radius_profile: |f| at which bisection stops
 UNIT_TOL = 1e-12  # expectation_variance, extract_w: unit norms and nonnegative variances
@@ -38,3 +38,6 @@ SIGMA_MIN_PRUNE_RTOL = 1e-9
 LAMBDA_BOUND = 1e150
 # HermitianTuple: the largest |entry| of a float tuple's matrices, for the same reason
 ENTRY_BOUND = 1e150
+# AxisSpec: the least grid step; squares of node distances and their sums, in the
+# field's pruning bounds and cube diagonal, stay normal floats, so none underflows
+STEP_BOUND = 1e-150

@@ -12,7 +12,8 @@ from cliffordspec.cliffordrep import (
     validate,
 )
 from cliffordspec.errors import ContractError
-from cliffordspec.matrices import dagger, exact_eye, exact_matrix, to_float
+from cliffordspec.localizer import build
+from cliffordspec.matrices import HermitianTuple, dagger, exact_eye, exact_matrix, float_matrix, to_float
 from cliffordspec.scalars import GaussianRational
 
 
@@ -146,3 +147,21 @@ def test_localizer_det_invariant_under_rep_equivalence(rng):
         d1 = np.linalg.det(build(t, rep, lam).matrix)
         d2 = np.linalg.det(build(t, conj, lam).matrix)
         assert abs(d1 - d2) <= 1e-9 * max(1.0, abs(d1))
+
+
+def test_float_images_past_the_float_range_are_refused_by_name():
+    """A representation converts nothing when it is made; its float images,
+    which float localizers read, refuse an exact entry past the float range
+    by name, as a tuple's float image does."""
+    huge = exact_matrix([[10**400]])
+    rep = GammaRep((huge,))
+    for read in (lambda: rep.float_gammas, rep.as_float):
+        with pytest.raises(ContractError, match="^gamma 0 has an entry beyond the float range$"):
+            read()
+    with pytest.raises(ContractError, match="gamma 0 has an entry beyond the float range"):
+        build(HermitianTuple([float_matrix([[1.0]])]), rep)
+    unit = exact_matrix([[1]])
+    blocks = GammaRep((exact_eye(2), exact_eye(2)), off_diagonal_blocks=(unit, huge))
+    assert len(blocks.float_gammas) == 2
+    with pytest.raises(ContractError, match="^off-diagonal block 1 has an entry beyond the float range$"):
+        blocks.float_off_diagonal_blocks

@@ -35,6 +35,7 @@ from cliffordspec.invariants import (
     graded_index,
     index,
     index_along_path,
+    require_self_dual_triple,
     validate_symmetry,
 )
 from cliffordspec.linalg import determinant, operator_norm
@@ -240,6 +241,32 @@ def test_exact_skew_pencil_takes_no_tolerance():
     _skew_pencil(Pencil.localizer(t.as_float(), standard_rep(3)))
     with pytest.raises(SymmetryError, match="skew"):
         _skew_pencil(Pencil.localizer(t, standard_rep(3)))
+
+
+@pytest.mark.parametrize(
+    "eps, size",
+    [
+        (Fraction(1, 10**400), "at least 1e-400"),
+        (Fraction(21, 10**401), "at least 1e-400"),
+        (Fraction(10**400), "at least 1e400"),
+        (Fraction(3, 1000), "3.000e-03"),
+    ],
+)
+def test_symmetry_errors_name_the_size_of_an_exact_defect(eps, size):
+    """An exact defect beyond the float range in either direction reads 0.0
+    or inf as a float violation; the message names its power of ten."""
+    mats = [m.copy() for m in self_dual_path(0).matrices]
+    mats[0][0, 0] = mats[0][0, 0] + GaussianRational(eps)
+    with pytest.raises(SymmetryError, match=f"^matrix 0 violates self-duality by {re.escape(size)}$"):
+        require_self_dual_triple(HermitianTuple(mats))
+
+
+def test_grading_errors_name_the_size_of_an_exact_defect():
+    mats = [m.copy() for m in even_odd(0).matrices]
+    for i, j in ((0, 2), (2, 0)):  # across the grading's blocks: a defect of 2e-500
+        mats[1][i, j] = mats[1][i, j] + GaussianRational(Fraction(1, 10**500))
+    with pytest.raises(SymmetryError, match="^matrix 1 violates the even grading by at least 1e-500$"):
+        graded_index(HermitianTuple(mats), [0, 0, 0, 0])
 
 
 def test_graded_index_values():

@@ -16,6 +16,7 @@ from cliffordspec.matrices import (
     float_matrix,
     is_hermitian,
     kron,
+    magnitude_text,
     to_float,
 )
 from cliffordspec.invariants import dual, graded_index, index
@@ -232,3 +233,22 @@ def test_embed_off_diagonal_matches_former_loop(block):
     assert got.dtype == object and got.shape == want.shape
     assert all(type(a) is GaussianRational for a in got.reshape(-1))
     assert all(a == b for a, b in zip(got.reshape(-1), want.reshape(-1)))
+
+
+def test_magnitude_text_of_exact_matrices_past_the_float_range():
+    """%.3e of the largest |entry| where a float shows it, and otherwise its
+    power of ten, floor(log10 |z|), from Fraction arithmetic."""
+    tiny = Fraction(1, 10**400)
+    cases = [
+        (exact_matrix([[0, 0]]), "0.000e+00"),
+        (exact_matrix([[Fraction(3, 2), -2]]), "2.000e+00"),
+        (float_matrix([[0.0, 1e-300j]]), "1.000e-300"),
+        (exact_matrix([[tiny, 0]]), "at least 1e-400"),
+        (exact_matrix([[tiny * (1 - tiny), 0]]), "at least 1e-401"),
+        (exact_matrix([[(3 * tiny / 10, 4 * tiny / 10)]]), "at least 1e-401"),  # |3 + 4i| = 5
+        (exact_matrix([[(0, -tiny * 10)], [tiny]]), "at least 1e-399"),
+        (exact_matrix([[10**400 - 1, 1]]), "at least 1e399"),
+        (exact_matrix([[-(10**4000)]]), "at least 1e4000"),
+    ]
+    for m, want in cases:
+        assert magnitude_text(m) == want

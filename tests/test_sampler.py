@@ -32,7 +32,12 @@ from cliffordspec.linalg import (
 )
 from cliffordspec.cliffordrep import rep_for
 from cliffordspec.matrices import HermitianTuple
-from cliffordspec.tolerances import ENTRY_BOUND, SIGMA_MIN_PRUNE_RTOL, TORUS_RESIDUAL_TOL
+from cliffordspec.tolerances import (
+    ENTRY_BOUND,
+    SIGMA_MIN_PRUNE_RTOL,
+    STEP_BOUND,
+    TORUS_RESIDUAL_TOL,
+)
 from cliffordspec.localizer import Pencil, build
 from cliffordspec.sampler import (
     DET_SIGN,
@@ -355,11 +360,69 @@ def test_sign_fields_at_the_entry_bound_keep_their_signs(make, indicator):
 
 
 def test_mesh_of_a_grid_near_the_lambda_bound_has_finite_areas():
-    """Edges 2.5e149 long square past the float range in the area filter
-    unless scaled; tier-1 turns the overflow warning into an error."""
+    """Edges 2.5e149 long would square past the float range in lambda
+    units; the area filter takes them in grid cells.  Tier-1 turns an
+    overflow warning into an error."""
     grid = sample(pauli(), GridSpec.cube(3, -1e150, 1e150, 9), SIGMA_MIN)
     mesh = extract_isosurface(grid, 1e149)
     assert len(mesh.triangles) and mesh_topology(mesh) == (2, 1)
+
+
+def _scaled_pauli_mesh(s, count, indicator=DET_SIGN):
+    """pauli times s on [-1.5 s, 1.5 s]^3, its on-demand grid and that grid's mesh."""
+    t = HermitianTuple([m * s for m in pauli().as_float().matrices])
+    grid = sample(t, GridSpec.cube(3, -1.5 * s, 1.5 * s, count), indicator)
+    return grid, extract_isosurface(grid)
+
+
+@pytest.mark.parametrize("s", [1e-3, 1e-5, 1e5])
+def test_meshes_do_not_depend_on_the_tuple_scale(s):
+    """The spectrum of sX is s times that of X.  The degenerate-triangle cut
+    is taken in grid cells, so at 41^3 every scale keeps the 19,944
+    triangles of the unit sphere; a cut in lambda units dropped 276 of them
+    at s = 1e-3 and all of them from s = 1e-5."""
+    _, unit = _scaled_pauli_mesh(1.0, 41)
+    _, mesh = _scaled_pauli_mesh(s, 41)
+    assert mesh.is_closed and mesh_topology(mesh) == (2, 1)
+    assert np.array_equal(mesh.triangles, unit.triangles)
+
+
+def test_det_sign_fields_of_tiny_tuples_are_scaled_up():
+    """det L of pauli times 1e-100 is about 1e-400, below the float range,
+    at every node unless the field is scaled up by a power of two.  Scaled
+    up to the top of the range, sykora_two_torus times 2^-330 (side 12)
+    keeps the precision of its values near the spectrum, so its mesh is the
+    unscaled one; scaled only to the bottom, one node read 0 and the mesh
+    had 5 components."""
+    grid, mesh = _scaled_pauli_mesh(1e-100, 21)
+    assert mesh.is_closed and mesh_topology(mesh) == (2, 1)
+    assert np.all(grid.values != 0.0)
+    want = extract_isosurface(SpectrumGrid(grid.spec, DET_SIGN, grid.values, grid.reference_norm))
+    _assert_same_mesh(mesh, want.vertices, want.triangles)
+    meshes = []
+    for s in (1.0, 2.0**-330):
+        t = HermitianTuple([m * s for m in sykora_two_torus().as_float().matrices])
+        meshes.append(extract_isosurface(sample(t, GridSpec.cube(3, -1.5 * s, 1.5 * s, 31), DET_SIGN)))
+    assert mesh_topology(meshes[1]) == mesh_topology(meshes[0]) == (-1, 1)
+    assert np.array_equal(meshes[1].triangles, meshes[0].triangles)
+
+
+def test_grid_steps_are_bounded_below():
+    """A step below STEP_BOUND would underflow the squared node distances of
+    the on-demand field's bounds (pauli times 1e-200 on 21^3), so such an
+    axis is refused by name; at the least admitted steps the on-demand mesh
+    is the full field's."""
+    AxisSpec(0, 0.0, 2 * STEP_BOUND, 3)
+    with pytest.raises(ContractError, match="axis 1 has a step below the bound 1e-150"):
+        AxisSpec(1, -1.5e-200, 1.5e-200, 21)
+    with pytest.raises(ContractError, match="axis 0 has a step below the bound"):
+        _scaled_pauli_mesh(1e-200, 21, SIGMA_MIN)
+    for indicator in (SIGMA_MIN, DET_SIGN):
+        grid, mesh = _scaled_pauli_mesh(1e-148, 21, indicator)
+        assert len(mesh.triangles) > 0 and not grid._values._solved.all()
+        full = SpectrumGrid(grid.spec, indicator, grid.values, grid.reference_norm)
+        want = extract_isosurface(full, default_level(grid))
+        _assert_same_mesh(mesh, want.vertices, want.triangles)
 
 
 def test_exports_match_per_row_writer(tmp_path, monkeypatch):
@@ -529,7 +592,7 @@ def _extract_loop(grid, level):
         [f[dx : nx - 1 + dx, dy : ny - 1 + dy, dz : nz - 1 + dz] for dx, dy, dz in _CORNERS]
     )
     cand = np.argwhere((stack.min(axis=0) <= 0.0) & (stack.max(axis=0) > 0.0))
-    verts, vert_ids, tris = [], {}, []
+    verts, grid_verts, vert_ids, tris = [], [], {}, []
 
     def edge_vertex(ca, cb, fa, fb):
         key_a = (ca[0] * ny + ca[1]) * nz + ca[2]
@@ -544,6 +607,7 @@ def _extract_loop(grid, level):
                     for m in range(3)
                 )
             )
+            grid_verts.append(tuple(ca[m] + t * (cb[m] - ca[m]) for m in range(3)))
             vert_ids[(key_a, key_b)] = len(verts) - 1
         return vert_ids[(key_a, key_b)]
 
@@ -567,7 +631,8 @@ def _extract_loop(grid, level):
     vertices = np.array(verts) if verts else np.zeros((0, 3))
     kept = []
     for tri in tris:
-        p0, p1, p2 = vertices[list(tri)]
+        # the area in grid-index units, where a cell has sides 1
+        p0, p1, p2 = (np.array(grid_verts[v], dtype=float) for v in tri)
         if len(set(tri)) == 3 and 0.5 * np.linalg.norm(np.cross(p1 - p0, p2 - p0)) > 1e-12:
             kept.append(tri)
     return vertices, np.array(kept, dtype=int).reshape(-1, 3)
@@ -615,7 +680,8 @@ def _grids(draw):
     axes = []
     for index, count in zip(indices, shape):
         lo = draw(st.floats(-3.0, 1.0))
-        # micro-sized axes put triangle areas near DEGENERATE_AREA (1e-12)
+        # micro-sized axes: the DEGENERATE_AREA cut is taken in grid cells, so
+        # it must drop the same triangles as on axes of unit size
         span = draw(st.one_of(st.floats(0.25, 4.0), st.sampled_from([2e-6, 5e-6])))
         axes.append(AxisSpec(index, lo, lo + span, count))
     fixed_coords = () if fixed is None else ((fixed, draw(st.floats(-1.0, 1.0))),)
