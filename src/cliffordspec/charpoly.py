@@ -21,8 +21,9 @@ divided difference is an exact integer division, the falling-factorial
 basis changes to monomials with integer (Stirling) coefficients, and
 1/den^side applies to the final terms only.  The node determinants come
 from batched eliminations in int64, one per prime p = 1 (mod 4) and block
-of nodes (``parallel.blocks``, at 16 side^2 stack bytes per node), under
-both embeddings i -> +-sqrt(-1) of Z[i] into F_p, recombined by CRT once
+of nodes (``parallel.blocks``, at 16 side^2 stack bytes per node), on an
+(n, n, nodes) stack whose steps run along contiguous rows, under both
+embeddings i -> +-sqrt(-1) of Z[i] into F_p, recombined by CRT once
 the primes exceed twice a Hadamard bound (Abbott, Bronstein & Mulders,
 ISSAC 1999).  The held-out check evaluates the coefficients at
 the non-node (side + 1, side + 2, ...) and compares with a fraction-free
@@ -36,25 +37,27 @@ batched complex128 determinants, block by block.  There lambda^alpha =
 w^(t key_alpha), key_alpha = alpha . g mod M, and every monomial of det L
 lies in the lower set; when the keys are distinct on it, no two
 coefficients share a frequency, and the 1-D FFT of the M values divided by
-M holds each c_alpha alone at index key_alpha (Kammerer, SIAM J. Numer. Anal. 2013; the tensor
-torus FFT of Hromcik & Sebek, ECC 1999, is the case g_j = (side + 1)^j).
-The generator is g = (1, k, ..., k^(d - 1)) mod M, k the least integer
->= side + 1 with k = 1 (mod d - 1) and M = (k^d - 1) / (d - 1).  Its keys
-are checked on every call, at O(|lower set| + M) cost; should two collide,
-or M not be below (side + 1)^d, the tensor torus is sampled instead, whose
-keys are the base-(side + 1) digits of alpha.  No collision occurs for
-d = 2..5 and side <= 16 (tested).  The reduced torus_quadruple polynomials
-for n = 3..6 (side 6 to 12) take 800, 3,333, 9,520 and 9,520 determinants
-instead of 2,401 to 28,561, d = 3 tuples of side 10 and 12 take 665 and
-1,098 instead of 1,331 and 2,197, and the full d = 4 localizer (side 16)
-43,440 instead of 83,521.  The transform is unitary, so the coefficients
-carry the rounding of the determinants, about 1e-12 relative to the
-largest one (2-3 times the error of the denser tensor torus, in the median
-over random conjugations of the d = 3 gallery tuples), well inside the
-1e-9 comparison tolerances (tested for scales 1e-2 to 1e2 and for
-off-centre tuples).  Each coefficient c_alpha is finally multiplied by
-s^(side - |alpha|), and a held-out determinant check at random points
-validates the reconstruction.
+M holds each c_alpha alone at index key_alpha (Kammerer, SIAM J. Numer.
+Anal. 2013; the tensor torus FFT of Hromcik & Sebek, ECC 1999, is the case
+g_j = (side + 1)^j).  The generator is g = (1, a, ..., a^(d - 1)) mod M:
+first the searched (M, a) of ``_KOROBOV`` (d = 2..4, even sides to 16),
+then the rule a = k, M = (k^d - 1) / (d - 1), k the least integer
+>= side + 1 with k = 1 (mod d - 1).  The keys are checked on every call,
+at O(|lower set| + M) cost; should two collide under both, or M not be
+below (side + 1)^d, the tensor torus is sampled, whose keys are the
+base-(side + 1) digits of alpha.  Neither collides for d = 2..5 and
+side <= 16 (tested).  The reduced torus_quadruple polynomials for n = 3..6
+(side 6 to 12) take 667, 1,847, 4,009 and 7,811 determinants (the rule's
+800, 3,333, 9,520 and 9,520; the tensor torus's 2,401 to 28,561), d = 3
+tuples of side 10 and 12 take 628 and 1,055 (665 and 1,098; 1,331 and
+2,197), and the full d = 4 localizer (side 16) 25,345 (43,440; 83,521).
+The transform is unitary, so the coefficients carry the rounding of the
+determinants, about 1e-12 relative to the largest one, well inside the
+1e-9 comparison tolerances (tested against the tensor torus for every
+table entry, and for scales 1e-2 to 1e2 and off-centre tuples).  Pruning,
+a held-out determinant check at random points, the real-part check and
+the rescaling of each c_alpha by s^(side - |alpha|) run on the coefficient
+array, and the polynomial is built once.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ from .matrices import EXACT, FLOAT, HermitianTuple
 from .multipoly import MultiPoly
 from .parallel import blocks
 from .scalars import GaussianRational
-from .tolerances import HELD_OUT_RTOL, REAL_COEFF_RTOL
+from .tolerances import HELD_OUT_RTOL, PRUNE_RTOL, REAL_COEFF_RTOL
 
 
 @dataclass(frozen=True)
@@ -169,46 +172,56 @@ def _hadamard_bits(pencil: tuple, coeffs: np.ndarray) -> float:
     return float(np.log2(rows).sum(axis=1).max()) + shift * re.shape[1]
 
 
+def _mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in place, as x - floor(x / p) p: numpy's int64 floor division
+    by a scalar is about four times faster than its remainder."""
+    q = x // p
+    q *= p
+    x -= q
+    return x
+
+
 def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
     """x^(p - 2) mod p elementwise: the inverse of x in F_p, and 0 for 0."""
     out = np.ones_like(x)
     e = p - 2
     while e:
         if e & 1:
-            out = out * x % p
-        x = x * x % p
+            out = _mod(out * x, p)
+        x = _mod(x * x, p)
         e >>= 1
     return out
 
 
 def _det_mod(a: np.ndarray, p: int) -> np.ndarray:
-    """Determinants mod p of a (B, n, n) int64 stack with entries in [0, p),
-    p < 2^31 so that every product fits in int64; overwrites the stack.
+    """Determinants mod p of an (n, n, B) int64 stack, member b at
+    a[:, :, b], with entries in [0, p), p < 2^31 so that every product fits
+    in int64; overwrites the stack.  The batch is the last axis, so each
+    step runs over contiguous rows of B entries.
 
     Step k multiplies the rows below the pivot by it instead of dividing, so
     prod_k pivot_k = det * prod_k pivot_k^(n - 1 - k), and that factor is
     the product over k < n - 1 of the running pivot products; one inverse
     per member removes it.  A member whose column is zero from row k down
     gets pivot 0 and determinant 0."""
-    b, n = a.shape[0], a.shape[1]
-    members = np.arange(b)
+    n, b = a.shape[0], a.shape[2]
     run = np.ones(b, dtype=np.int64)
     factor = np.ones(b, dtype=np.int64)
     flip = np.zeros(b, dtype=bool)
     for k in range(n):
-        row = k + np.argmax(a[:, k:, k] != 0, axis=1)
-        swap = row != k
-        if swap.any():
-            a[members, row], a[:, k] = a[:, k].copy(), a[members, row]
-            flip ^= swap
-        pivot = a[:, k, k]
-        run = run * pivot % p
+        row = k + np.argmax(a[k:, k] != 0, axis=0)
+        swap = np.nonzero(row != k)[0]
+        if len(swap):
+            a[k, :, swap], a[row[swap], :, swap] = a[row[swap], :, swap], a[k, :, swap]
+            flip[swap] ^= True
+        pivot = a[k, k]
+        run = _mod(run * pivot, p)
         if k + 1 < n:
-            factor = factor * run % p
-            sub = a[:, k + 1 :, k + 1 :]
-            sub *= pivot[:, None, None]
-            sub -= a[:, k + 1 :, k, None] * a[:, k, None, k + 1 :]
-            sub %= p
+            factor = _mod(factor * run, p)
+            sub = a[k + 1 :, k + 1 :]
+            sub *= pivot
+            sub -= a[k + 1 :, k, None] * a[k, None, k + 1 :]
+            _mod(sub, p)
     det = run * _inverse_mod(factor, p) % p
     return np.where(flip, (p - det) % p, det)
 
@@ -235,17 +248,22 @@ def _modular_dets(pencil: tuple, coeffs: np.ndarray) -> tuple:
     parts = blocks(count, 16 * n * n)
     for p, s in _primes():
         re, im = ((part % p).astype(np.int64) for part in pencil)
-        embedded = [(re + root * im) % p for root in (s, p - s)]
-        c = coeffs % p
+        # row (i, j, e) of the pencil matrices' entries (i, j) under i -> s
+        # (e = 0) and i -> -s (e = 1), one column per matrix
+        embedded = np.stack([(re + root * im) % p for root in (s, p - s)], axis=-1)
+        embedded = embedded.reshape(len(re), -1).T
+        # a member, pencil[0] - sum_k c_k pencil[k + 1], is one product and
+        # one reduction where the sum fits in int64, else one per term
+        w = np.column_stack([np.ones(count, dtype=np.int64), -(coeffs % p)]).T
+        fits = p * int(np.abs(w).sum(axis=0).max(initial=1)) < 2**63
         plus, minus = np.empty((2, count), dtype=np.int64)
         for part in parts:
-            stack = np.empty((2, part.stop - part.start, n, n), dtype=np.int64)
-            for members, m in zip(stack, embedded):
-                members[:] = m[0]
-                for k in range(1, len(m)):
-                    members -= c[part, k - 1, None, None] * m[k]
-                    members %= p
-            plus[part], minus[part] = _det_mod(stack.reshape(-1, n, n), p).reshape(2, -1)
+            if fits:
+                stack = embedded @ w[:, part]
+            else:
+                stack = sum(embedded[:, k, None] * w[k, part] % p for k in range(len(w)))
+            _mod(stack, p)
+            plus[part], minus[part] = _det_mod(stack.reshape(n, n, -1), p).reshape(2, -1)
         half = (p + 1) // 2
         residues = ((plus + minus) * half % p, (plus - minus) % p * pow(2 * s, -1, p) % p)
         inv = pow(modulus, -1, p)
@@ -270,18 +288,36 @@ def _lower_set(d: int, m: int) -> np.ndarray:
     return grid[grid.sum(axis=1) <= m]
 
 
+# (d, side) -> (M, a), the Korobov generator (1, a, ..., a^(d - 1)) mod M of
+# the first M up from the size of the lower set (in steps of 100 for d = 4,
+# sides 14 and 16) and the least a >= 2 with distinct keys on it; listed
+# where M is below both the rule's modulus and (side + 1)^d
+_KOROBOV = {
+    (2, 2): (7, 3), (2, 4): (19, 8), (2, 6): (37, 11), (2, 8): (61, 14),
+    (2, 10): (91, 17), (2, 12): (127, 20), (2, 14): (169, 23), (2, 16): (217, 26),
+    (3, 8): (333, 211), (3, 10): (628, 169), (3, 12): (1055, 196),
+    (3, 14): (1535, 596), (3, 16): (2286, 1123),
+    (4, 2): (23, 4), (4, 4): (171, 47), (4, 6): (667, 152), (4, 8): (1847, 843),
+    (4, 10): (4009, 981), (4, 12): (7811, 317), (4, 14): (14460, 12927),
+    (4, 16): (25345, 15415),
+}
+
+
 def _lattice(expo: np.ndarray, m: int) -> tuple:
     """(g, modulus, keys) of the rank-1 lattice of the module docstring
     for the lower set expo of degree m, keys = expo @ g mod modulus: the
-    rule's generator when its keys are distinct on expo and its modulus is
-    below (m + 1)^d, else the tensor torus g_j = (m + 1)^j."""
+    first of the table's generator and the rule's whose keys are distinct
+    on expo and whose modulus is below (m + 1)^d, else the tensor torus
+    g_j = (m + 1)^j."""
     d = expo.shape[1]
     full = (m + 1) ** d
+    tried = [_KOROBOV[d, m]] if (d, m) in _KOROBOV else []
     if d > 1:
         k = m + 1 + (-m) % (d - 1)
-        modulus = (k**d - 1) // (d - 1)
+        tried.append(((k**d - 1) // (d - 1), k))
+    for modulus, a in tried:
         if 0 < modulus < full:
-            g = np.array([pow(k, j, modulus) for j in range(d)], dtype=np.int64)
+            g = np.array([pow(a, j, modulus) for j in range(d)], dtype=np.int64)
             keys = expo @ g % modulus
             if np.bincount(keys).max() <= 1:
                 return g, modulus, keys
@@ -329,7 +365,9 @@ def _newton_to_monomial(v: tuple, expo: np.ndarray, m: int) -> None:
                 part[sel] = part[sel] - k * part[succ[sel]]
 
 
-def _interpolate(family: _Family) -> MultiPoly:
+def _interpolate(family: _Family, s=1, real: bool = False) -> MultiPoly:
+    """The polynomial of the tuple s X from the family of X (s = 1 for exact
+    tuples); real=True checks for real coefficients and keeps them real."""
     d = family.d
     m = family.degree
     expo = _lower_set(d, m)
@@ -341,9 +379,11 @@ def _interpolate(family: _Family) -> MultiPoly:
         _validate_exact(family, expo, v, den)
         terms = {
             tuple(a): GaussianRational(Fraction(re, den), Fraction(im, den))
-            for a, re, im in zip(expo, *v)
+            for a, re, im in zip(expo.tolist(), *v)
+            if re or im
         }
-        return MultiPoly(d, terms, EXACT)
+        poly = MultiPoly(d, terms, EXACT)
+        return _force_real_coeffs(poly) if real else poly
     g, modulus, keys = _lattice(expo, m)
     # the phase t g_j mod modulus is reduced exactly in int64 before exp
     phase = np.arange(modulus, dtype=np.int64)[:, None] * g % modulus
@@ -352,10 +392,24 @@ def _interpolate(family: _Family) -> MultiPoly:
     parts = blocks(modulus, 16 * pencil.side**2)
     vals = np.concatenate([family.float_dets(points[part]) for part in parts])
     coeffs = np.fft.fft(vals)[keys] / modulus
-    terms = {tuple(a): complex(c) for a, c in zip(expo.tolist(), coeffs)}
-    poly = MultiPoly(d, terms, FLOAT).pruned()
-    _validate_interpolation(family, poly)
-    return poly
+    # pruned as MultiPoly.pruned: below PRUNE_RTOL * max |coefficient|
+    top = np.abs(coeffs).max(initial=0.0)
+    keep = np.abs(coeffs) > PRUNE_RTOL * top
+    expo, coeffs = expo[keep], coeffs[keep]
+    _validate_interpolation(family, expo, coeffs)
+    if real:
+        worst = np.abs(coeffs.imag).max(initial=0.0)
+        if worst > REAL_COEFF_RTOL * (top or 1.0):
+            raise InterpolationError(
+                f"characteristic polynomial imaginary part {worst:.3e} too large"
+            )
+        coeffs = coeffs.real + 0j
+    # c_alpha s^(side - |alpha|): the polynomial of s X from that of X
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = coeffs * float(s) ** (m - expo.sum(axis=1))
+    if not np.isfinite(coeffs).all():
+        raise ContractError(f"scale {s:.3e} to the power {m} is beyond the float range")
+    return MultiPoly(d, dict(zip(map(tuple, expo.tolist()), coeffs.tolist())), FLOAT)
 
 
 def _validate_exact(family: _Family, expo: np.ndarray, v: tuple, den: int) -> None:
@@ -369,17 +423,18 @@ def _validate_exact(family: _Family, expo: np.ndarray, v: tuple, den: int) -> No
         raise InterpolationError("exact interpolation failed held-out check")
 
 
-def _validate_interpolation(family: _Family, poly: MultiPoly) -> None:
-    """Held-out consistency: the float polynomial must reproduce
-    determinants at points that were not interpolation nodes."""
+def _validate_interpolation(family: _Family, expo: np.ndarray, coeffs: np.ndarray) -> None:
+    """Held-out consistency: the float coefficients of the rows of expo must
+    reproduce determinants at points that were not interpolation nodes."""
     d = family.d
     rng = np.random.default_rng(20240917)
     half_width = family.degree / 4.0
     for _ in range(4):
         pt = rng.uniform(-0.8 * half_width, 0.8 * half_width, size=d)
         want = family.reference(pt)
-        got = poly.evaluate(pt)
-        scale = max(1.0, abs(want), poly.evaluate_abs(pt))
+        mono = np.prod(pt**expo, axis=1)
+        got = coeffs @ mono
+        scale = max(1.0, abs(want), np.abs(coeffs) @ np.abs(mono))
         if abs(got - want) > HELD_OUT_RTOL * scale:
             raise InterpolationError(
                 f"interpolated polynomial residual {abs(got - want):.3e} "
@@ -399,20 +454,6 @@ def _normalised(tuple_: HermitianTuple):
     return HermitianTuple([x / s for x in tuple_.matrices]), s
 
 
-def _rescaled(poly: MultiPoly, s, degree: int) -> MultiPoly:
-    """The polynomial of the tuple s * X from that of X, each coefficient
-    c_alpha times s^(degree - |alpha|); a power of s beyond the float range
-    raises ContractError."""
-    if s == 1:
-        return poly
-    try:
-        terms = {e: c * s ** (degree - sum(e)) for e, c in poly.terms.items()}
-    except OverflowError:
-        msg = f"scale {s:.3e} to the power {degree} is beyond the float range"
-        raise ContractError(msg) from None
-    return MultiPoly(poly.nvars, terms, poly.kind)
-
-
 # ---------------------------------------------------------------------------
 # public polynomials
 
@@ -424,9 +465,7 @@ def char_poly(tuple_: HermitianTuple) -> MultiPoly:
     Real coefficients (validated); exact tuples give exact coefficients.
     """
     t, s = _normalised(tuple_)
-    family = _char_family(Pencil.localizer(t))
-    poly = _force_real_coeffs(_interpolate(family))
-    return _rescaled(poly, s, family.degree)
+    return _interpolate(_char_family(Pencil.localizer(t)), s, real=True)
 
 
 def reduced_char_poly(tuple_: HermitianTuple) -> MultiPoly:
@@ -434,29 +473,20 @@ def reduced_char_poly(tuple_: HermitianTuple) -> MultiPoly:
     if tuple_.d != 4:
         raise ContractError("the reduced characteristic polynomial needs d = 4")
     t, s = _normalised(tuple_)
-    family = _char_family(Pencil.reduced(t))
-    return _rescaled(_interpolate(family), s, family.degree)
+    return _interpolate(_char_family(Pencil.reduced(t)), s)
 
 
 def _force_real_coeffs(poly: MultiPoly) -> MultiPoly:
-    if poly.kind == EXACT:
-        for c in poly.terms.values():
-            if c.im:
-                raise InterpolationError(
-                    "exact characteristic polynomial has a nonzero imaginary part"
-                )
-        return poly
-    scale = poly.max_abs_coeff() or 1.0
-    worst = max((abs(c.imag) for c in poly.terms.values()), default=0.0)
-    if worst > REAL_COEFF_RTOL * scale:
-        raise InterpolationError(
-            f"characteristic polynomial imaginary part {worst:.3e} too large"
-        )
-    return poly.map_coefficients(lambda c: complex(c.real))
+    """The exact polynomial poly, checked to have real coefficients."""
+    for c in poly.terms.values():
+        if c.im:
+            raise InterpolationError(
+                "exact characteristic polynomial has a nonzero imaginary part"
+            )
+    return poly
 
 
 def laplace_det_poly(tuple_: HermitianTuple) -> MultiPoly:
     """det(sum_j (X_j - lambda_j)^2) as a polynomial (total degree 2n)."""
     t, s = _normalised(tuple_)
-    family = _laplace_family(t)
-    return _rescaled(_interpolate(family), s, family.degree)
+    return _interpolate(_laplace_family(t), s)

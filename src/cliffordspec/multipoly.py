@@ -16,6 +16,9 @@ from .scalars import EXACT, FLOAT, GaussianRational, as_gaussian, is_exact_scala
 from .tolerances import POLY_EQUAL_SCALE_FLOOR, PRUNE_RTOL
 
 
+_BEYOND_FLOATS = "a point or power in the evaluation is beyond the float range"
+
+
 def _coerce_coeff(value, kind):
     if kind == EXACT:
         if isinstance(value, GaussianRational):
@@ -191,26 +194,32 @@ class MultiPoly:
             raise ContractError("point length must equal nvars")
         exact_eval = self.kind == EXACT and all(is_exact_scalar(v) for v in point)
         scalar = as_gaussian if exact_eval else complex
-        pt = [scalar(v) for v in point]
         total = scalar(0)
-        for expo, c in self.terms.items():
-            term = scalar(c)
-            for v, e in zip(pt, expo):
-                if e:
-                    term = term * v**e
-            total = total + term
+        try:
+            pt = [scalar(v) for v in point]
+            for expo, c in self.terms.items():
+                term = scalar(c)
+                for v, e in zip(pt, expo):
+                    if e:
+                        term = term * v**e
+                total = total + term
+        except OverflowError:
+            raise ContractError(_BEYOND_FLOATS) from None
         return total
 
     def evaluate_abs(self, point) -> float:
         """sum |c| * |point^alpha|: a magnitude scale for tolerance checks."""
-        pt = [abs(complex(v)) for v in point]
         total = 0.0
-        for expo, c in self.terms.items():
-            cc = abs(c)
-            for v, e in zip(pt, expo):
-                if e:
-                    cc *= v**e
-            total += cc
+        try:
+            pt = [abs(complex(v)) for v in point]
+            for expo, c in self.terms.items():
+                cc = abs(c)
+                for v, e in zip(pt, expo):
+                    if e:
+                        cc *= v**e
+                total += cc
+        except OverflowError:
+            raise ContractError(_BEYOND_FLOATS) from None
         return total
 
 

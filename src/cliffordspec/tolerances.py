@@ -19,7 +19,7 @@ FLAG_RTOL = 1e-12  # validate_symmetry: each float flag against max |X_j| (1 if 
 REP_RELATION_TOL = 1e-12  # cliffordrep.validate: each float gamma relation against max |I| = 1
 HELD_OUT_RTOL = 1e-9  # charpoly held-out det residual against max(1, |det|, sum |c lambda^alpha|)
 REAL_COEFF_RTOL = 1e-9  # float char_poly imaginary part against its largest coefficient
-PRUNE_RTOL = 1e-12  # MultiPoly.pruned drops coefficients up to this * the largest
+PRUNE_RTOL = 1e-12  # float charpoly output and MultiPoly.pruned drop coefficients to this * the largest
 POLY_EQUAL_SCALE_FLOOR = 1e-300  # poly_equal's scale floor, so zero polynomials compare
 # extract_isosurface drops triangles of no larger area, taken on the vertices
 # in grid-index units (a grid cell has sides 1), so the cut scales with the grid

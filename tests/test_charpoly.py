@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from cliffordspec.charpoly import (
+    _KOROBOV,
     _char_family,
+    _det_mod,
     _Family,
     _force_real_coeffs,
     _interpolate,
@@ -45,7 +47,7 @@ from cliffordspec.gallery import (
     sykora_two_torus,
     torus_quadruple,
 )
-from cliffordspec.linalg import _gaussian_int_bareiss
+from cliffordspec.linalg import _gaussian_int_bareiss, exact_determinant
 from cliffordspec.localizer import Pencil, _affine_pencil, build
 from cliffordspec.matrices import HermitianTuple, exact_matrix, to_float
 from cliffordspec.multipoly import MultiPoly, poly_equal, variables
@@ -428,6 +430,33 @@ def test_modular_dets_beyond_two_primes():
     assert list(zip(*got)) == want
 
 
+@settings(max_examples=80)
+@given(st.integers(1, 8), st.integers(1, 40), st.sampled_from((3, None)), st.integers(0, 2**32 - 1))
+def test_batch_last_det_mod_matches_exact_determinant(n, b, bound, seed):
+    """Member j of the (n, n, B) stack is a[:, :, j].  Members 0 mod 3 get
+    zeros at the top of column 0, down to a random row, which forces a row
+    swap, or makes the column zero; members 1 mod 3 repeat a row
+    (singular).  Entries below 3 put zeros in later pivots too."""
+    p, _ = next(_primes())
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, bound or p, size=(n, n, b))
+    for j in range(0, b, 3):
+        a[: rng.integers(1, n + 1), 0, j] = 0
+    if n > 1:
+        a[-1, :, 1::3] = a[0, :, 1::3]
+    want = [int(exact_determinant(exact_matrix(a[:, :, j].tolist())).re) % p for j in range(b)]
+    assert _det_mod(a.copy(), p).tolist() == want
+
+
+def test_modular_dets_with_coefficients_past_the_one_product_bound():
+    # p (1 + sum_k |c_k|) passes 2^63, so each term is reduced on its own
+    rng = np.random.default_rng(9)
+    pencil = tuple(rng.integers(-50, 50, size=(3, 5, 5)).tolist() for _ in range(2))
+    coeffs = [[0, 0], [2**40, 3], [5, -(2**41)]]
+    got = _modular_dets(_object_pencil(pencil), np.array(coeffs, dtype=np.int64))
+    assert list(zip(*got)) == _bareiss_dets(pencil, coeffs)
+
+
 def test_exact_interpolation_checks_raise(monkeypatch):
     t = pauli()
     rep = rep_for(3)
@@ -480,7 +509,10 @@ def test_rank_one_lattice_keys_are_distinct(d):
         keys = expo @ g % modulus
         assert len(set(keys.tolist())) == len(expo), (d, side)
         got_g, got_modulus, got_keys = _lattice(expo, side)
-        if modulus < (side + 1) ** d:
+        if (d, side) in _KOROBOV:
+            # a searched generator, tested below, comes before the rule
+            assert got_modulus == _KOROBOV[d, side][0] < modulus
+        elif modulus < (side + 1) ** d:
             assert got_modulus == modulus
             assert got_g.tolist() == g.tolist() and got_keys.tolist() == keys.tolist()
         else:
@@ -489,16 +521,36 @@ def test_rank_one_lattice_keys_are_distinct(d):
             assert len(set(got_keys.tolist())) == len(expo)
 
 
+@pytest.mark.parametrize("d, side", sorted(_KOROBOV))
+def test_korobov_table_entries_have_distinct_keys_below_the_rule(d, side):
+    modulus, a = _KOROBOV[d, side]
+    expo = _lower_set(d, side)
+    g = np.array([a**j % modulus for j in range(d)])
+    keys = expo @ g % modulus
+    assert len(set(keys.tolist())) == len(expo) <= modulus
+    # below the rule's modulus and the tensor torus, whichever is sampled
+    k = side + 1 + (-side) % (d - 1)
+    assert modulus < min((k**d - 1) // (d - 1), (side + 1) ** d)
+    got_g, got_modulus, got_keys = _lattice(expo, side)
+    assert got_modulus == modulus
+    assert got_g.tolist() == g.tolist() and got_keys.tolist() == keys.tolist()
+
+
 def test_lattice_falls_back_to_the_tensor_torus_on_a_key_collision():
-    # side 12, d = 3: the rule has g = (1, 13, 169) mod 1,098; add to the
-    # lower set a row of the box {0..12}^3 whose key is already taken
+    # side 12, d = 3: the table has g = (1, 196, 196^2) mod 1,055 and the
+    # rule g = (1, 13, 169) mod 1,098; add to the lower set one row of the
+    # box {0..12}^3 whose key is already taken under each
     expo = _lower_set(3, 12)
-    taken = set((expo @ [1, 13, 169] % 1098).tolist())
+    assert _KOROBOV[3, 12] == (1055, 196)
     box = np.indices((13,) * 3).reshape(3, -1).T
-    extra = next(a for a in box if a.sum() > 12 and int(a @ [1, 13, 169] % 1098) in taken)
-    g, modulus, keys = _lattice(np.vstack([expo, extra]), 12)
+    extra = []
+    for g, modulus in (([1, 196, 196**2 % 1055], 1055), ([1, 13, 169], 1098)):
+        taken = set((expo @ g % modulus).tolist())
+        extra.append(next(a for a in box if a.sum() > 12 and int(a @ g % modulus) in taken))
+    assert extra[0].tolist() != extra[1].tolist()
+    g, modulus, keys = _lattice(np.vstack([expo, *extra]), 12)
     assert modulus == 13**3 and g.tolist() == [1, 13, 169]
-    assert len(set(keys.tolist())) == len(expo) + 1
+    assert len(set(keys.tolist())) == len(expo) + 2
 
 
 def test_float_determinant_count_on_the_lattice(monkeypatch):
@@ -510,13 +562,14 @@ def test_float_determinant_count_on_the_lattice(monkeypatch):
         return real(self, lam)
 
     monkeypatch.setattr(_Family, "float_dets", counting)
-    # side 12, d = 4: k = 13, (13^4 - 1) / 3 = 9,520 points, not 13^4 = 28,561
+    # side 12, d = 4: the table's 7,811 points, not the rule's
+    # (13^4 - 1) / 3 = 9,520 or 13^4 = 28,561
     reduced_char_poly(torus_quadruple(6))
-    assert sum(requested) == 9520
+    assert sum(requested) == 7811
     requested.clear()
-    # side 12, d = 3: (13^3 - 1) / 2 = 1,098, not 2,197
+    # side 12, d = 3: 1,055, not (13^3 - 1) / 2 = 1,098 or 2,197
     char_poly(sykora_two_torus().as_float())
-    assert sum(requested) == 1098
+    assert sum(requested) == 1055
 
 
 def _tensor_torus_coeffs(family) -> dict:
@@ -525,7 +578,9 @@ def _tensor_torus_coeffs(family) -> dict:
     m, d = family.degree, family.d
     k = m + 1
     torus = np.exp(2j * np.pi / k * np.indices((k,) * d).reshape(d, -1).T)
-    coeffs = np.fft.fftn(family.float_dets(torus).reshape((k,) * d)) / k**d
+    # 4,096 nodes at a time: the d = 4, side 16 torus has 83,521
+    dets = np.concatenate([family.float_dets(torus[i : i + 4096]) for i in range(0, len(torus), 4096)])
+    coeffs = np.fft.fftn(dets.reshape((k,) * d)) / k**d
     return {tuple(a): coeffs[tuple(a)] for a in _lower_set(d, m).tolist()}
 
 
@@ -565,6 +620,22 @@ def test_lattice_matches_tensor_torus(t):
         assert set(got) <= set(want)
         worst = max(abs(got.get(e, 0) - c) for e, c in want.items())
         assert worst <= 1e-12 * scale, (name, worst / scale)
+
+
+@pytest.mark.parametrize("d, side", sorted(_KOROBOV))
+def test_korobov_lattices_match_tensor_torus(d, side):
+    # every table entry on a random tuple of its side: the full localizer
+    # (side 2n) for d = 2 and 3, the reduced one (side 2n) for d = 4
+    rng = np.random.default_rng(100 * d + side)
+    t, _ = _normalised(random_tuple(rng, d, side // 2))
+    family = _char_family(Pencil.reduced(t) if d == 4 else Pencil.localizer(t))
+    assert family.degree == side
+    want = _tensor_torus_coeffs(family)
+    got = _interpolate(family).terms
+    scale = max(abs(c) for c in want.values())
+    assert set(got) <= set(want)
+    worst = max(abs(got.get(e, 0) - c) for e, c in want.items())
+    assert worst <= 1e-12 * scale, worst / scale
 
 
 def _former_laplace_dets(t, lam):

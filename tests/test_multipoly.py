@@ -185,3 +185,18 @@ def test_evaluate_and_polar_substitution_match_the_former_loops(seed):
         for r, theta, phi in rng.uniform(-3, 3, size=(5, 3)):
             got, want = f(r, theta, phi), _former_substitute_polar(p, r, theta, phi)
             assert type(got) is type(want) and _bits(got) == _bits(want)
+
+
+def test_evaluation_beyond_the_float_range_raises_contract_error():
+    # the characteristic polynomial of the Pauli triple, exact and float;
+    # the first two cases raised a bare OverflowError ("complex
+    # exponentiation", "int too large to convert to float")
+    x, y, z = variables("x y z")
+    p = (x**2 + y**2 + z**2 - 1) ** 2
+    cases = [(p.evaluate, 1e200), (p.evaluate_abs, 10**400), (p.evaluate_abs, 1e200)]
+    cases += [(p.as_float().evaluate, v) for v in (1e200, 10**400)]
+    for fn, v in cases:
+        with pytest.raises(ContractError, match="beyond the float range"):
+            fn([v, 0, 0])
+    # an exact point keeps an exact polynomial exact, at any size
+    assert p.evaluate([10**400, 0, 0]) == GaussianRational((10**800 - 1) ** 2)
