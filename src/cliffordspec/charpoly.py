@@ -40,17 +40,17 @@ coefficients share a frequency, and the 1-D FFT of the M values divided by
 M holds each c_alpha alone at index key_alpha (Kammerer, SIAM J. Numer.
 Anal. 2013; the tensor torus FFT of Hromcik & Sebek, ECC 1999, is the case
 g_j = (side + 1)^j).  The generator is g = (1, a, ..., a^(d - 1)) mod M:
-first the searched (M, a) of ``_KOROBOV`` (d = 2..4, even sides to 16),
-then the rule a = k, M = (k^d - 1) / (d - 1), k the least integer
->= side + 1 with k = 1 (mod d - 1).  The keys are checked on every call,
-at O(|lower set| + M) cost; should two collide under both, or M not be
-below (side + 1)^d, the tensor torus is sampled, whose keys are the
-base-(side + 1) digits of alpha.  Neither collides for d = 2..5 and
+first the searched (M, a) of ``_KOROBOV`` (the sides of the benchmark's
+float tuples, d = 3 and 4), then the rule a = k, M = (k^d - 1) / (d - 1),
+k the least integer >= side + 1 with k = 1 (mod d - 1).  The keys are
+checked on every call, at O(|lower set| + M) cost; should two collide
+under both, or M not be below (side + 1)^d, the tensor torus is sampled,
+whose keys are the base-(side + 1) digits of alpha.  Neither collides for d = 2..5 and
 side <= 16 (tested).  The reduced torus_quadruple polynomials for n = 3..6
 (side 6 to 12) take 667, 1,847, 4,009 and 7,811 determinants (the rule's
 800, 3,333, 9,520 and 9,520; the tensor torus's 2,401 to 28,561), d = 3
 tuples of side 10 and 12 take 628 and 1,055 (665 and 1,098; 1,331 and
-2,197), and the full d = 4 localizer (side 16) 25,345 (43,440; 83,521).
+2,197), and the full d = 4 localizer (side 16) the rule's 43,440 (83,521).
 The transform is unitary, so the coefficients carry the rounding of the
 determinants, about 1e-12 relative to the largest one, well inside the
 1e-9 comparison tolerances (tested against the tensor torus for every
@@ -253,16 +253,13 @@ def _modular_dets(pencil: tuple, coeffs: np.ndarray) -> tuple:
         embedded = np.stack([(re + root * im) % p for root in (s, p - s)], axis=-1)
         embedded = embedded.reshape(len(re), -1).T
         # a member, pencil[0] - sum_k c_k pencil[k + 1], is one product and
-        # one reduction where the sum fits in int64, else one per term
+        # one reduction, its sum bounded by p (1 + sum_k |c_k mod p|)
         w = np.column_stack([np.ones(count, dtype=np.int64), -(coeffs % p)]).T
-        fits = p * int(np.abs(w).sum(axis=0).max(initial=1)) < 2**63
+        if p * int(np.abs(w).sum(axis=0).max(initial=1)) >= 2**63:
+            raise ContractError("pencil coefficients too large for an int64 product mod p")
         plus, minus = np.empty((2, count), dtype=np.int64)
         for part in parts:
-            if fits:
-                stack = embedded @ w[:, part]
-            else:
-                stack = sum(embedded[:, k, None] * w[k, part] % p for k in range(len(w)))
-            _mod(stack, p)
+            stack = _mod(embedded @ w[:, part], p)
             plus[part], minus[part] = _det_mod(stack.reshape(n, n, -1), p).reshape(2, -1)
         half = (p + 1) // 2
         residues = ((plus + minus) * half % p, (plus - minus) % p * pow(2 * s, -1, p) % p)
@@ -289,17 +286,11 @@ def _lower_set(d: int, m: int) -> np.ndarray:
 
 
 # (d, side) -> (M, a), the Korobov generator (1, a, ..., a^(d - 1)) mod M of
-# the first M up from the size of the lower set (in steps of 100 for d = 4,
-# sides 14 and 16) and the least a >= 2 with distinct keys on it; listed
-# where M is below both the rule's modulus and (side + 1)^d
+# the first M up from the size of the lower set and the least a >= 2 with
+# distinct keys on it, for the sides of the float charpoly benchmark tasks
 _KOROBOV = {
-    (2, 2): (7, 3), (2, 4): (19, 8), (2, 6): (37, 11), (2, 8): (61, 14),
-    (2, 10): (91, 17), (2, 12): (127, 20), (2, 14): (169, 23), (2, 16): (217, 26),
-    (3, 8): (333, 211), (3, 10): (628, 169), (3, 12): (1055, 196),
-    (3, 14): (1535, 596), (3, 16): (2286, 1123),
-    (4, 2): (23, 4), (4, 4): (171, 47), (4, 6): (667, 152), (4, 8): (1847, 843),
-    (4, 10): (4009, 981), (4, 12): (7811, 317), (4, 14): (14460, 12927),
-    (4, 16): (25345, 15415),
+    (3, 10): (628, 169), (3, 12): (1055, 196),
+    (4, 6): (667, 152), (4, 8): (1847, 843), (4, 10): (4009, 981), (4, 12): (7811, 317),
 }
 
 

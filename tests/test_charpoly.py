@@ -448,13 +448,16 @@ def test_batch_last_det_mod_matches_exact_determinant(n, b, bound, seed):
     assert _det_mod(a.copy(), p).tolist() == want
 
 
-def test_modular_dets_with_coefficients_past_the_one_product_bound():
-    # p (1 + sum_k |c_k|) passes 2^63, so each term is reduced on its own
+def test_modular_dets_refuse_coefficients_past_the_one_product_bound():
+    # c_k = -1 is p - 1 mod p, so three of them give p (1 + 3 (p - 1)) >
+    # 2^63, and one int64 product of the pencil and the coefficients could
+    # overflow; interpolation nodes, in 0..side and their squares, stay far
+    # below that
     rng = np.random.default_rng(9)
-    pencil = tuple(rng.integers(-50, 50, size=(3, 5, 5)).tolist() for _ in range(2))
-    coeffs = [[0, 0], [2**40, 3], [5, -(2**41)]]
-    got = _modular_dets(_object_pencil(pencil), np.array(coeffs, dtype=np.int64))
-    assert list(zip(*got)) == _bareiss_dets(pencil, coeffs)
+    pencil = tuple(rng.integers(-50, 50, size=(4, 5, 5)).tolist() for _ in range(2))
+    coeffs = [[0, 0, 0], [-1, -1, -1]]
+    with pytest.raises(ContractError, match="too large for an int64 product"):
+        _modular_dets(_object_pencil(pencil), np.array(coeffs, dtype=np.int64))
 
 
 def test_exact_interpolation_checks_raise(monkeypatch):
@@ -578,7 +581,7 @@ def _tensor_torus_coeffs(family) -> dict:
     m, d = family.degree, family.d
     k = m + 1
     torus = np.exp(2j * np.pi / k * np.indices((k,) * d).reshape(d, -1).T)
-    # 4,096 nodes at a time: the d = 4, side 16 torus has 83,521
+    # 4,096 nodes at a time: the d = 4, side 12 torus has 28,561
     dets = np.concatenate([family.float_dets(torus[i : i + 4096]) for i in range(0, len(torus), 4096)])
     coeffs = np.fft.fftn(dets.reshape((k,) * d)) / k**d
     return {tuple(a): coeffs[tuple(a)] for a in _lower_set(d, m).tolist()}
@@ -677,6 +680,19 @@ def test_float_polynomials_beyond_the_float_range_raise_contract_error():
         for fn, t in cases:
             with pytest.raises(ContractError, match="to the power 1[02] is beyond the float range"):
                 fn(t)
+
+
+@pytest.mark.parametrize("s", [1, 1e-3, 1e3])
+def test_float_polynomials_with_complex_coefficients_fail_the_real_check(s):
+    # the reduced d = 4 determinant of a random tuple of unit scale has
+    # complex coefficients: they pass the held-out check, and a real
+    # polynomial of the tuple times s is refused
+    t, _ = _normalised(random_tuple(np.random.default_rng(7), 4, 2))
+    family = _char_family(Pencil.reduced(t))
+    coeffs = np.array(list(_interpolate(family).terms.values()))
+    assert np.abs(coeffs.imag).max() > 1e-3 * np.abs(coeffs).max()
+    with pytest.raises(InterpolationError, match="imaginary part .* too large"):
+        _interpolate(family, s, real=True)
 
 
 def test_exact_char_poly_beyond_the_float_range_scales_exactly():
