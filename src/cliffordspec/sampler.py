@@ -5,9 +5,12 @@ Three indicator fields are supported:
 
 * ``det-sign``   - det(L_lambda), real; its zero-level contour misses
   even-multiplicity crossings by design (that failure mode is preserved
-  deliberately as a regression target);
+  deliberately as a regression target); a 4-tuple's is |det R_lambda|^2 >= 0,
+  kept, its level-0 mesh empty but for rounding (sigma-min or ``reduced_char_poly``
+  show the spectrum);
 * ``sigma-min``  - smallest |eigenvalue| of L_lambda, contoured at a small
-  positive threshold, an outer approximation of the zero set;
+  positive threshold, an outer approximation of the zero set; for a 4-tuple,
+  whose L_lambda is [[0, R_lambda], [R_lambda*, 0]], R_lambda's least singular value;
 * ``pfaffian-sign`` - the archetypal (Pfaffian) value on self-dual
   triples, which restores sign changes where the determinant is a square.
   It is the Pfaffian of (1/2) Q* L_lambda Q = A0 - sum_j lambda_j B_j, a
@@ -15,11 +18,11 @@ Three indicator fields are supported:
   skew once per grid, and assembled per block of nodes by ``at_rows``.
 
 Every grid from ``sample`` is one on-demand field: an indicator is a
-reducer of matrix stacks (``eigvalsh``, batched ``det`` or the stacked
-Pfaffian) and the pencil whose matrices it reduces, the localizer in
-``rep_for(d)`` or its skew pencil, and a node is evaluated when a mesh or
-a read first needs it.  sigma_min is 1-Lipschitz
-in lambda, since (sum_j a_j gamma_j)^2 = |a|^2, so
+reducer of matrix stacks (``eigvalsh``, singular values, batched ``det``
+or the stacked Pfaffian) and the pencil whose matrices it reduces, the
+localizer in ``rep_for(d)``, a 4-tuple's reduced localizer or the skew
+pencil, and a node is evaluated when a mesh or a read first needs it.
+sigma_min is 1-Lipschitz in lambda, since (sum_j a_j gamma_j)^2 = |a|^2, so
 max_c(sigma(c) - |lambda - lambda_c|) over already solved nodes c bounds
 sigma_min(L_lambda) from below, up to a rounding margin.  Let e be the
 longest Kuhn-tet edge, the cube diagonal; every cube at a node lies in the
@@ -39,7 +42,7 @@ ball of radius e around it.
 (every 4th index per axis, and the last), then the nodes of the stride-2
 lattice and then the rest, each only where the bound from its neighbours
 on the coarser lattice does not prove it above level + e.  The coarse
-lattices get sigma_min, by ``eigvalsh`` of the localizer, and the value;
+lattices get sigma_min, as the sigma-min field has it, and the value;
 the full grid only the value.  A node left unsolved holds its bound,
 signed like the value at the coarser node that attains it, so the mesh
 reads the values, or the signs, it would read from the full field.  The
@@ -236,22 +239,23 @@ def _sigma_min(m: np.ndarray) -> np.ndarray:
 
 class _Field:
     """An indicator at a grid's nodes, each evaluated when first needed as
-    reduce(source.at_rows(rows)).  It holds sigma_min of the localizer
-    ``pencil``, or a lower bound on it, on its two coarse lattices, and at
+    reduce(source.at_rows(rows)).  It holds sigma_min, sigma(pencil.at_rows(rows))
+    or a lower bound on it, on its two coarse lattices, and at
     every node the value or, where ``at_level`` proved it unread, a
     placeholder: the node's bound, signed like the value at the coarser node
     that attains it.  The bounds of a sigma-min field bound its values, so
     it prunes at every level and its unsolved values lie above ``_floor``."""
 
-    def __init__(self, pencil: Pencil, source: Pencil, reduce, spec: GridSpec, margin, threads):
+    def __init__(self, pencil: Pencil, sigma, source: Pencil, reduce, spec: GridSpec, margin, threads):
         self._pencil = pencil
+        self._sigma_of = sigma
         self._source = source
         self._reduce = reduce
-        self._bounds_values = source is pencil and reduce is _sigma_min
+        self._bounds_values = source is pencil and reduce is sigma
         self._spec = spec
         self._coords = [a.nodes() for a in spec.axes]
         self._threads = threads
-        self._node_bytes = 16 * pencil.side**2  # one complex128 matrix per node
+        self._node_bytes = 16 * max(pencil.side, source.side) ** 2  # one complex128 matrix a node
         self._margin = margin  # the rounding slack of every bound
         size = math.prod(len(x) for x in self._coords)
         self._sigma = np.full(size, np.nan)  # sigma_min or its bound, coarse lattices
@@ -264,10 +268,10 @@ class _Field:
         return self._reduce(self._source.at_rows(rows))
 
     def _run_coarse(self, rows: np.ndarray) -> np.ndarray:
-        """sigma_min and the value at rows, from one localizer assembly
-        when the field reduces the localizer."""
+        """sigma_min and the value at rows, from one assembly when the
+        field reduces the pencil that gives sigma_min."""
         m = self._pencil.at_rows(rows)
-        sigma = _sigma_min(m)
+        sigma = self._sigma_of(m)
         if self._bounds_values:
             return np.stack([sigma, sigma])
         source = m if self._source is self._pencil else self._source.at_rows(rows)
@@ -402,8 +406,10 @@ def sample(
     ft = tuple_.as_float()
     d = ft.d
     spec.validate_for(d)
-    pencil = Pencil.localizer(ft)
+    pencil, sigma = Pencil.localizer(ft), _sigma_min
     ref = operator_norm(pencil.members[0])
+    if d == 4:  # sigma_min(L_lambda) is the least singular value of R_lambda
+        pencil, sigma = Pencil.reduced(ft), lambda m: np.linalg.svd(m, compute_uv=False)[:, -1]
     # the largest |lambda| of the grid is at a corner: each coordinate's
     # largest square, summed in lambda order
     squares = {a.index: np.max(np.square(a.nodes())) for a in spec.axes}
@@ -411,18 +417,16 @@ def sample(
     # ||L_lambda|| <= ref + |lambda| <= reach on the grid
     reach = ref + math.sqrt(np.sum([squares[i] for i in range(d)]))
     margin = SIGMA_MIN_PRUNE_RTOL * reach  # the rounding slack of every bound
-    # each indicator reduces stacks of the localizer's matrices, or of the
-    # skew pencil's for pfaffian-sign
-    source, reduce = pencil, {
-        SIGMA_MIN: _sigma_min,
-        DET_SIGN: lambda m: np.linalg.det(m).real,
-        PFAFFIAN_SIGN: lambda m: _pfaffian_parlett_reid(m).real,
-    }[indicator]
-    if indicator == PFAFFIAN_SIGN:
-        source = ft._held(_self_dual_skew_pencil)
+    # each indicator reduces stacks of the sigma_min pencil's matrices, of the
+    # full localizer's for det-sign, or of the skew pencil's for pfaffian-sign
+    source, reduce = pencil, sigma
+    if indicator == DET_SIGN:
+        source, reduce = Pencil.localizer(ft), lambda m: np.linalg.det(m).real
+    elif indicator == PFAFFIAN_SIGN:
+        source, reduce = ft._held(_self_dual_skew_pencil), lambda m: _pfaffian_parlett_reid(m).real
     if indicator != SIGMA_MIN:
         source = _in_range(source, reach)
-    field = _Field(pencil, source, reduce, spec, margin, threads)
+    field = _Field(pencil, sigma, source, reduce, spec, margin, threads)
     return SpectrumGrid(spec, indicator, field, ref)
 
 

@@ -25,9 +25,10 @@ POLY_EQUAL_SCALE_FLOOR = 1e-300  # poly_equal's scale floor, so zero polynomials
 # in grid-index units (a grid cell has sides 1), so the cut scales with the grid
 DEGENERATE_AREA = 1e-12
 TORUS_RESIDUAL_TOL = 1e-10  # torus_radius_profile: |f| at which bisection stops
-UNIT_TOL = 1e-12  # expectation_variance, extract_w: unit norms and nonnegative variances
+UNIT_TOL = 1e-12  # expectation_variance, extract_w: unit norms and the selected block's norm
+VARIANCE_RTOL = 1e-10  # variance: past -this * max(1, ||Xv||^2), a negative Var is no rounding
 # sample: the on-demand field's pruning margin, against ||L_0|| + max |lambda| of
-# the grid.  A node's Lipschitz bound carries eigvalsh rounding (a few eps * side *
+# the grid.  A node's Lipschitz bound carries eigvalsh or svd rounding (a few eps * side *
 # ||L_lambda||) and no gamma relation defect: the float gammas of rep_for(d), with
 # entries 0, +-1 and +-i, meet their relations exactly.  For det-sign and pfaffian-sign
 # it also covers the backward error of the LU and Parlett-Reid factorisations, of the

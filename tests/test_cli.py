@@ -127,6 +127,18 @@ def test_variance_holds(capsys):
     assert "rhs=12" in out
 
 
+def test_variance_commuting_triple_exits_0(tmp_path, capsys):
+    # rounding takes a variance of this valid triple below zero at its joint
+    # eigenvalue; that is not a config error
+    mats = [[[-500, 1500], [1500, -500]], [[1500, 500], [500, 1500]], [[0, 1000], [1000, 0]]]
+    doc = {"kind": "float", "matrices": [[[[e, 0] for e in row] for row in m] for m in mats]}
+    path = tmp_path / "commuting.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "variance", str(path), "--at", "1000", "2000", "1000")
+    assert code == 0
+    assert "HOLDS" in out
+
+
 def test_variance_violation_exit6(capsys):
     code, out, _ = run(capsys, "variance", "--example", "pauli", "--at", "0", "0", "5")
     assert code == 6

@@ -210,6 +210,33 @@ def test_slice_needs_three_axes():
         slice_4d(gamma_tuple(), GridSpec.cube(4, -1, 1, 5), SIGMA_MIN)
 
 
+@settings(max_examples=40)
+@given(st.integers(1, 3), st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_four_tuple_sigma_min_on_reduced_localizer_matches_full(n, fixed, seed):
+    # sigma_min of a 4-tuple comes from R_lambda; the eigenvalues of the full
+    # L_lambda = [[0, R], [R*, 0]] are +-sigma_i(R), so their least magnitude agrees
+    rng = np.random.default_rng(seed)
+    t = random_tuple(rng, 4, n)
+    spec = GridSpec.cube(4, -2.0, 2.0, 4, fixed={fixed: float(rng.uniform(-1, 1))})
+    got = sample(t, spec, SIGMA_MIN).values.reshape(-1)
+    full = Pencil.localizer(t).at_rows(_lambda_grid(spec, 4))
+    want = np.min(np.abs(np.linalg.eigvalsh(full)), axis=1)
+    assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+
+@pytest.mark.parametrize("make", [lambda: torus_quadruple(3), even_odd, gamma_tuple])
+def test_four_tuple_det_sign_is_nonnegative(make):
+    # det L_lambda = |det R_lambda|^2 for a 4-tuple: the det-sign field is kept,
+    # never changes sign, and its level-0 mesh is empty
+    t = make().as_float()
+    spec = GridSpec.cube(4, -1.5, 1.5, 21, fixed={3: 0.0})
+    values = slice_4d(t, spec, DET_SIGN).values.reshape(-1)
+    reduced = np.abs(np.linalg.det(Pencil.reduced(t).at_rows(_lambda_grid(spec, 4)))) ** 2
+    assert np.min(values) >= 0.0
+    assert np.max(np.abs(values - reduced)) <= 1e-12 * np.max(reduced)
+    assert len(extract_isosurface(slice_4d(t, spec, DET_SIGN), 0.0).triangles) == 0
+
+
 def test_mesh_channel_carries_fixed_coordinate():
     t = even_odd(0)
     spec = GridSpec.cube(4, -2.5, 2.5, 11, fixed={3: 0.0})
@@ -828,14 +855,23 @@ def test_empty_mesh_topology():
 
 def _eager_sigma_min(tuple_, spec):
     """The field as sample used to return it: every node solved, in order,
-    in chunks of 4,096 (the reference for every on-demand read)."""
+    in chunks of 4,096 (the reference for every on-demand read).  A 4-tuple's
+    sigma_min is the least singular value of its half-size R_lambda."""
     ft = tuple_.as_float()
-    pencil = Pencil.localizer(ft, rep_for(ft.d))
     lam = _lambda_grid(spec, ft.d)
-    pieces = [
-        np.min(np.abs(np.linalg.eigvalsh(pencil.at_rows(lam[i : i + 4096]))), axis=1)
-        for i in range(0, len(lam), 4096)
-    ]
+    if ft.d == 4:
+        pencil = Pencil.reduced(ft)
+
+        def run(rows):
+            return np.linalg.svd(pencil.at_rows(rows), compute_uv=False)[:, -1]
+
+    else:
+        pencil = Pencil.localizer(ft, rep_for(ft.d))
+
+        def run(rows):
+            return np.min(np.abs(np.linalg.eigvalsh(pencil.at_rows(rows))), axis=1)
+
+    pieces = [run(lam[i : i + 4096]) for i in range(0, len(lam), 4096)]
     return np.concatenate(pieces).reshape([a.count for a in spec.axes])
 
 
