@@ -226,10 +226,10 @@ def _det_mod(a: np.ndarray, p: int) -> np.ndarray:
     return np.where(flip, (p - det) % p, det)
 
 
-def _modular_dets(pencil: tuple, coeffs: np.ndarray) -> tuple:
+def _modular_dets(pencil: tuple, coeffs: np.ndarray) -> np.ndarray:
     """Gaussian-integer determinants of pencil[0] - sum_k coeffs[:, k]
-    pencil[k + 1], one per row of the integer array coeffs, as (re, im)
-    object arrays of Python ints.
+    pencil[k + 1], one per row of the integer array coeffs, as a (2, nodes)
+    object array of Python ints, real parts first.
 
     Each prime p = 1 (mod 4) has a square root s of -1, so Z[i] maps to F_p
     by i -> s and by i -> -s.  The stack is eliminated mod p under both,
@@ -243,7 +243,7 @@ def _modular_dets(pencil: tuple, coeffs: np.ndarray) -> tuple:
     n = pencil[0].shape[1]
     count = len(coeffs)
     modulus = 1
-    value = (np.zeros(count, dtype=object), np.zeros(count, dtype=object))
+    value = np.zeros((2, count), dtype=object)
     # a node's stack is two n x n int64 matrices, one per embedding
     parts = blocks(count, 16 * n * n)
     for p, s in _primes():
@@ -262,16 +262,13 @@ def _modular_dets(pencil: tuple, coeffs: np.ndarray) -> tuple:
             stack = _mod(embedded @ w[:, part], p)
             plus[part], minus[part] = _det_mod(stack.reshape(n, n, -1), p).reshape(2, -1)
         half = (p + 1) // 2
-        residues = ((plus + minus) * half % p, (plus - minus) % p * pow(2 * s, -1, p) % p)
-        inv = pow(modulus, -1, p)
-        value = tuple(
-            x + ((r - (x % p).astype(np.int64)) % p * inv % p).astype(object) * modulus
-            for x, r in zip(value, residues)
-        )
+        residues = np.stack([(plus + minus) * half, (plus - minus) % p * pow(2 * s, -1, p)]) % p
+        step = (residues - (value % p).astype(np.int64)) % p * pow(modulus, -1, p) % p
+        value += step.astype(object) * modulus
         modulus *= p
         if modulus.bit_length() > bits + 3:
             break
-    return tuple(np.where(x > modulus // 2, x - modulus, x) for x in value)
+    return np.where(value > modulus // 2, value - modulus, value)
 
 
 # ---------------------------------------------------------------------------
@@ -316,10 +313,10 @@ def _lattice(expo: np.ndarray, m: int) -> tuple:
     return g, full, expo @ g
 
 
-def _newton_to_monomial(v: tuple, expo: np.ndarray, m: int) -> None:
+def _newton_to_monomial(v: np.ndarray, expo: np.ndarray, m: int) -> None:
     """Turn the values of a polynomial at the integer nodes alpha, the rows
     of the lower set expo, into its monomial coefficients, in place.  ``v``
-    is (re, im), Gaussian-integer object arrays indexed like expo.
+    is a (2, nodes) Gaussian-integer object array, columns indexed like expo.
 
     The tensor Newton basis N_alpha has leading monomial lambda^alpha, so
     the Newton coefficients with |alpha| > m vanish, and c_alpha needs only
@@ -338,22 +335,20 @@ def _newton_to_monomial(v: tuple, expo: np.ndarray, m: int) -> None:
         prev = where[tuple((expo - unit[axis]).T)]
         for k in range(1, m + 1):
             sel = np.nonzero(col >= k)[0]
-            for part in v:
-                diff = part[sel] - part[prev[sel]]
-                quot = diff // k
-                if np.any(diff - quot * k):
-                    raise InterpolationError(
-                        "divided difference is not a Gaussian integer: the "
-                        "determinant exceeds its degree bound"
-                    )
-                part[sel] = quot
+            diff = v[:, sel] - v[:, prev[sel]]
+            quot = diff // k
+            if np.any(diff - quot * k):
+                raise InterpolationError(
+                    "divided difference is not a Gaussian integer: the "
+                    "determinant exceeds its degree bound"
+                )
+            v[:, sel] = quot
     for axis in range(d):
         col = expo[:, axis]
         succ = where[tuple((expo + unit[axis]).T)]
         for k in range(m - 1, -1, -1):
             sel = np.nonzero((col >= k) & (succ >= 0))[0]
-            for part in v:
-                part[sel] = part[sel] - k * part[succ[sel]]
+            v[:, sel] -= k * v[:, succ[sel]]
 
 
 def _interpolate(family: _Family, s=1, real: bool = False) -> MultiPoly:
@@ -368,13 +363,14 @@ def _interpolate(family: _Family, s=1, real: bool = False) -> MultiPoly:
         _newton_to_monomial(v, expo, m)
         den = pencil.den**pencil.side
         _validate_exact(family, expo, v, den)
+        if real and np.any(v[1]):
+            raise InterpolationError("exact characteristic polynomial has a nonzero imaginary part")
         terms = {
             tuple(a): GaussianRational(Fraction(re, den), Fraction(im, den))
             for a, re, im in zip(expo.tolist(), *v)
             if re or im
         }
-        poly = MultiPoly(d, terms, EXACT)
-        return _force_real_coeffs(poly) if real else poly
+        return MultiPoly(d, terms, EXACT)
     g, modulus, keys = _lattice(expo, m)
     # the phase t g_j mod modulus is reduced exactly in int64 before exp
     phase = np.arange(modulus, dtype=np.int64)[:, None] * g % modulus
@@ -403,14 +399,13 @@ def _interpolate(family: _Family, s=1, real: bool = False) -> MultiPoly:
     return MultiPoly(d, dict(zip(map(tuple, expo.tolist()), coeffs.tolist())), FLOAT)
 
 
-def _validate_exact(family: _Family, expo: np.ndarray, v: tuple, den: int) -> None:
-    """Held-out check: the integer numerators v of the coefficients, over
-    den, must give the reference determinant at (degree + 1, degree + 2,
-    ...), which is not an interpolation node."""
+def _validate_exact(family: _Family, expo: np.ndarray, v: np.ndarray, den: int) -> None:
+    """Held-out check: the (2, nodes) integer numerators v of the
+    coefficients, over den, must give the reference determinant at
+    (degree + 1, degree + 2, ...), which is not an interpolation node."""
     probe = [family.degree + 1 + j for j in range(family.d)]
     mono = (np.array(probe, dtype=object) ** expo.astype(object)).prod(axis=1)
-    got = GaussianRational(*(Fraction(int((part * mono).sum()), den) for part in v))
-    if got != family.reference(probe):
+    if GaussianRational(*v @ mono) != den * family.reference(probe):
         raise InterpolationError("exact interpolation failed held-out check")
 
 
@@ -465,16 +460,6 @@ def reduced_char_poly(tuple_: HermitianTuple) -> MultiPoly:
         raise ContractError("the reduced characteristic polynomial needs d = 4")
     t, s = _normalised(tuple_)
     return _interpolate(_char_family(Pencil.reduced(t)), s)
-
-
-def _force_real_coeffs(poly: MultiPoly) -> MultiPoly:
-    """The exact polynomial poly, checked to have real coefficients."""
-    for c in poly.terms.values():
-        if c.im:
-            raise InterpolationError(
-                "exact characteristic polynomial has a nonzero imaginary part"
-            )
-    return poly
 
 
 def laplace_det_poly(tuple_: HermitianTuple) -> MultiPoly:

@@ -97,6 +97,9 @@ def index_along_path(
     pts = [np.asarray(w, dtype=float) for w in waypoints]
     if len(pts) < 2:
         raise ContractError(f"a path needs at least two waypoints, got {len(pts)}")
+    for k, w in enumerate(pts):
+        if w.shape != (tuple_.d,):
+            raise ContractError(f"waypoint {k} has shape {w.shape}, not ({tuple_.d},)")
     out = []
     for a, b in zip(pts[:-1], pts[1:]):
         for k in range(count + 1):
@@ -205,13 +208,13 @@ def _archetypal(skew_pencil: Pencil, lam: list, shift: int = 0):
     """Pf((1/2) Q* L(lam) Q) at coerced lam, off a self-dual triple's skew
     pencil.  A float matrix is first scaled by 2^-shift, which is exact and
     scales the Pfaffian by 2^(-shift side / 2), keeping its sign."""
-    skew = skew_pencil.at(lam)
     if skew_pencil.kind == EXACT:
         # exactly skew: an integer combination of exactly skew members
-        value = _exact_pfaffian(skew)
+        value = _exact_pfaffian(*skew_pencil._gaussian_at(lam))
         if value.im:
             raise ArithmeticError("archetypal value has nonzero imaginary part")
         return value
+    skew = skew_pencil.at(lam)
     if defect_exceeds(skew + skew.T, skew, SKEW_CHECK_RTOL):
         raise SymmetryError("conjugated localizer is not skew-symmetric")
     value = _pfaffian_parlett_reid((skew * 2.0**-shift)[None])[0]
@@ -280,6 +283,8 @@ def graded_index(
     if lam[3] != 0.0:
         raise SymmetryError("the graded index is defined only at lambda_4 = 0")
     grading = even_odd_grading(tuple_.n) if grading is None else grading
+    if np.shape(grading) != (tuple_.n, tuple_.n):
+        raise ContractError(f"grading has shape {np.shape(grading)}, not {tuple_.n} x {tuple_.n}")
     profile = SymmetryProfile((frozenset({"even"}),) * 3 + (frozenset({"odd"}),), grading)
     _require_flags(tuple_, profile, "the {} grading")
     red = Pencil.reduced(ft).at(lam)

@@ -1,16 +1,17 @@
 """Dense matrix kernels: eigendecomposition, determinants, signature,
 smallest eigenvalue magnitude, Pfaffians, operator norm.
 
-The exact determinant uses fraction-free Bareiss elimination.  Entries are
-first scaled to Gaussian integers (one lcm of all denominators), so the
-elimination runs on plain Python integer pairs; Bareiss guarantees every
-interior division is exact.  It serves single matrices: exact
+The exact kernels eliminate fraction-free on one (2, n, n) object array of
+Python ints, real parts first: den times the matrix, den the lcm of its
+entry denominators (``matrices.gaussian_form``).  The determinant is
+Bareiss elimination (Math. Comp. 1968), the Pfaffian its analogue on pivot
+pairs; in both, a new entry is the pivot times the old one less products of
+entries in the pivot rows, divided exactly by the previous pivot, in one
+shared Gaussian-integer step.  Bareiss serves single matrices: exact
 characteristic polynomials take their node determinants from a batched
 multi-modular kernel in ``charpoly`` and use Bareiss as the independent
-held-out validator.  Pfaffians use Parlett-Reid skew tridiagonalization
-(Wimmer, ACM TOMS 2012): the float one with partial pivoting, the exact one
-in Gaussian-rational arithmetic, pivoting on the first nonzero entry below
-the diagonal.
+held-out validator.  The float Pfaffian is Parlett-Reid skew
+tridiagonalization with partial pivoting (Wimmer, ACM TOMS 2012).
 """
 
 from __future__ import annotations
@@ -107,57 +108,42 @@ def signature(m: np.ndarray, tol: float | None = None) -> int:
 # determinants
 
 
-def _gaussian_int_bareiss(a_re, a_im, n):
-    """Fraction-free elimination over Gaussian integers; returns det as an
-    (re, im) integer pair.  Mutates its inputs."""
-    sign = 1
-    prev_re, prev_im, prev_norm = 1, 0, 1
-    for k in range(n - 1):
-        if a_re[k][k] == 0 and a_im[k][k] == 0:
-            for r in range(k + 1, n):
-                if a_re[r][k] != 0 or a_im[r][k] != 0:
-                    a_re[k], a_re[r] = a_re[r], a_re[k]
-                    a_im[k], a_im[r] = a_im[r], a_im[k]
-                    sign = -sign
-                    break
-            else:
+def _eliminate(pivot, block, left, right, prev) -> tuple:
+    """(pivot block - left @ right) / prev as an (re, im) pair, for Gaussian
+    integers held as (2, ...) arrays, real parts first, and a division the
+    caller knows to be exact: x / prev = (x conj(prev)) // |prev|^2."""
+    (pr, pi), (b0, b1), (l0, l1), (r0, r1), (qr, qi) = pivot, block, left, right, prev
+    x0 = pr * b0 - pi * b1 - l0 @ r0 + l1 @ r1
+    x1 = pr * b1 + pi * b0 - l0 @ r1 - l1 @ r0
+    norm = qr * qr + qi * qi
+    return (x0 * qr + x1 * qi) // norm, (x1 * qr - x0 * qi) // norm
+
+
+def _gaussian_int_bareiss(a: np.ndarray) -> tuple:
+    """det(a[0] + i a[1]) as an (re, im) pair of ints, overwriting a: step k
+    replaces the trailing block by (pivot block - column row) / previous
+    pivot (Bareiss), and the last pivot is det."""
+    n = a.shape[1]
+    sign, prev = 1, np.array([1, 0], dtype=object)
+    for k in range(n):
+        if not (a[0, k, k] or a[1, k, k]):
+            rows = np.flatnonzero((a[:, k:, k] != 0).any(axis=0))
+            if not rows.size:
                 return 0, 0
-        pr = a_re[k][k]
-        pi = a_im[k][k]
-        rk_re = a_re[k]
-        rk_im = a_im[k]
-        trivial_prev = prev_norm == 1 and prev_re == 1
-        for i in range(k + 1, n):
-            ri_re = a_re[i]
-            ri_im = a_im[i]
-            lr = ri_re[k]
-            li = ri_im[k]
-            for j in range(k + 1, n):
-                xr = ri_re[j] * pr - ri_im[j] * pi - (lr * rk_re[j] - li * rk_im[j])
-                xi = ri_re[j] * pi + ri_im[j] * pr - (lr * rk_im[j] + li * rk_re[j])
-                if trivial_prev:
-                    ri_re[j] = xr
-                    ri_im[j] = xi
-                else:
-                    ri_re[j] = (xr * prev_re + xi * prev_im) // prev_norm
-                    ri_im[j] = (xi * prev_re - xr * prev_im) // prev_norm
-            ri_re[k] = 0
-            ri_im[k] = 0
-        prev_re, prev_im = pr, pi
-        prev_norm = pr * pr + pi * pi
-    return sign * a_re[n - 1][n - 1], sign * a_im[n - 1][n - 1]
+            a[:, [k, k + rows[0]]] = a[:, [k + rows[0], k]]
+            sign = -sign
+        pivot, column, row = a[:, k, k], a[:, k + 1 :, k, None], a[:, k, None, k + 1 :]
+        a[:, k + 1 :, k + 1 :] = _eliminate(pivot, a[:, k + 1 :, k + 1 :], column, row, prev)
+        prev = pivot
+    return tuple(sign * prev)
 
 
 def exact_determinant(m: np.ndarray) -> GaussianRational:
     if m.shape[0] != m.shape[1]:
         raise ContractError("determinant needs a square matrix")
-    n = m.shape[0]
-    if n == 0:
-        return GaussianRational(1)
-    den, re, im = gaussian_form((m,))
-    dr, di = _gaussian_int_bareiss(re[0].tolist(), im[0].tolist(), n)
-    scale = Fraction(1, den**n)
-    return GaussianRational(dr * scale, di * scale)
+    den, *parts = gaussian_form((m,))
+    det = _gaussian_int_bareiss(np.concatenate(parts))
+    return GaussianRational(*det) * Fraction(1, den ** len(m))
 
 
 def determinant(m: np.ndarray):
@@ -180,26 +166,31 @@ def _require_skew(m: np.ndarray) -> None:
         raise ContractError("matrix is not skew-symmetric")
 
 
-def _exact_pfaffian(m: np.ndarray) -> GaussianRational:
-    """Pf of an exact skew matrix by Parlett-Reid elimination in exact
-    arithmetic, pivoting on the first nonzero entry below the diagonal; a
-    column with none makes the matrix singular."""
-    a, n = m.copy(), m.shape[0]
-    pf = GaussianRational(1)
-    for k in range(0, n - 1, 2):
-        below = np.flatnonzero(a[k + 1 :, k])
-        if not below.size:
-            return GaussianRational(0)
-        p = k + 1 + below[0]
-        if p != k + 1:
-            a[[k + 1, p]] = a[[p, k + 1]]
-            a[:, [k + 1, p]] = a[:, [p, k + 1]]
-            pf = -pf
-        pf = pf * a[k, k + 1]
-        tau = a[k + 2 :, k] / a[k + 1, k]
-        col = a[k + 2 :, k + 1]
-        a[k + 2 :, k + 2 :] += np.outer(tau, col) - np.outer(col, tau)
-    return pf
+def _exact_pfaffian(den: int, a: np.ndarray) -> GaussianRational:
+    """Pf((a[0] + i a[1]) / den) of a skew matrix, overwriting a.  A zero
+    pivot a[k, k + 1] swaps index k + 1 with the first j where a[k, j] is
+    nonzero, in rows and columns, and flips the sign; with none, Pf = 0.
+    Step k sets a[i, j], i, j >= k + 2, to the Pfaffian of rows and columns
+    {0..k + 1, i, j} of the input, (pivot a[i, j] - a[k, i] a[k + 1, j] +
+    a[k, j] a[k + 1, i]) / previous pivot by the Pfaffian form of Sylvester's
+    identity (Knuth, Electron. J. Combin. 1996); the last pivot is den^(n/2) Pf."""
+    n = a.shape[1]
+    sign, prev = 1, np.array([1, 0], dtype=object)
+    for k in range(0, n, 2):
+        if not (a[0, k, k + 1] or a[1, k, k + 1]):
+            cols = np.flatnonzero((a[:, k, k + 1 :] != 0).any(axis=0))
+            if not cols.size:
+                return GaussianRational(0)
+            j = k + 1 + cols[0]
+            a[:, [k + 1, j]] = a[:, [j, k + 1]]
+            a[:, :, [k + 1, j]] = a[:, :, [j, k + 1]]
+            sign = -sign
+        pivot, u, w = a[:, k, k + 1], a[:, k, k + 2 :], a[:, k + 1, k + 2 :]
+        # u_i w_j - w_i u_j as (u_i, w_i) @ (w_j, -u_j)
+        left, right = np.stack([u, w], axis=-1), np.stack([w, -u], axis=1)
+        a[:, k + 2 :, k + 2 :] = _eliminate(pivot, a[:, k + 2 :, k + 2 :], left, right, prev)
+        prev = pivot
+    return GaussianRational(*prev) * Fraction(sign, den ** (n // 2))
 
 
 def _pfaffian_parlett_reid(a: np.ndarray) -> np.ndarray:
@@ -239,5 +230,6 @@ def pfaffian(m: np.ndarray):
     """Pfaffian of a skew-symmetric even-sided matrix; Pf(M)^2 = det(M)."""
     _require_skew(m)
     if kind_of(m) == EXACT:
-        return _exact_pfaffian(m)
+        den, *parts = gaussian_form((m,))
+        return _exact_pfaffian(den, np.concatenate(parts))
     return complex(_pfaffian_parlett_reid(np.array(m, dtype=complex)[None])[0])

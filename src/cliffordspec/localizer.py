@@ -159,11 +159,17 @@ class Pencil:
         if self.kind == FLOAT:
             p = self.members[1:]
             return self.members[0] - sum((v * m for v, m in zip(lam[1:], p[1:])), lam[0] * p[0])
+        den, a = self._gaussian_at(lam)
+        return from_gaussian_integers(den, *a)
+
+    def _gaussian_at(self, lam) -> tuple:
+        """(den, a) with den L(lam) = a[0] + i a[1], a a (2, side, side)
+        object array of Python ints, for an exact pencil at rational lam."""
         lam = [as_gaussian(v).re for v in lam]
         q = math.lcm(*(v.denominator for v in lam))
         c = np.array([int(v * q) for v in lam], dtype=object)[:, None, None]
-        re, im = (part[0] * q - (c * part[1:]).sum(axis=0) for part in (self.re, self.im))
-        return from_gaussian_integers(self.den * q, re, im)
+        parts = [part[0] * q - (c * part[1:]).sum(axis=0) for part in (self.re, self.im)]
+        return self.den * q, np.stack(parts)
 
     def at_rows(self, lam: np.ndarray) -> np.ndarray:
         """L(c) for each row c of lam, shape (count, d), in one buffer."""

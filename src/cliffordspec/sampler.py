@@ -668,8 +668,11 @@ def torus_radius_profile(
     `poly` is a reduced characteristic polynomial whose real part, on the
     equal-radius locus, is negative at r = 0 and increasing; bisection
     finds the unique root, to |f| <= TORUS_RESIDUAL_TOL.  Raises if the
-    bracket shows no sign change.
+    bracket shows no sign change; theta and phi must be finite and
+    0 < r_max < inf.
     """
+    if not (math.isfinite(theta) and math.isfinite(phi) and 0.0 < r_max < math.inf):
+        raise ContractError(f"need finite angles and 0 < r_max < inf, got {theta}, {phi}, {r_max}")
     coeffs = radial_section(poly, theta, phi)[0][::-1]  # highest power first
     lo, hi = 0.0, float(r_max)
     f_lo = np.polyval(coeffs, lo)

@@ -55,7 +55,9 @@ def _moments(stack: np.ndarray, v: np.ndarray) -> tuple:
 def expectation_variance(x: np.ndarray, v: np.ndarray):
     """(E, Var) of a Hermitian matrix in the state v (a unit vector)."""
     v = np.asarray(v, dtype=complex).reshape(-1)
-    if abs(np.linalg.norm(v) - 1.0) > UNIT_TOL:
+    if x.shape != (len(v), len(v)):
+        raise ContractError(f"state vector length {len(v)} does not fit matrix shape {x.shape}")
+    if not abs(np.linalg.norm(v) - 1.0) <= UNIT_TOL:
         raise ContractError("state vector must have unit norm")
     e, var = _moments(to_float(x)[None], v)
     return float(e[0]), float(var[0])
@@ -88,9 +90,9 @@ def extract_w(z: np.ndarray, g: int, n: int) -> np.ndarray:
     to the lowest block index.
     """
     z = np.asarray(z, dtype=complex).reshape(-1)
-    if z.size != g * n:
-        raise ContractError(f"vector length {z.size} is not g*n = {g * n}")
-    if abs(np.linalg.norm(z) - 1.0) > UNIT_TOL:
+    if g < 1 or n < 1 or z.size != g * n:
+        raise ContractError(f"vector length {z.size} is not g*n for g = {g}, n = {n} at least 1")
+    if not abs(np.linalg.norm(z) - 1.0) <= UNIT_TOL:
         raise ContractError("near-kernel vector must have unit norm")
     return _largest_block(z, g, n)
 

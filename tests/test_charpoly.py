@@ -15,7 +15,6 @@ from cliffordspec.charpoly import (
     _char_family,
     _det_mod,
     _Family,
-    _force_real_coeffs,
     _interpolate,
     _is_prime,
     _laplace_family,
@@ -371,9 +370,8 @@ def _member(pencil, c, part):
 
 
 def _bareiss_dets(pencil, coeffs):
-    n = len(pencil[0][0])
     return [
-        _gaussian_int_bareiss(_member(pencil, c, 0), _member(pencil, c, 1), n)
+        _gaussian_int_bareiss(np.array([_member(pencil, c, 0), _member(pencil, c, 1)], dtype=object))
         for c in coeffs
     ]
 
@@ -473,19 +471,19 @@ def test_exact_interpolation_checks_raise(monkeypatch):
     short = dataclasses.replace(short, degree=short.degree - 1)
     with pytest.raises(InterpolationError, match="held-out"):
         _interpolate(short)
+    # the reduced d = 4 polynomial has complex coefficients
+    with pytest.raises(InterpolationError, match="nonzero imaginary part"):
+        _interpolate(_char_family(Pencil.reduced(torus_quadruple(4, exact=True))), real=True)
     real = _modular_dets
 
     def off_by_one(pencil, coeffs):
-        re, im = real(pencil, coeffs)
-        re[1] += 1
-        return re, im
+        v = real(pencil, coeffs)
+        v[0, 1] += 1
+        return v
 
     monkeypatch.setattr("cliffordspec.charpoly._modular_dets", off_by_one)
     with pytest.raises(InterpolationError, match="divided difference"):
         _interpolate(family())
-    imaginary = MultiPoly(3, {(0, 0, 0): GaussianRational(1, 1)})
-    with pytest.raises(InterpolationError, match="imaginary"):
-        _force_real_coeffs(imaginary)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])

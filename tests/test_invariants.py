@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import former_exact_conjugation_unitary
 
+from cliffordspec.charpoly import char_poly
 from cliffordspec.cliffordrep import standard_rep
 from cliffordspec.errors import (
     ContractError,
@@ -43,6 +44,7 @@ from cliffordspec.localizer import Pencil, build
 from cliffordspec.matrices import (
     HermitianTuple,
     dagger,
+    exact_matrix,
     exact_zeros,
     float_matrix,
     from_gaussian_integers,
@@ -103,6 +105,11 @@ def test_index_along_path_needs_an_integer_sample_count(samples):
 def test_index_along_path_needs_two_waypoints(waypoints):
     with pytest.raises(ContractError, match=f"at least two waypoints, got {len(waypoints)}"):
         index_along_path(lemniscate(), waypoints)
+
+
+def test_index_along_path_names_a_waypoint_of_the_wrong_shape():
+    with pytest.raises(ContractError, match=re.escape("waypoint 1 has shape (2,), not (3,)")):
+        index_along_path(pauli(), [[0, 0, 0], [1, 1]])
 
 
 def test_archetypal_sign_needs_a_triple():
@@ -289,6 +296,11 @@ def test_graded_index_preconditions():
     # anti-Hermitian
     with pytest.raises(SymmetryError, match="not Hermitian"):
         graded_index(even_odd(0), [0, 0, 0, 0], even_odd_grading(4) * GaussianRational(0, 1))
+
+
+def test_graded_index_names_a_grading_of_the_wrong_shape():
+    with pytest.raises(ContractError, match=re.escape("grading has shape (1, 1), not 4 x 4")):
+        graded_index(even_odd(), [0, 0, 0, 0], grading=exact_matrix([[1]]))
 
 
 def test_index_report_fields():
@@ -518,3 +530,18 @@ def test_exact_archetypal_beyond_side_12():
     assert exact_val and exact_val.im == 0
     assert abs(complex(exact_val).real - float_val) <= 1e-9 * max(1.0, abs(float_val))
     assert exact_val * exact_val == determinant(build(t, lam=lam).matrix)
+
+
+@settings(max_examples=30)
+@given(
+    st.sampled_from([2, 4]),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.fractions(-3, 3, max_denominator=6), min_size=3, max_size=3),
+)
+def test_exact_archetypal_squared_is_char_poly(n, seed, lam):
+    # the fraction-free Pfaffian against the modular determinants of
+    # char_poly: Pf((1/2) Q* L Q)^2 = det L
+    rng = np.random.default_rng(seed)
+    t = HermitianTuple([_quaternionic(rng, n // 2) for _ in range(3)])
+    value = archetypal(t, lam)
+    assert value * value == char_poly(t).evaluate(lam)

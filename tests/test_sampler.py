@@ -260,6 +260,19 @@ def test_torus_radius_profile():
     assert abs(sum(c * r**k for k, c in enumerate(coeffs))) <= 1e-10
 
 
+@pytest.mark.parametrize(
+    "theta, phi, r_max",
+    [(0.3, 0.2, -2.0), (0.3, 0.2, 0.0), (0.3, 0.2, math.inf), (0.3, 0.2, math.nan),
+     (math.nan, 0.2, 2.0), (0.3, math.inf, 2.0)],
+)
+def test_torus_radius_profile_needs_finite_angles_and_a_positive_bound(theta, phi, r_max):
+    # r_max = -2 used to return a negative radius, inf a numpy warning and
+    # NaN a "no sign change" ArithmeticError
+    p = reduced_char_poly(torus_quadruple(4))
+    with pytest.raises(ContractError, match="0 < r_max < inf"):
+        torus_radius_profile(p, theta, phi, r_max)
+
+
 def _former_torus_radius_profile(poly, theta, phi, r_max=2.0):
     """torus_radius_profile as it was, on a hand-written Horner loop."""
 

@@ -46,6 +46,24 @@ def test_expectation_variance_rejects_non_unit():
         expectation_variance(float_matrix(np.eye(2)), np.array([1.0, 1.0]))
 
 
+def test_nan_vectors_break_the_unit_norm_contract():
+    # abs(nan - 1) > UNIT_TOL is False, so the check must be written to fail on NaN
+    with pytest.raises(ContractError, match="unit norm"):
+        extract_w(np.array([np.nan, 0, 0, 0]), 2, 2)
+    with pytest.raises(ContractError, match="unit norm"):
+        expectation_variance(float_matrix(np.eye(2)), [np.nan, 0])
+
+
+def test_expectation_variance_needs_a_vector_of_the_matrix_side():
+    with pytest.raises(ContractError, match="length 2"):
+        expectation_variance(float_matrix(np.eye(3)), [1, 0])
+
+
+def test_extract_w_needs_positive_block_counts():
+    with pytest.raises(ContractError, match="g = -1, n = -1 at least 1"):
+        extract_w(np.array([1.0]), -1, -1)
+
+
 def test_near_kernel_values():
     t = HermitianTuple(
         [float_matrix(np.diag([1.0, 2.0])), float_matrix(np.diag([3.0, 4.0]))]
