@@ -2,19 +2,18 @@
 
 A rank-d representation is d Hermitian g-by-g matrices, g = 2^floor(d/2),
 with gamma_j^2 = I and gamma_j gamma_k = -gamma_k gamma_j for j != k.
-``standard_rep`` returns the fixed conventional choices for d <= 4 (the
-d = 4 choice is block off-diagonal, which enables the reduced localizer);
-``generated_rep`` covers every d via the usual tensor-product ladder.
-``rep_for`` picks one of the two for each d; every computation of the
-package uses it, and only ``localizer.build`` accepts another.
-All representations are exact-kind, so the relations can be checked with
-no tolerance at all.
+``generated_rep`` covers every d via the usual tensor-product ladder;
+``standard_rep`` returns fixed choices for d <= 4, the ladder's for d <= 3
+and for d = 4 a block off-diagonal one, which enables the reduced localizer.
+``rep_for`` picks one of the two for each d: the only representation any
+computation of the package reads.  All representations are exact-kind and
+read-only, so the relations can be checked with no tolerance at all; a
+float localizer casts their Gaussian-integer form to float.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -36,7 +35,7 @@ from .scalars import GaussianRational
 from .tolerances import REP_RELATION_TOL
 
 
-# Pauli matrices, exact kind; read-only, like every matrix of STANDARD_REPS.
+# Pauli matrices, exact kind; read-only, like every matrix of a representation.
 SIGMA_X, SIGMA_Y, SIGMA_Z, EYE_2 = read_only(
     exact_matrix([[0, 1], [1, 0]]),
     exact_matrix([[(0, 0), (0, -1)], [(0, 1), (0, 0)]]),
@@ -48,24 +47,10 @@ SIGMA_X, SIGMA_Y, SIGMA_Z, EYE_2 = read_only(
 @dataclass(frozen=True, eq=False)
 class GammaRep:
     """d anticommuting Hermitian involutions, optionally with the
-    upper-right blocks when every gamma is block off-diagonal.
-
-    ``float_gammas`` and ``float_off_diagonal_blocks`` are read-only
-    complex128 images of both, formed on first read and held, so that a
-    float localizer reads them instead of converting; an exact entry past
-    the float range raises ContractError there, naming its matrix."""
+    upper-right blocks when every gamma is block off-diagonal."""
 
     gammas: tuple
     off_diagonal_blocks: tuple | None = None
-
-    @cached_property
-    def float_gammas(self) -> tuple:
-        return _float_images(self.gammas, "gamma")
-
-    @cached_property
-    def float_off_diagonal_blocks(self) -> tuple | None:
-        blocks = self.off_diagonal_blocks
-        return None if blocks is None else _float_images(blocks, "off-diagonal block")
 
     @property
     def d(self) -> int:
@@ -76,19 +61,15 @@ class GammaRep:
         return self.gammas[0].shape[0]
 
     def as_float(self) -> tuple:
-        """The gammas as float matrices: the shared read-only images."""
-        return self.float_gammas
-
-
-def _float_images(mats, what: str) -> tuple:
-    """Read-only complex128 images of mats, each named by what and its place."""
-    images = []
-    for k, m in enumerate(mats):
-        try:
-            images.append(to_float(m))
-        except OverflowError:
-            raise ContractError(f"{what} {k} has an entry beyond the float range") from None
-    return read_only(*images)
+        """Read-only complex128 images of the gammas, formed on each call; an
+        exact entry past the float range raises ContractError naming its gamma."""
+        images = []
+        for k, m in enumerate(self.gammas):
+            try:
+                images.append(to_float(m))
+            except OverflowError:
+                raise ContractError(f"gamma {k} has an entry beyond the float range") from None
+        return read_only(*images)
 
 
 @dataclass(frozen=True)
@@ -117,35 +98,8 @@ def _embed_off_diagonal(block: np.ndarray) -> np.ndarray:
     return np.block([[zero, block], [dagger(block), zero]])
 
 
-# upper-right blocks of the conventional block off-diagonal d = 4 choice;
-# the second block carries a minus sign (the published 4x4 matrices are
-# authoritative, and their reduced determinants match the tabulated torus
-# polynomials only with this orientation)
-_I = GaussianRational(0, 1)
-_BLOCKS_4 = read_only(_I * SIGMA_X, -_I * SIGMA_Y, _I * SIGMA_Z, exact_eye(2))
-
-# the fixed conventional representations for d = 1..4, built once; every
-# matrix is read-only, since each call of standard_rep shares them
-STANDARD_REPS = {
-    1: GammaRep(read_only(exact_matrix([[1]]))),
-    2: GammaRep((SIGMA_X, SIGMA_Y)),
-    3: GammaRep((SIGMA_X, SIGMA_Y, SIGMA_Z)),
-    4: GammaRep(
-        read_only(*(_embed_off_diagonal(b) for b in _BLOCKS_4)),
-        off_diagonal_blocks=_BLOCKS_4,
-    ),
-}
-
-
-def standard_rep(d: int) -> GammaRep:
-    """The fixed conventional representation for d in 1..4."""
-    if d in STANDARD_REPS:
-        return STANDARD_REPS[d]
-    raise ContractError("standard_rep covers d in 1..4; use generated_rep")
-
-
 def generated_rep(d: int) -> GammaRep:
-    """Tensor-product construction valid for every d >= 1."""
+    """Tensor-product construction valid for every d >= 1, read-only."""
     if d < 1:
         raise ContractError("need d >= 1")
     k = d // 2
@@ -171,7 +125,33 @@ def generated_rep(d: int) -> GammaRep:
             for _ in range(k - 1):
                 tail = kron(tail, SIGMA_Z)
             gammas.append(tail)
-    return GammaRep(tuple(gammas))
+    return GammaRep(read_only(*gammas))
+
+
+# upper-right blocks of the conventional block off-diagonal d = 4 choice;
+# the second block carries a minus sign (the published 4x4 matrices are
+# authoritative, and their reduced determinants match the tabulated torus
+# polynomials only with this orientation)
+_I = GaussianRational(0, 1)
+_BLOCKS_4 = read_only(_I * SIGMA_X, -_I * SIGMA_Y, _I * SIGMA_Z, exact_eye(2))
+
+# the fixed conventional representations for d = 1..4, built once and shared
+# by each call of standard_rep: the ladder's for d <= 3, and for d = 4 the
+# block off-diagonal choice
+STANDARD_REPS = {
+    **{d: generated_rep(d) for d in (1, 2, 3)},
+    4: GammaRep(
+        read_only(*(_embed_off_diagonal(b) for b in _BLOCKS_4)),
+        off_diagonal_blocks=_BLOCKS_4,
+    ),
+}
+
+
+def standard_rep(d: int) -> GammaRep:
+    """The fixed conventional representation for d in 1..4."""
+    if d in STANDARD_REPS:
+        return STANDARD_REPS[d]
+    raise ContractError("standard_rep covers d in 1..4; use generated_rep")
 
 
 def rep_for(d: int) -> GammaRep:

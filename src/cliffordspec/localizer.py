@@ -2,9 +2,9 @@
 
 L_lambda = sum_j (X_j - lambda_j I) (x) gamma_j is Hermitian for real
 lambda; the joint (Clifford) spectrum is where it is singular.  The gammas
-are those of ``cliffordrep.rep_for(d)``; ``build`` alone takes another
-representation, and another irreducible one of the same rank changes L only
-by a unitary conjugation and, for odd d, perhaps a sign.  For d = 4 with
+are those of ``cliffordrep.rep_for(d)``, the only representation read here:
+another irreducible one of the same rank changes L only by a unitary
+conjugation and, for odd d, perhaps a sign.  For d = 4 with
 the block off-diagonal standard representation there is a half-size
 reduced localizer built from the upper-right gamma blocks, with
 |det L| = |det L_reduced|^2.  The Laplace operator sum (X_j - lambda_j)^2
@@ -16,8 +16,11 @@ Both localizers, the Laplace operator as a function of (lambda,
 pencils, the internal :class:`Pencil`, which the characteristic
 polynomials, the sampler and the archetypal invariants assemble by ``at``
 at one point or ``at_rows`` at many.  Both localizer pencils come from one
-formula on the Gaussian form (den, re, im) of ``matrices.gaussian_form``,
-of either kind: L0 = sum_j X_j (x) B_j and P_j = I (x) B_j.
+formula on the Gaussian form (den, re, im) of ``matrices.gaussian_form``:
+L0 = sum_j X_j (x) B_j and P_j = I (x) B_j, with the exact blocks B_j
+entering a float pencil as their integer parts cast to float.  A tuple
+holds its localizer pencil, and a 4-tuple its reduced one, formed on first
+use.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from numbers import Number
 
 import numpy as np
 
-from .cliffordrep import GammaRep, rep_for, standard_rep
+from .cliffordrep import rep_for, standard_rep
 from .errors import ContractError, KindMismatchError
 from .matrices import (
     EXACT,
@@ -101,12 +104,9 @@ class Pencil:
     for a matrix ``at`` returns."""
 
     @classmethod
-    def localizer(cls, tuple_: HermitianTuple, rep: GammaRep | None = None) -> "Pencil":
-        """The localizer pencil of tuple_ in rep, the one the tuple holds for
-        rep_for(tuple_.d), the default, on exact gammas or their float images."""
-        if rep is None or rep is rep_for(tuple_.d):
-            return tuple_._held(_localizer_pencil)
-        return _localizer_pencil(tuple_, rep)
+    def localizer(cls, tuple_: HermitianTuple) -> "Pencil":
+        """The localizer pencil of tuple_ in rep_for(tuple_.d), held by the tuple."""
+        return tuple_._held(_localizer_pencil)
 
     @classmethod
     def reduced(cls, tuple_: HermitianTuple) -> "Pencil":
@@ -178,15 +178,18 @@ class Pencil:
 
 
 def _affine_pencil(tuple_: HermitianTuple, blocks) -> Pencil:
-    """The pencil L0 = sum_j X_j (x) B_j, P_j = I (x) B_j, for blocks B_j of
-    the tuple's kind, formed on the Gaussian forms of the tuple and the
-    blocks: exactly on Python ints, or on float parts over 1.  L0 starts from
-    the j = 0 term and adds each further term whole, so a float pencil has
-    the bits of the complex sum of the kron(X_j, B_j)."""
+    """The pencil L0 = sum_j X_j (x) B_j, P_j = I (x) B_j, formed on the
+    Gaussian forms of the tuple and the blocks: exactly on Python ints, or
+    on float parts over 1, exact blocks of a float tuple entering as their
+    parts cast to float.  L0 starts from the j = 0 term and adds each further
+    term whole, so a float pencil has the bits of the complex sum of the
+    kron(X_j, B_j)."""
     if len(blocks) != tuple_.d:
         raise ContractError("representation rank must match tuple length")
     dx, xr, xi = gaussian_form(tuple_.matrices)
     db, br, bi = gaussian_form(blocks)
+    if tuple_.kind == FLOAT:
+        br, bi, db = (br / db).astype(float), (bi / db).astype(float), 1
     terms = [
         (kron(xr[j], br[j]) - kron(xi[j], bi[j]), kron(xr[j], bi[j]) + kron(xi[j], br[j]))
         for j in range(tuple_.d)
@@ -198,15 +201,12 @@ def _affine_pencil(tuple_: HermitianTuple, blocks) -> Pencil:
     return Pencil.from_gaussian_form(dx * db, re, im)
 
 
-def _localizer_pencil(tuple_: HermitianTuple, rep: GammaRep | None = None) -> Pencil:
-    rep = rep_for(tuple_.d) if rep is None else rep
-    return _affine_pencil(tuple_, rep.gammas if tuple_.kind == EXACT else rep.float_gammas)
+def _localizer_pencil(tuple_: HermitianTuple) -> Pencil:
+    return _affine_pencil(tuple_, rep_for(tuple_.d).gammas)
 
 
 def _reduced_pencil(tuple_: HermitianTuple) -> Pencil:
-    rep = standard_rep(4)
-    blocks = rep.off_diagonal_blocks if tuple_.kind == EXACT else rep.float_off_diagonal_blocks
-    return _affine_pencil(tuple_, blocks)
+    return _affine_pencil(tuple_, standard_rep(4).off_diagonal_blocks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,11 +217,9 @@ class Localizer:
     matrix: np.ndarray
 
 
-def build(tuple_: HermitianTuple, rep: GammaRep | None = None, lam=None) -> Localizer:
-    """Assemble L_lambda = sum (X_j - lambda_j) (x) gamma_j, in rep_for(d)
-    unless another representation is given: the one public entry that takes
-    a representation."""
-    pencil = Pencil.localizer(tuple_, rep)
+def build(tuple_: HermitianTuple, lam=None) -> Localizer:
+    """Assemble L_lambda = sum (X_j - lambda_j) (x) gamma_j in rep_for(d)."""
+    pencil = Pencil.localizer(tuple_)
     lam = _coerce_lambda(tuple_, [0] * tuple_.d if lam is None else lam)
     return Localizer(tuple(lam), pencil.at(lam))
 
@@ -252,7 +250,7 @@ def square_identity_residual(tuple_: HermitianTuple, lam=None):
     Exactly zero for exact tuples (returned as a float 0.0).
     """
     rep = rep_for(tuple_.d)
-    loc = build(tuple_, rep, lam)
+    loc = build(tuple_, lam)
     lsq = matmul(loc.matrix, loc.matrix)
     gammas = rep.gammas if tuple_.kind == EXACT else rep.as_float()
     shifted = tuple_.shifted(loc.lam)

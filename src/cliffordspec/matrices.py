@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Rational
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .tolerances import ENTRY_BOUND, HERMITIAN_RTOL
 
 def exact_matrix(rows) -> np.ndarray:
     """Build an exact matrix from nested (int | Fraction | GaussianRational |
-    (re, im) pair) entries."""
+    (re, im) pair of rationals) entries."""
     n = len(rows)
     out = np.empty((n, len(rows[0]) if rows else 0), dtype=object)
     for i, row in enumerate(rows):
@@ -37,7 +38,9 @@ def exact_matrix(rows) -> np.ndarray:
             raise ContractError("ragged rows in matrix literal")
         for j, e in enumerate(row):
             if isinstance(e, tuple):
-                out[i, j] = GaussianRational(Fraction(e[0]), Fraction(e[1]))
+                if not all(isinstance(part, Rational) for part in e):
+                    raise KindMismatchError(f"entry {e!r} has a part that is not rational")
+                out[i, j] = GaussianRational(e[0], e[1])
             else:
                 out[i, j] = as_gaussian(e)
     return out
@@ -177,15 +180,7 @@ def defect_exceeds(defect: np.ndarray, m: np.ndarray, rtol: float) -> bool:
 
 
 def is_hermitian(m: np.ndarray) -> bool:
-    if m.shape[0] != m.shape[1]:
-        return False
-    if kind_of(m) == EXACT:
-        return bool(np.all(m == dagger(m)))
-    # ||M||_F over the largest real or imaginary part, so that no square overflows
-    parts = np.stack((m.real, m.imag))
-    peak = max_abs(parts)
-    scale = peak * float(np.linalg.norm(parts / peak)) if peak else 1.0
-    return max_abs(m - dagger(m)) <= HERMITIAN_RTOL * scale
+    return m.shape[0] == m.shape[1] and not defect_exceeds(m - dagger(m), m, HERMITIAN_RTOL)
 
 
 def require_hermitian(m: np.ndarray, what: str = "matrix") -> None:

@@ -35,6 +35,8 @@ class MultiPoly:
     __slots__ = ("nvars", "terms", "kind")
 
     def __init__(self, nvars: int, terms: dict | None = None, kind: str = EXACT):
+        if kind not in (EXACT, FLOAT):
+            raise ContractError(f'kind must be "exact" or "float", got {kind!r}')
         self.nvars = nvars
         self.kind = kind
         clean = {}

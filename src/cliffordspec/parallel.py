@@ -14,10 +14,13 @@ from __future__ import annotations
 
 import os
 
+from .errors import ContractError
+
 BLOCK_BYTES = 1 << 21
 
 
 def worker_count(threads: int | None = None) -> int:
+    """threads, else CLIFFORDSPEC_THREADS, else every CPU; at least 1."""
     if threads is not None:
         return max(1, int(threads))
     env = os.environ.get("CLIFFORDSPEC_THREADS")
@@ -25,7 +28,7 @@ def worker_count(threads: int | None = None) -> int:
         try:
             return max(1, int(env))
         except ValueError:
-            pass
+            raise ContractError(f"CLIFFORDSPEC_THREADS is {env!r}, not an integer") from None
     return max(1, os.cpu_count() or 1)
 
 

@@ -1,13 +1,13 @@
 """The numerical tolerance policy: every float tolerance of the package, each
 a constant that no function takes as an option, imported from here by the
-function named beside it.  Exact-kind checks take none: the symmetry flags,
-skewness and gamma relations decide in ``matrices.defect_exceeds``, the one
-place that rule lives, where an exact defect fails on any nonzero entry.  A
-``_RTOL`` is relative to the scale named beside it, a ``_TOL`` (and
-DEGENERATE_AREA) is absolute.
+function named beside it.  Exact-kind checks take none: Hermiticity, the
+symmetry flags, skewness and gamma relations decide in
+``matrices.defect_exceeds``, the one place that rule lives, where an exact
+defect fails on any nonzero entry.  A ``_RTOL`` is relative to the scale
+named beside it, a ``_TOL`` (and DEGENERATE_AREA) is absolute.
 """
 
-HERMITIAN_RTOL = 1e-12  # matrices.is_hermitian: max |M - M*| against ||M||_F
+HERMITIAN_RTOL = 1e-12  # matrices.is_hermitian: max |M - M*| against max |M|
 SINGULAR_RTOL = 1e-8  # linalg.default_tolerance: |eigenvalue| <= this * (1 + ||M||_2) is zero
 SKEW_RTOL = 1e-12  # linalg.pfaffian's input: max |M + M^T| against max |M|
 # invariants._skew_pencil and _archetypal: (1/2) Q* L Q is rounded in L's assembly, its

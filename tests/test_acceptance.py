@@ -100,7 +100,6 @@ def test_criterion_2_laplace_failure():
 
 def test_criterion_3_two_matrix_equivalence():
     rng = np.random.default_rng(31)
-    rep2 = standard_rep(2)
     worst_on = 0.0
     worst_off = np.inf
     off_checked = 0
@@ -110,13 +109,13 @@ def test_criterion_3_two_matrix_equivalence():
         t = HermitianTuple([float_matrix(x), float_matrix(y)])
         eigs = np.linalg.eigvals(x + 1j * y)
         for e in eigs:
-            s = smallest_eigen_magnitude(build(t, rep2, [e.real, e.imag]).matrix)
+            s = smallest_eigen_magnitude(build(t, [e.real, e.imag]).matrix)
             worst_on = max(worst_on, s)
         while True:
             z = rng.uniform(-4, 4) + 1j * rng.uniform(-4, 4)
             if min(abs(z - e) for e in eigs) > 0.5:
                 break
-        s = smallest_eigen_magnitude(build(t, rep2, [z.real, z.imag]).matrix)
+        s = smallest_eigen_magnitude(build(t, [z.real, z.imag]).matrix)
         worst_off = min(worst_off, s)
         off_checked += 1
     assert worst_on <= 1e-8

@@ -609,7 +609,7 @@ def _float_tuples(draw):
 def test_lattice_matches_tensor_torus(t):
     t, _ = _normalised(t)
     families = {
-        "char": _char_family(Pencil.localizer(t, rep_for(t.d))),
+        "char": _char_family(Pencil.localizer(t)),
         "laplace": _laplace_family(t),
     }
     if t.d == 4:

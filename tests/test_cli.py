@@ -1,4 +1,7 @@
 import json
+import re
+
+import pytest
 
 from cliffordspec.cli import main
 from cliffordspec.gallery import sykora_two_torus
@@ -293,6 +296,19 @@ def test_threads_env_fallback(monkeypatch):
     assert worker_count(2) == 2
     monkeypatch.delenv("CLIFFORDSPEC_THREADS")
     assert worker_count(None) >= 1
+
+
+def test_threads_env_that_is_not_an_integer_exits_2(monkeypatch, capsys):
+    from cliffordspec.errors import ContractError
+    from cliffordspec.parallel import worker_count
+
+    for value in ("abc", "two", "1.5"):
+        monkeypatch.setenv("CLIFFORDSPEC_THREADS", value)
+        message = f"CLIFFORDSPEC_THREADS is {value!r}, not an integer"
+        with pytest.raises(ContractError, match=re.escape(message)):
+            worker_count(None)
+        assert worker_count(2) == 2  # an explicit count does not read it
+    assert run(capsys, "grid", "--example", "pauli", "--res", "5") == (2, "", f"error: {message}\n")
 
 
 def test_error_inside_computation_exits_3(monkeypatch, capsys):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from conftest import former_exact_conjugation_unitary
 
 from cliffordspec.charpoly import char_poly
-from cliffordspec.cliffordrep import standard_rep
 from cliffordspec.errors import (
     ContractError,
     KindMismatchError,
@@ -245,9 +244,9 @@ def test_exact_skew_pencil_takes_no_tolerance():
     mats = [m.copy() for m in self_dual_path(0).matrices]
     mats[0][0, 0] = mats[0][0, 0] + GaussianRational(eps)
     t = HermitianTuple(mats)
-    _skew_pencil(Pencil.localizer(t.as_float(), standard_rep(3)))
+    _skew_pencil(Pencil.localizer(t.as_float()))
     with pytest.raises(SymmetryError, match="skew"):
-        _skew_pencil(Pencil.localizer(t, standard_rep(3)))
+        _skew_pencil(Pencil.localizer(t))
 
 
 @pytest.mark.parametrize(
@@ -358,7 +357,7 @@ def _conjugated_members(pencil):
 @given(st.sampled_from([2, 4, 6, 8, 10, 12]), st.integers(0, 2**32 - 1))
 def test_float_skew_pencil_members_are_the_conjugated_members(n, seed):
     t = _random_self_dual_float_triple(np.random.default_rng(seed), n)
-    pencil = Pencil.localizer(t, standard_rep(3))
+    pencil = Pencil.localizer(t)
     skew = _skew_pencil(pencil)
     got = skew.members
     want = _conjugated_members(pencil)
@@ -370,7 +369,7 @@ def test_float_skew_pencil_members_are_the_conjugated_members(n, seed):
 def test_exact_skew_pencil_members_are_the_conjugated_members(half, seed):
     rng = np.random.default_rng(seed)
     t = HermitianTuple([_quaternionic(rng, half) for _ in range(3)])
-    pencil = Pencil.localizer(t, standard_rep(3))
+    pencil = Pencil.localizer(t)
     skew = _skew_pencil(pencil)
     got = from_gaussian_integers(skew.den, skew.re, skew.im)
     want = _conjugated_members(pencil)
@@ -485,7 +484,7 @@ def test_archetypal_matches_the_unscaled_pfaffian_bit_for_bit():
     for k in range(200):
         t = tuples[k % len(tuples)]
         lam = list(rng.normal(scale=2.0, size=3))
-        unscaled = _archetypal(_skew_pencil(Pencil.localizer(t, standard_rep(3))), lam)
+        unscaled = _archetypal(_skew_pencil(Pencil.localizer(t)), lam)
         assert archetypal(t, lam).hex() == unscaled.hex()
 
 

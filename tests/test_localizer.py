@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cliffordspec.charpoly import char_poly
-from cliffordspec.cliffordrep import generated_rep, standard_rep
+from cliffordspec.cliffordrep import generated_rep, rep_for, standard_rep
 from cliffordspec.errors import ContractError, KindMismatchError
 from cliffordspec.gallery import gamma_tuple, pauli, torus_quadruple
 from cliffordspec.linalg import determinant, operator_norm, smallest_eigen_magnitude
@@ -38,7 +38,7 @@ def test_block_form_for_triples(rng):
     t = random_tuple(rng, 3, 3)
     a, b, c = t.matrices
     x, y, z = 0.3, -0.7, 0.2
-    loc = build(t, standard_rep(3), [x, y, z]).matrix
+    loc = build(t, [x, y, z]).matrix
     eye = np.eye(3)
     assert np.allclose(loc[:3, :3], c - z * eye)
     assert np.allclose(loc[3:, 3:], -(c - z * eye))
@@ -98,7 +98,7 @@ def test_float_tuple_takes_real_gaussian_lambda():
 def test_reduced_embedding_matches_full():
     t = torus_quadruple(4)
     lam = [0.2, -0.4, 0.1, 0.6]
-    full = build(t, standard_rep(4), lam).matrix
+    full = build(t, lam).matrix
     red = build_reduced(t, lam).matrix
     n = t.n
     assert np.allclose(full[: 2 * n, 2 * n :], red)
@@ -266,13 +266,32 @@ def test_float_pencil_equals_former_assembly(d, n, scale, seed):
     rng = np.random.default_rng(seed)
     t = HermitianTuple([x * scale for x in random_tuple(rng, d, n).matrices])
     lam = [float(v) for v in rng.uniform(-2, 2, d) * scale]
+    got = build(t, lam).matrix
+    assert np.array_equal(got, _reference_localizer(t, rep_for(d).gammas, lam))
     for rep in _reps(d):
-        got = build(t, rep, lam).matrix
+        got = _affine_pencil(t, rep.gammas).at(lam)
         assert np.array_equal(got, _reference_localizer(t, rep.gammas, lam))
     if d == 4:
         blocks = standard_rep(4).off_diagonal_blocks
         got = build_reduced(t, lam).matrix
         assert np.array_equal(got, _reference_localizer(t, blocks, lam))
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 4), _SCALES, st.integers(0, 2**32 - 1))
+def test_standard_and_generated_rank_4_localizers_share_eigenvalues(n, scale, seed):
+    """Two irreducible representations of one rank differ by a unitary, so
+    the localizers they assemble have one spectrum."""
+    rng = np.random.default_rng(seed)
+    t = HermitianTuple([x * scale for x in random_tuple(rng, 4, n).matrices])
+    lam = [float(v) for v in rng.uniform(-2, 2, 4) * scale]
+    standard, generated = (
+        np.linalg.eigvalsh(_affine_pencil(t, rep.gammas).at(lam))
+        for rep in (standard_rep(4), generated_rep(4))
+    )
+    assert not np.array_equal(standard_rep(4).gammas[0], generated_rep(4).gammas[0])
+    slack = 1e-12 * max(np.abs(standard).max(), scale)
+    assert np.abs(standard - generated).max() <= slack
 
 
 def _former_float_pencil(tuple_, blocks, lam):
@@ -292,9 +311,11 @@ def test_float_members_and_values_keep_the_former_float_bits(d, n, scale, seed):
     rng = np.random.default_rng(seed)
     t = HermitianTuple([x * scale for x in random_tuple(rng, d, n).matrices])
     lam = [float(v) for v in rng.uniform(-2, 2, d) * scale]
-    cases = [(Pencil.localizer(t, rep), rep.float_gammas) for rep in _reps(d)]
+    cases = [(Pencil.localizer(t), rep_for(d).as_float())]
+    cases += [(_affine_pencil(t, rep.gammas), rep.as_float()) for rep in _reps(d)]
     if d == 4:
-        cases.append((Pencil.reduced(t), standard_rep(4).float_off_diagonal_blocks))
+        blocks = [to_float(b) for b in standard_rep(4).off_diagonal_blocks]
+        cases.append((Pencil.reduced(t), blocks))
     for pencil, blocks in cases:
         members, value = _former_float_pencil(t, blocks, lam)
         assert pencil.members.shape == (d + 1, *members[0].shape)
@@ -337,11 +358,11 @@ _HALVES = HermitianTuple(
 @example((_HALVES, [Fraction(1, 3), 0, Fraction(-2, 5)]))
 def test_exact_pencil_equals_former_assembly(case):
     t, lam = case
-    cases = [(rep, rep.gammas) for rep in _reps(t.d)]
+    cases = [(build(t, lam).matrix, rep_for(t.d).gammas)]
+    cases += [(_affine_pencil(t, rep.gammas).at(lam), rep.gammas) for rep in _reps(t.d)]
     if t.d == 4:
-        cases.append((None, standard_rep(4).off_diagonal_blocks))
-    for rep, blocks in cases:
-        got = build(t, rep, lam).matrix if rep else build_reduced(t, lam).matrix
+        cases.append((build_reduced(t, lam).matrix, standard_rep(4).off_diagonal_blocks))
+    for got, blocks in cases:
         want = _reference_localizer(t, blocks, lam)
         assert got.shape == want.shape
         assert all(a == b for a, b in zip(got.reshape(-1), want.reshape(-1)))
@@ -412,7 +433,7 @@ def test_bad_input_raises_contract_error_naming_it(make, message):
 def test_gaussian_form_round_trips_both_kinds(make):
     t = make()
     for tup in {t, t.as_float()}:
-        pencil = Pencil.localizer(tup, standard_rep(tup.d))
+        pencil = Pencil.localizer(tup)
         back = Pencil.from_gaussian_form(*pencil.gaussian_form)
         assert back.kind == pencil.kind and back.d == pencil.d and back.side == pencil.side
         if tup.kind == FLOAT:
@@ -427,8 +448,7 @@ def test_rank_5_queries_agree_with_build_on_the_generated_representation(rng):
     localizer that build assembles on generated_rep(5)."""
     t = random_tuple(rng, 5, 2)
     lams = [[float(v) for v in row] for row in rng.uniform(-1.5, 1.5, (6, 5))]
-    mats = {tuple(lam): build(t, generated_rep(5), lam).matrix for lam in lams}
-    assert all(np.array_equal(build(t, lam=lam).matrix, m) for lam, m in mats.items())
+    mats = {tuple(lam): build(t, lam).matrix for lam in lams}
     # the determinant at points off the unit torus that the float path samples
     poly = char_poly(t)
     for lam, m in mats.items():
@@ -441,7 +461,7 @@ def test_rank_5_queries_agree_with_build_on_the_generated_representation(rng):
     )
     exact_poly = char_poly(exact)
     for lam in ([0, 0, 0, 0, 0], [Fraction(1, 2), -1, 0, Fraction(2, 3), 3]):
-        want = determinant(build(exact, generated_rep(5), lam).matrix)
+        want = determinant(build(exact, lam).matrix)
         assert exact_poly.evaluate([GaussianRational(v) for v in lam]) == want
     spec = GridSpec(
         (AxisSpec(0, -1.0, 1.0, 4), AxisSpec(2, -1.0, 1.0, 3), AxisSpec(4, -0.5, 1.0, 3)),
@@ -453,7 +473,7 @@ def test_rank_5_queries_agree_with_build_on_the_generated_representation(rng):
         lam = [0.0, 0.25, 0.0, -0.5, 0.0]
         for axis, x, i in zip(spec.axes, nodes, idx):
             lam[axis.index] = float(x[i])
-        m = build(t, generated_rep(5), lam).matrix
+        m = build(t, lam).matrix
         assert values[idx] == pytest.approx(smallest_eigen_magnitude(m), rel=1e-12, abs=1e-14)
     for lam, m in mats.items():
         cert = certificate(t, lam=list(lam))

@@ -23,6 +23,7 @@ from cliffordspec.invariants import dual, graded_index, index
 from cliffordspec.linalg import hermitian_eigen
 from cliffordspec.sampler import GridSpec, sample
 from cliffordspec.scalars import GaussianRational
+from cliffordspec.tolerances import HERMITIAN_RTOL
 from cliffordspec.variance import certificate
 
 
@@ -63,6 +64,30 @@ def test_hermitian_checks():
     assert not is_hermitian(float_matrix([[1, 1j], [1j, 2]]))
     assert is_hermitian(exact_matrix([[1, (0, 1)], [(0, -1), 2]]))
     assert not is_hermitian(exact_matrix([[1, (0, 1)], [(0, 1), 2]]))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200])
+def test_hermitian_check_is_the_one_symmetry_rule(scale):
+    """max |M - M*| against HERMITIAN_RTOL * max |M|, as defect_exceeds
+    decides: the 3x3 M has ||M||_F = 3 max |M|, and entries of 1e200 form no
+    square.  A NaN fails."""
+    for factor, hermitian in ((0.9, True), (1.1, False)):
+        bump = factor * HERMITIAN_RTOL * scale
+        m = np.ones((3, 3), dtype=complex) * scale
+        m[0, 1] += 1j * bump  # M - M* holds i bump at (0, 1) and (1, 0)
+        assert is_hermitian(m) is hermitian
+    for bad in (np.nan, complex(0, np.nan)):
+        m = np.ones((2, 2), dtype=complex) * scale
+        m[1, 1] = bad
+        assert not is_hermitian(m)
+
+
+def test_exact_pair_parts_must_be_rational():
+    for pair in ((0.1, 0), (0, 0.5), (Fraction(1, 2), 1.0), (1j, 0), (GaussianRational(1), 0)):
+        with pytest.raises(KindMismatchError, match="not rational"):
+            exact_matrix([[pair]])
+    m = exact_matrix([[(Fraction(1, 2), np.int64(-3))]])
+    assert m[0, 0] == GaussianRational(Fraction(1, 2), -3)
 
 
 def test_tuple_validation():

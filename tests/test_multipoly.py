@@ -25,6 +25,15 @@ def test_expand_sphere_product():
     assert p.terms[(2, 0, 0)] == GaussianRational(2)
 
 
+def test_kind_must_be_exact_or_float():
+    for kind in ("Exact", "complex", None):
+        with pytest.raises(ContractError, match="kind must be"):
+            MultiPoly(2, {(1, 0): 1}, kind)
+        with pytest.raises(ContractError, match="kind must be"):
+            variables("x y", kind=kind)
+    assert variables("x y", kind="float")[0].kind == "float"
+
+
 def test_trivial_expansions():
     w, x, y, z = variables("w x y z")
     p = (w**2 + x**2 - y**2 - z**2) * 1

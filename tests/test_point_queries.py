@@ -1,7 +1,7 @@
 """Point queries on held facts: an exact tuple converts once, a tuple forms
 its localizer pencils, commutator norm sum and skew pencil once, the gamma
-representations hold their float images, and every report equals the one
-computed from a freshly converted float tuple."""
+representations are read-only and form float images on request, and every
+report equals the one computed from a freshly converted float tuple."""
 
 import numpy as np
 import pytest
@@ -14,9 +14,9 @@ from cliffordspec.errors import SingularAtTolerance, SymmetryError
 from cliffordspec.gallery import even_odd, pauli, self_dual_path, sykora_two_torus
 from cliffordspec.invariants import archetypal, archetypal_sign, graded_index, index
 from cliffordspec.linalg import default_tolerance, signature_gap
-from cliffordspec.localizer import Pencil
+from cliffordspec.localizer import Pencil, build, square_identity_residual
 from cliffordspec.matrices import EXACT, HermitianTuple, float_matrix, kron, to_float
-from cliffordspec.sampler import PFAFFIAN_SIGN, GridSpec, sample
+from cliffordspec.sampler import PFAFFIAN_SIGN, SIGMA_MIN, GridSpec, sample
 from cliffordspec.scalars import GaussianRational
 from cliffordspec.variance import certificate
 
@@ -88,7 +88,7 @@ def test_float_pencils_convert_no_gamma(monkeypatch):
     four = _fresh_float(even_odd())
     calls = _count_conversions(monkeypatch)
     for _ in range(20):
-        Pencil.localizer(t, standard_rep(3))
+        Pencil.localizer(t)
         Pencil.reduced(four)
         certificate(four, lam=[0.1, 0.2, 0.3, 0.4])
     assert calls[0] == 0
@@ -133,6 +133,27 @@ def test_each_fact_is_formed_once_over_many_queries(monkeypatch):
     # the 4-tuple's reduced pencil: its certificates, like its graded index,
     # read R_lambda and never form the full localizer pencil
     assert counts["pencil"][0] == 2 and counts["commutator_norm_sum"][0] == 2
+
+
+def test_one_localizer_pencil_per_tuple(monkeypatch):
+    """Every localizer query reads the one pencil its tuple holds: an exact
+    tuple's own for build and square_identity_residual, and its float
+    image's for the float queries."""
+    calls = _count_calls(monkeypatch, localizer, "_localizer_pencil")
+    rng = np.random.default_rng(29)
+    for t, formed in ((_fresh_float(sykora_two_torus()), 1), (sykora_two_torus(), 2)):
+        calls[0] = 0
+        for _ in range(5):
+            lam = [float(v) for v in rng.uniform(-2, 2, 3)]
+            build(t)
+            square_identity_residual(t)
+            try:
+                index(t, lam)
+            except SingularAtTolerance:
+                pass
+            certificate(t, lam=lam)
+            sample(t, GridSpec.cube(3, -1.5, 1.5, 5), SIGMA_MIN).values
+        assert calls[0] == formed
 
 
 def test_held_arrays_refuse_writes():
@@ -215,24 +236,25 @@ def test_tuple_matrices_are_read_only_copies_of_writable_input(rng):
 
 @pytest.mark.parametrize("rep", [*STANDARD_REPS.values(), generated_rep(5)])
 def test_gamma_reps_hold_read_only_float_images(rep):
-    assert rep.as_float() is rep.float_gammas
-    pairs = list(zip(rep.gammas, rep.float_gammas))
-    if rep.off_diagonal_blocks is None:
-        assert rep.float_off_diagonal_blocks is None
-    else:
-        pairs += list(zip(rep.off_diagonal_blocks, rep.float_off_diagonal_blocks))
-    for exact, image in pairs:
+    """The representation holds read-only gammas, and as_float forms their
+    read-only images on each call."""
+    images = rep.as_float()
+    assert images is not rep.as_float()
+    for exact, image in zip(rep.gammas, images, strict=True):
         want = to_float(exact)
         assert image.dtype == want.dtype and image.tobytes() == want.tobytes()
-        assert not image.flags.writeable
+        assert not image.flags.writeable and not exact.flags.writeable
 
 
 def test_standard_reps_are_formed_once():
     for d in range(1, 5):
-        assert standard_rep(d).float_gammas is STANDARD_REPS[d].float_gammas
+        assert standard_rep(d) is STANDARD_REPS[d]
+    for d in range(1, 4):  # the ladder's gammas, one definition for both
+        ladder = generated_rep(d).gammas
+        assert [g.tolist() for g in standard_rep(d).gammas] == [g.tolist() for g in ladder]
     t = _fresh_float(pauli())
-    parts = Pencil.localizer(t, standard_rep(3)).members[1:]
-    lifted = [kron(np.eye(t.n, dtype=complex), g) for g in standard_rep(3).float_gammas]
+    parts = Pencil.localizer(t).members[1:]
+    lifted = [kron(np.eye(t.n, dtype=complex), g) for g in standard_rep(3).as_float()]
     assert [p.tobytes() for p in parts] == [g.tobytes() for g in lifted]
 
 
@@ -240,7 +262,7 @@ def test_float_rep_images_leave_caller_arrays_writable():
     gammas = tuple(to_float(g) for g in standard_rep(2).gammas)
     rep = GammaRep(gammas)
     assert all(g.flags.writeable for g in gammas)
-    assert all(not g.flags.writeable for g in rep.float_gammas)
+    assert all(not g.flags.writeable for g in rep.as_float())
 
 
 @settings(max_examples=60)

@@ -30,7 +30,6 @@ from cliffordspec.linalg import (
     pfaffian,
     smallest_eigen_magnitude,
 )
-from cliffordspec.cliffordrep import rep_for
 from cliffordspec.matrices import HermitianTuple
 from cliffordspec.tolerances import (
     ENTRY_BOUND,
@@ -783,7 +782,7 @@ def _pfaffian_field_loop(tuple_, spec):
 
     ft = tuple_.as_float()
     rep = rep_for(3)
-    l0 = build(ft, rep, [0.0] * 3).matrix
+    l0 = build(ft, [0.0] * 3).matrix
     q = to_float(former_exact_conjugation_unitary(ft.n))
     a0 = 0.5 * (q.conj().T @ l0 @ q)
     bj = [0.5 * (q.conj().T @ kron(np.eye(ft.n, dtype=complex), g) @ q) for g in rep.as_float()]
@@ -879,7 +878,7 @@ def _eager_sigma_min(tuple_, spec):
             return np.linalg.svd(pencil.at_rows(rows), compute_uv=False)[:, -1]
 
     else:
-        pencil = Pencil.localizer(ft, rep_for(ft.d))
+        pencil = Pencil.localizer(ft)
 
         def run(rows):
             return np.min(np.abs(np.linalg.eigvalsh(pencil.at_rows(rows))), axis=1)
@@ -1018,7 +1017,7 @@ def _eager_sign_field(tuple_, spec, indicator):
     from cliffordspec.invariants import _skew_pencil
 
     ft = tuple_.as_float()
-    pencil = Pencil.localizer(ft, rep_for(ft.d))
+    pencil = Pencil.localizer(ft)
     if indicator == PFAFFIAN_SIGN:
         skew = _skew_pencil(pencil)
 
@@ -1059,7 +1058,7 @@ def test_margin_from_the_axis_bounds_is_the_full_grid_margin(data):
     spec = GridSpec(tuple(axes), tuple((i, data.draw(value)) for i in sorted(fixed)))
     t = (pauli() if d == 3 else even_odd(0)).as_float()
     lam = _lambda_grid(spec, d)
-    ref = operator_norm(Pencil.localizer(t, rep_for(d)).members[0])
+    ref = operator_norm(Pencil.localizer(t).members[0])
     want = SIGMA_MIN_PRUNE_RTOL * (ref + math.sqrt(np.max(np.sum(lam * lam, axis=1))))
     assert sample(t, spec, SIGMA_MIN)._values._margin.hex() == want.hex()
 

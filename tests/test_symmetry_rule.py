@@ -166,8 +166,7 @@ def test_a_nan_defect_fails():
 def test_exact_defects_beyond_the_float_range(k):
     delta = Fraction(10) ** k
     # a gamma relation: the involution of a representation's first gamma,
-    # bumped by 10^-400, or by 10^200 so that its defect holds 10^400 (a
-    # representation holds the float images of its gammas)
+    # bumped by 10^-400, or by 10^200 so that its defect holds 10^400
     gammas = list(rep_for(3).gammas)
     bumped = gammas[0].copy()
     bumped[0, 0] = bumped[0, 0] + min(delta, Fraction(10) ** (k // 2))
@@ -193,17 +192,19 @@ def test_exact_defects_beyond_the_float_range(k):
 def test_float_gamma_relations_are_checked_against_one():
     for d in range(1, 6):
         rep = rep_for(d)
-        floats = GammaRep(rep.float_gammas, rep.float_off_diagonal_blocks)
+        blocks = rep.off_diagonal_blocks
+        blocks = None if blocks is None else tuple(to_float(b) for b in blocks)
+        floats = GammaRep(rep.as_float(), blocks)
         assert validate(floats).ok
-        bumped = [g.copy() for g in rep.float_gammas]
+        bumped = [g.copy() for g in floats.gammas]
         bumped[0][0, 0] += 2e-12
         report = validate(GammaRep(tuple(bumped)))
         assert [v.relation for v in report.violations][:1] == ["involution"]
-        bumped[0][0, 0] = rep.float_gammas[0][0, 0] + 0.25e-12
+        bumped[0][0, 0] = floats.gammas[0][0, 0] + 0.25e-12
         assert validate(GammaRep(tuple(bumped))).ok
     # the off-diagonal split of a float representation with blocks
     rep = rep_for(4)
-    blocks = [b.copy() for b in rep.float_off_diagonal_blocks]
+    blocks = [to_float(b) for b in rep.off_diagonal_blocks]
     blocks[0] = blocks[0] * -1
-    report = validate(GammaRep(rep.float_gammas, tuple(blocks)))
+    report = validate(GammaRep(rep.as_float(), tuple(blocks)))
     assert [v.relation for v in report.violations] == ["off_diagonal_split"]
