@@ -120,6 +120,9 @@ def _tuple_from_doc(doc: dict) -> HermitianTuple:
         n = len(mat)
         if int(doc.get("n", n)) != n:
             raise ContractError("n does not match matrix side")
+        bad = [e for row in mat for e in row if len(e) != 2]
+        if bad:
+            raise ValueError(f"matrix entry {bad[0]!r} is not a [re, im] pair")
         if kind == "exact":
             rows = [
                 [GaussianRational(Fraction(str(e[0])), Fraction(str(e[1]))) for e in row]

@@ -38,6 +38,8 @@ def exact_matrix(rows) -> np.ndarray:
             raise ContractError("ragged rows in matrix literal")
         for j, e in enumerate(row):
             if isinstance(e, tuple):
+                if len(e) != 2:
+                    raise ContractError(f"entry {e!r} is not a (re, im) pair")
                 if not all(isinstance(part, Rational) for part in e):
                     raise KindMismatchError(f"entry {e!r} has a part that is not rational")
                 out[i, j] = GaussianRational(e[0], e[1])

@@ -23,36 +23,39 @@ or the stacked Pfaffian) and the pencil whose matrices it reduces, the
 localizer in ``rep_for(d)``, a 4-tuple's reduced localizer or the skew
 pencil, and a node is evaluated when a mesh or a read first needs it.
 sigma_min is 1-Lipschitz in lambda, since (sum_j a_j gamma_j)^2 = |a|^2, so
-max_c(sigma(c) - |lambda - lambda_c|) over already solved nodes c bounds
-sigma_min(L_lambda) from below, up to a rounding margin.  Let e be the
-longest Kuhn-tet edge, the cube diagonal; every cube at a node lies in the
-ball of radius e around it.
+max_c(sigma(c) - |lambda - lambda_c|) over the solved nodes c of the
+coarse lattice (every 8th index per axis, and the last) bounds
+sigma_min(L_lambda) from below, up to a rounding margin, and certifies the
+side of the level a node is on:
 
-* sigma-min: a node whose value exceeds level + e ends no crossing edge
-  and lies in no cube that a mesh at that level visits.
-* det-sign and pfaffian-sign, at level 0: a node whose sigma_min exceeds e
-  has a ball of radius e free of spectrum around it.  det L_lambda, and
-  Pf((1/2) Q* L_lambda Q), whose matrix is L_lambda conjugated by the
-  unitary Q / sqrt(2), is nonzero on that ball and keeps one sign there;
-  the margin also covers the backward error of the factorisations.  So
-  every cube at the node has corners of one sign and none is a candidate.
+* sigma-min: a node whose bound exceeds level + margin has its value above
+  the level.
+* det-sign and pfaffian-sign, at level 0: a node whose bound exceeds the
+  margin is joined to the coarse node c that attains it by a segment free
+  of spectrum, on which sigma_min stays positive.  det L_lambda,
+  and Pf((1/2) Q* L_lambda Q), whose matrix is L_lambda conjugated by the
+  unitary Q / sqrt(2), is nonzero on that segment and keeps one sign
+  there; the margin also covers the backward error of the factorisations.
+  So the node's value has the sign of the value at c.
   At any other level the bound proves nothing, and the field is completed.
 
-``extract_isosurface`` therefore solves every node of the stride-4 lattice
-(every 4th index per axis, and the last), then the nodes of the stride-2
-lattice and then the rest, each only where the bound from its neighbours
-on the coarser lattice does not prove it above level + e.  The coarse
-lattices get sigma_min, as the sigma-min field has it, and the value;
-the full grid only the value.  A node left unsolved holds its bound,
-signed like the value at the coarser node that attains it, so the mesh
-reads the values, or the signs, it would read from the full field.  The
-first read of ``SpectrumGrid.values`` evaluates every node left in the
-same blocks; a node's value does not depend on the nodes that share its
-block, so the full field is bit-identical to evaluating every node at
-once.  A det-sign or pfaffian-sign field whose values could leave the
-float range, above or below, reduces its pencil scaled by one power of two
-(``_in_range``), which keeps every sign.  Grid steps are at least
-STEP_BOUND, so no squared node distance of the bounds underflows.
+``extract_isosurface`` therefore runs in two phases.  The first solves
+every node of the coarse lattice, with sigma_min and the value, and then
+every other node whose bound does not certify its side; a node left
+unsolved holds a placeholder, its bound signed like the value at the
+coarse node that attains it, on the same side of the level as its value.
+The second finds the candidate cubes, whose corner values straddle the
+level, once, and solves their corners left unsolved.  A solved value is on
+the side of its placeholder, so the candidates do not change, and every
+value the mesh reads is a solved one: the mesh is the one of the full
+field, byte for byte.  The first read of ``SpectrumGrid.values`` evaluates
+every node left in the same blocks; a node's value does not depend on the
+nodes that share its block, so the full field is bit-identical to
+evaluating every node at once.  A det-sign or pfaffian-sign field whose
+values could leave the float range, above or below, reduces its pencil
+scaled by one power of two (``_in_range``), which keeps every sign.  Grid
+steps are at least STEP_BOUND, so no squared node distance of the bounds
+underflows.
 
 Isosurfaces use marching tetrahedra on the Kuhn 6-tetrahedron cube split:
 the split tiles space consistently, has no ambiguous cases, and closed
@@ -94,8 +97,8 @@ PFAFFIAN_SIGN = "pfaffian-sign"
 INDICATORS = (DET_SIGN, SIGMA_MIN, PFAFFIAN_SIGN)
 
 SIGMA_MIN_LEVEL_FACTOR = 1e-2  # default isolevel: 1e-2 * ||L_0||
-_LADDER = (4, 2, 1)  # on-demand lattice strides, coarse to fine
-# a pass over a slab of grid nodes (lattice bounds, cube classification)
+_STRIDE = 8  # the on-demand field's coarse lattice: every 8th node per axis, and the last
+# a pass over a slab of grid nodes (bounds, cube classification)
 # holds about eight float64 or int64 arrays of the slab: its bytes per node
 _GRID_NODE_BYTES = 64
 
@@ -163,9 +166,10 @@ class SpectrumGrid:
     tuple.
 
     ``sample`` hands every grid a ``_Field`` in place of the array.
-    ``extract_isosurface`` then evaluates, coarse to fine, only the nodes
-    that its level reads (for a det-sign or pfaffian-sign grid, only at
-    level 0), and the first read of ``values`` evaluates every node left,
+    ``extract_isosurface`` then evaluates the coarse lattice and only the
+    nodes near its level and at its candidate cubes (for a det-sign or
+    pfaffian-sign grid, only at level 0), and the first read of ``values``
+    evaluates every node left,
     over the placeholders of the others, and holds the full array from then
     on, bit-identical to evaluating every node at once.  A grid built on an
     array holds it from the start.
@@ -239,12 +243,13 @@ def _sigma_min(m: np.ndarray) -> np.ndarray:
 
 class _Field:
     """An indicator at a grid's nodes, each evaluated when first needed as
-    reduce(source.at_rows(rows)).  It holds sigma_min, sigma(pencil.at_rows(rows))
-    or a lower bound on it, on its two coarse lattices, and at
-    every node the value or, where ``at_level`` proved it unread, a
-    placeholder: the node's bound, signed like the value at the coarser node
-    that attains it.  The bounds of a sigma-min field bound its values, so
-    it prunes at every level and its unsolved values lie above ``_floor``."""
+    reduce(source.at_rows(rows)).  It holds sigma_min, sigma(pencil.at_rows(rows)),
+    on the coarse lattice alone (every ``_STRIDE``-th index per axis, and
+    the last), and at every node the value or, where ``at_level`` proved it
+    unread, a placeholder: the node's bound, signed like the value at the
+    coarse node that attains it.  The bounds of a sigma-min field bound its
+    values, so it prunes at every level and its unsolved values lie above
+    ``_floor``."""
 
     def __init__(self, pencil: Pencil, sigma, source: Pencil, reduce, spec: GridSpec, margin, threads):
         self._pencil = pencil
@@ -254,11 +259,12 @@ class _Field:
         self._bounds_values = source is pencil and reduce is sigma
         self._spec = spec
         self._coords = [a.nodes() for a in spec.axes]
+        self._coarse = [np.append(np.arange(0, len(x) - 1, _STRIDE), len(x) - 1) for x in self._coords]
         self._threads = threads
         self._node_bytes = 16 * max(pencil.side, source.side) ** 2  # one complex128 matrix a node
         self._margin = margin  # the rounding slack of every bound
         size = math.prod(len(x) for x in self._coords)
-        self._sigma = np.full(size, np.nan)  # sigma_min or its bound, coarse lattices
+        self._sigma = np.full([len(c) for c in self._coarse], np.nan)  # sigma_min, coarse lattice
         self._values = np.zeros(size)  # the value or its placeholder
         self._solved = np.zeros(size, dtype=bool)
         self._floor = -math.inf
@@ -277,23 +283,24 @@ class _Field:
         source = m if self._source is self._pencil else self._source.at_rows(rows)
         return np.stack([sigma, self._reduce(source)])
 
-    def _solve(self, flat: np.ndarray, coarse: bool = False) -> None:
-        """Evaluate the nodes of flat not yet solved, with sigma_min on a
-        coarse lattice, one block of matrices per worker at a time."""
-        flat = flat[~self._solved[flat]]
+    def _solve(self, flat: np.ndarray, coarse: bool = False):
+        """Evaluate the nodes of flat, one block of matrices per worker at a
+        time, and return their sigma_min if coarse."""
         parts = [flat[part] for part in blocks(len(flat), self._node_bytes)]
-        ordered_chunk_map(lambda part: self._solve_block(part, coarse), parts, self._threads)
+        sigma = ordered_chunk_map(lambda part: self._solve_block(part, coarse), parts, self._threads)
         self._solved[flat] = True
+        return np.concatenate(sigma) if coarse else None
 
-    def _solve_block(self, flat: np.ndarray, coarse: bool) -> None:
+    def _solve_block(self, flat: np.ndarray, coarse: bool):
         lam = _lambda_grid(self._spec, self._pencil.d, flat)
         out = self._run_coarse(lam) if coarse else self._run(lam)
         if not np.all(np.isfinite(out)):
             raise ArithmeticError("indicator field produced non-finite values")
-        if coarse:
-            self._sigma[flat], self._values[flat] = out
-        else:
+        if not coarse:
             self._values[flat] = out
+            return None
+        self._values[flat] = out[1]
+        return out[0]
 
     def complete(self) -> np.ndarray:
         with self._lock:
@@ -308,77 +315,69 @@ class _Field:
             least = float(np.min(self._values[self._solved]))
             return least if self._solved.all() or least <= self._floor else None
 
-    def at_level(self, level: float) -> np.ndarray:
-        """The field's own array as a mesh at level reads it, e the longest
-        cube diagonal: every node solved whose bound does not prove it above
-        level + e + margin, every other node its placeholder.  Only sigma-min
-        values are bounded; any other field is completed unless level is 0,
-        where a placeholder has its value's sign (see the module docstring).
-        Completion overwrites placeholders with values no mesh at level reads."""
-        coords = self._coords
-        shape = [len(x) for x in coords]
-        e = math.sqrt(sum(float(np.max(np.diff(x))) ** 2 for x in coords))
-        limit = level + e + self._margin
+    def at_level(self, level: float) -> tuple:
+        """The field's own array as a mesh at level reads it, and the
+        row-major lowest corners of its candidate cubes there.
+
+        Phase 1 solves the coarse lattice, with sigma_min, then every node
+        whose bound does not prove it above level + margin; every other node
+        holds its placeholder, on the side of the level its value is on.
+        Phase 2 finds the candidate cubes, whose corners straddle the level,
+        and solves their corners left unsolved; that moves no node across
+        the level, so the cubes stay the candidates and every node a mesh
+        reads is solved.  Only sigma-min values are bounded; any other field
+        is completed unless level is 0, where a placeholder has its value's
+        sign (see the module docstring).  Completion overwrites placeholders
+        with values no mesh at level reads."""
+        shape = [len(x) for x in self._coords]
         with self._lock:
             values = self._values.reshape(shape)
             if (level != 0 and not self._bounds_values) or self._solved.all():
                 self._solve(np.flatnonzero(~self._solved))
-                return values
-            coarse = None
-            for stride in _LADDER:
-                idx = [np.append(np.arange(0, n - 1, stride), n - 1) for n in shape]
-                if coarse is None:
-                    flat = np.ravel_multi_index(np.ix_(*idx), shape).reshape(-1)
-                else:
-                    flat = self._place(idx, coarse, limit, stride > 1)
-                self._solve(flat, coarse=stride > 1)
-                coarse = idx
-            if self._bounds_values:
-                self._floor = max(self._floor, level + e)
-        return values
+            else:
+                if np.isnan(self._sigma).all():
+                    flat = np.ravel_multi_index(np.ix_(*self._coarse), shape).reshape(-1)
+                    self._sigma[...] = self._solve(flat, coarse=True).reshape(self._sigma.shape)
+                self._solve(self._place(level + self._margin))
+                if self._bounds_values:
+                    self._floor = max(self._floor, level)
+            cubes = _candidate_cubes(values, level)
+            corners = np.unique(cubes[:, None] + np.ravel_multi_index(_CORNERS.T, shape))
+            self._solve(corners[~self._solved[corners]])
+        return values, cubes
 
-    def _place(self, idx, coarse, limit, hold_bounds) -> np.ndarray:
-        """Bound every node of the lattice idx from the coarser lattice
-        coarse; give each unsolved node whose bound exceeds limit its
-        placeholder (and its bound as sigma, if hold_bounds) and return the
-        row-major flat indices of the nodes left to solve.  It runs in slabs
-        of lattice rows along the first axis, in grid order, each cut at a
-        row of the coarser lattice, so a slab reads only coarse rows that
-        no earlier slab has written."""
+    def _place(self, limit) -> np.ndarray:
+        """Bound every node from the coarse lattice, give each unsolved node
+        whose bound exceeds limit its placeholder and return the row-major
+        flat indices of the unsolved nodes left, slab by slab of grid rows
+        along the first axis."""
         shape = [len(x) for x in self._coords]
         values = self._values.reshape(shape)
-        sigma = self._sigma.reshape(shape)
-        # slabs of about one block of rows, each ending where a coarse row starts
-        row_bytes = _GRID_NODE_BYTES * math.prod(len(i) for i in idx[1:])
-        starts = np.append(np.flatnonzero(np.isin(idx[0], coarse[0])), len(idx[0]))
-        ends = {int(starts[np.searchsorted(starts, p.stop)]) for p in blocks(len(idx[0]), row_bytes)}
-        edges = [0, *sorted(ends)]
+        solved = self._solved.reshape(shape)
+        at_coarse = values[np.ix_(*self._coarse)]
+        row = math.prod(shape[1:])
         need = []
-        for a, b in zip(edges, edges[1:]):
-            part = [idx[0][a:b], *idx[1:]]
-            sub = np.ix_(*part)
-            flat = np.ravel_multi_index(sub, shape)
-            bound, placeholder = _coarse_bound(sigma, values, self._coords, part, coarse)
+        for part in blocks(shape[0], _GRID_NODE_BYTES * row):
+            idx = [np.arange(part.start, part.stop), *(np.arange(n) for n in shape[1:])]
+            bound, placeholder = _coarse_bound(self._sigma, at_coarse, self._coords, idx, self._coarse)
             read = bound <= limit
-            keep = self._solved[flat] | read
-            need.append(flat[read])
-            values[sub] = np.where(keep, values[sub], placeholder)
-            if hold_bounds:
-                sigma[sub] = np.where(keep, sigma[sub], bound)
+            need.append(part.start * row + np.flatnonzero(read & ~solved[part]))
+            values[part] = np.where(solved[part] | read, values[part], placeholder)
         return np.concatenate(need)
 
 
 def _coarse_bound(sigma, values, coords, idx, coarse):
-    """Per node of the lattice idx, the largest sigma(c) - |lambda - lambda_c|
-    over its enclosing nodes c of the coarser lattice (one or two per axis),
-    and that bound signed like values(c) at the c that attains it.  Nodes
-    are gathered by row-major flat index."""
+    """Per node of the block idx of grid indices, the largest sigma(c) -
+    |lambda - lambda_c| over its enclosing nodes c of the coarse lattice
+    (one or two per axis), and that bound signed like values(c) at the c
+    that attains it.  sigma and values are held on the coarse lattice, and
+    gathered by row-major flat index there."""
     steps = [math.prod(sigma.shape[k + 1 :]) for k in range(sigma.ndim)]
     sides = []
     for x, fine, c, step in zip(coords, idx, coarse, steps):
-        below = c[np.searchsorted(c, fine, side="right") - 1]
-        above = c[np.searchsorted(c, fine, side="left")]
-        sides.append([(n * step, (x[fine] - x[n]) ** 2) for n in (below, above)])
+        below = np.searchsorted(c, fine, side="right") - 1
+        above = np.searchsorted(c, fine, side="left")
+        sides.append([(n * step, (x[fine] - x[c[n]]) ** 2) for n in (below, above)])
     bound = sign = None
     for pick in itertools.product(*sides):
         at = sum(np.ix_(*[n for n, _ in pick]))
@@ -512,12 +511,10 @@ def default_level(grid: SpectrumGrid) -> float:
     return 0.0
 
 
-def _crossings(values: np.ndarray, level: float, index) -> tuple:
-    """The crossed (cube, tet) pairs of the field values at level, in walk
-    order, as their case codes and (P, 4) masks of the case edge slots in
-    use, and the grid edges of those slots, in the same order, as lower and
-    upper row-major node indices of dtype index.  Candidate cubes, whose
-    corner values straddle the level, are found slab by slab of cube rows."""
+def _candidate_cubes(values: np.ndarray, level: float) -> np.ndarray:
+    """The row-major node index of the lowest corner of each candidate cube
+    of the field values at level, one whose corner values straddle the
+    level, in row-major order, found slab by slab of cube rows."""
     nx, ny, nz = values.shape
     cands = []
     for part in blocks(nx - 1, _GRID_NODE_BYTES * ny * nz):
@@ -530,10 +527,18 @@ def _crossings(values: np.ndarray, level: float, index) -> tuple:
         cand = np.argwhere((cmin <= 0.0) & (cmax > 0.0))
         cand[:, 0] += part.start
         cands.append(cand)
+    return np.ravel_multi_index(np.concatenate(cands).T, values.shape)
 
+
+def _crossings(values: np.ndarray, level: float, index, cubes: np.ndarray) -> tuple:
+    """The crossed (cube, tet) pairs of the field values at level, in walk
+    order, as their case codes and (P, 4) masks of the case edge slots in
+    use, and the grid edges of those slots, in the same order, as lower and
+    upper row-major node indices of dtype index.  cubes are the candidate
+    cubes, by their lowest corners (``_candidate_cubes``)."""
     # row-major node index of each candidate cube's corners; each tet's code
-    base, offsets = (np.ravel_multi_index(x.T, values.shape) for x in (np.concatenate(cands), _CORNERS))
-    nodes = base.astype(index)[:, None] + offsets.astype(index)
+    offsets = np.ravel_multi_index(_CORNERS.T, values.shape)
+    nodes = cubes.astype(index)[:, None] + offsets.astype(index)
     codes = (values.reshape(-1)[nodes] - level > 0.0)[:, _TETS] @ (1 << np.arange(4, dtype=np.int8))
 
     # crossed (cube, tet) pairs in walk order, and their edges as node pairs
@@ -545,12 +550,13 @@ def _crossings(values: np.ndarray, level: float, index) -> tuple:
     return code, used, np.minimum(*ends), np.maximum(*ends)
 
 
-def _triangles(values: np.ndarray, level: float, index) -> tuple:
-    """The triangles of the field values at level as (T, 3) vertex numbers,
-    and each vertex's grid edge as its lower and upper row-major nodes: one
-    vertex per grid edge, numbered by first encounter.  An edge's key is its
-    lower node and which of the Kuhn-tet edge steps leads to its upper one."""
-    code, used, lo, hi = _crossings(values, level, index)
+def _triangles(values: np.ndarray, level: float, index, cubes: np.ndarray) -> tuple:
+    """The triangles of the field values at level, in the candidate cubes
+    cubes, as (T, 3) vertex numbers, and each vertex's grid edge as its
+    lower and upper row-major nodes: one vertex per grid edge, numbered by
+    first encounter.  An edge's key is its lower node and which of the
+    Kuhn-tet edge steps leads to its upper one."""
+    code, used, lo, hi = _crossings(values, level, index, cubes)
     steps = np.ravel_multi_index(_EDGE_STEPS.T, values.shape)
     keys = lo * index(len(steps)) + np.searchsorted(steps, hi - lo).astype(index)
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
@@ -589,10 +595,10 @@ def extract_isosurface(grid: SpectrumGrid, level: float | None = None) -> Spectr
     if not math.isfinite(level):
         raise ContractError(f"isosurface level must be finite, got {level}")
     held = grid._values
-    values = held.at_level(level) if isinstance(held, _Field) else grid.values
+    values, cubes = held.at_level(level) if isinstance(held, _Field) else (held, _candidate_cubes(held, level))
     # every surface-sized index array is int32 when the edge keys fit
     index = np.int32 if len(_EDGE_STEPS) * values.size < 2**31 else np.int64
-    tris, (va, vb) = _triangles(values, level, index)
+    tris, (va, vb) = _triangles(values, level, index, cubes)
     flat = values.reshape(-1)
     fa, fb = flat[va] - level, flat[vb] - level
     t = fa / (fa - fb)

@@ -28,7 +28,10 @@ TORUS_RESIDUAL_TOL = 1e-10  # torus_radius_profile: |f| at which bisection stops
 UNIT_TOL = 1e-12  # expectation_variance, extract_w: unit norms and the selected block's norm
 VARIANCE_RTOL = 1e-10  # variance: past -this * max(1, ||Xv||^2), a negative Var is no rounding
 # sample: the on-demand field's pruning margin, against ||L_0|| + max |lambda| of
-# the grid.  A node's Lipschitz bound carries eigvalsh or svd rounding (a few eps * side *
+# the grid.  A node whose Lipschitz bound from the coarse lattice exceeds level + margin
+# is certified on its own side of the level: a sigma-min value above it, a det-sign or
+# pfaffian-sign value at level 0 with the sign of the coarse node that attains the
+# bound.  The bound carries eigvalsh or svd rounding (a few eps * side *
 # ||L_lambda||) and no gamma relation defect: the float gammas of rep_for(d), with
 # entries 0, +-1 and +-i, meet their relations exactly.  For det-sign and pfaffian-sign
 # it also covers the backward error of the LU and Parlett-Reid factorisations, of the
@@ -40,5 +43,5 @@ LAMBDA_BOUND = 1e150
 # HermitianTuple: the largest |entry| of a float tuple's matrices, for the same reason
 ENTRY_BOUND = 1e150
 # AxisSpec: the least grid step; squares of node distances and their sums, in the
-# field's pruning bounds and cube diagonal, stay normal floats, so none underflows
+# field's pruning bounds, stay normal floats, so none underflows
 STEP_BOUND = 1e-150

@@ -441,6 +441,16 @@ def test_malformed_example_config_exits_2(tmp_path, capsys):
     assert run(capsys, "charpoly", str(path))[0] == 0
 
 
+@pytest.mark.parametrize("kind", ["exact", "float"])
+@pytest.mark.parametrize("entry", [[1, 0, 5], [1], []])
+def test_config_entry_that_is_not_a_pair_exits_2(tmp_path, capsys, kind, entry):
+    path = tmp_path / "entry.json"
+    path.write_text(json.dumps({"kind": kind, "matrices": [[[entry]]]}))
+    code, out, err = run(capsys, "charpoly", str(path))
+    assert code == 2 and not out
+    assert f"matrix entry {entry!r} is not a [re, im] pair" in err
+
+
 def test_unknown_kind_in_config_exits_2(tmp_path, capsys):
     path = tmp_path / "kind.json"
     for kind in ("exakt", "Float", None, ["exact"]):

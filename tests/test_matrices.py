@@ -90,6 +90,12 @@ def test_exact_pair_parts_must_be_rational():
     assert m[0, 0] == GaussianRational(Fraction(1, 2), -3)
 
 
+def test_exact_pair_entries_have_two_parts():
+    for entry in ((1, 2, 3), (1,), ()):
+        with pytest.raises(ContractError, match=r"is not a \(re, im\) pair"):
+            exact_matrix([[entry]])
+
+
 def test_tuple_validation():
     with pytest.raises(ContractError):
         HermitianTuple([])
