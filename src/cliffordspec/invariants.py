@@ -15,7 +15,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import ContractError, SymmetryError
+from .errors import ContractError, KindMismatchError, SymmetryError
 from .linalg import _exact_pfaffian, _pfaffian_parlett_reid, eigenvalue_signature_gap
 from .localizer import Pencil, _coerce_lambda, build
 from .matrices import (
@@ -31,6 +31,7 @@ from .matrices import (
     max_abs,
     to_float,
 )
+from .scalars import is_exact_scalar
 from .tolerances import FLAG_RTOL, GRADED_HERMITIAN_RTOL, SKEW_CHECK_RTOL
 
 
@@ -144,9 +145,16 @@ def _check_flag(m: np.ndarray, flag: str, grading) -> np.ndarray:
 
 def validate_symmetry(tuple_: HermitianTuple, profile: SymmetryProfile) -> SymmetryReport:
     """Check each asserted flag by ``matrices.defect_exceeds`` against FLAG_RTOL;
-    a violation is max |defect| as a float, inf past the float range."""
+    a violation is max |defect| as a float, inf past the float range.  A
+    grading must be an n x n array, of exact numbers for an exact tuple."""
     if len(profile.flags) != tuple_.d:
         raise ContractError("profile must carry one flag set per matrix")
+    g, n = profile.grading, tuple_.n
+    if g is not None and not (isinstance(g, np.ndarray) and g.shape == (n, n)):
+        got = f"has shape {g.shape}" if isinstance(g, np.ndarray) else f"is a {type(g).__name__}"
+        raise ContractError(f"grading {got}, not {n} x {n}")
+    if g is not None and tuple_.kind == EXACT and not all(map(is_exact_scalar, g.flat)):
+        raise KindMismatchError("an exact tuple needs a grading of exact numbers")
     results = []
     for k, (m, flags) in enumerate(zip(tuple_.matrices, profile.flags)):
         for flag in sorted(flags):
@@ -283,8 +291,6 @@ def graded_index(
     if lam[3] != 0.0:
         raise SymmetryError("the graded index is defined only at lambda_4 = 0")
     grading = even_odd_grading(tuple_.n) if grading is None else grading
-    if np.shape(grading) != (tuple_.n, tuple_.n):
-        raise ContractError(f"grading has shape {np.shape(grading)}, not {tuple_.n} x {tuple_.n}")
     profile = SymmetryProfile((frozenset({"even"}),) * 3 + (frozenset({"odd"}),), grading)
     _require_flags(tuple_, profile, "the {} grading")
     red = Pencil.reduced(ft).at(lam)

@@ -16,7 +16,9 @@ tridiagonalization with partial pivoting (Wimmer, ACM TOMS 2012).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from numbers import Real
 
 import numpy as np
 
@@ -87,7 +89,10 @@ def signature_gap(m: np.ndarray, tol: float | None = None) -> tuple:
 
 
 def eigenvalue_signature_gap(eigs: np.ndarray, tol: float | None = None) -> tuple:
-    """:func:`signature_gap` of a Hermitian matrix with eigenvalues eigs."""
+    """:func:`signature_gap` of a Hermitian matrix with eigenvalues eigs;
+    tol is None or a finite real >= 0, else ContractError."""
+    if tol is not None and not (isinstance(tol, Real) and not isinstance(tol, bool) and 0 <= tol < math.inf):
+        raise ContractError(f"tol must be None or a finite real >= 0, got {tol!r}")
     magnitudes = np.abs(eigs)
     if tol is None:
         # default_tolerance(m), with ||m||_2 = max |eigenvalue| for Hermitian m

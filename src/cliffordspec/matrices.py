@@ -199,6 +199,16 @@ def direct_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _numbers(k: int, m) -> np.ndarray:
+    """Matrix k as an array of numbers: an object array's entries as
+    GaussianRationals (``as_gaussian`` takes ints and Fractions and refuses
+    the rest by name), any other dtype int, float or complex."""
+    m = np.asarray(m)
+    if m.dtype.kind not in "iufcO":
+        raise ContractError(f"matrix {k} has entries of dtype {m.dtype}, not numbers")
+    return np.frompyfunc(as_gaussian, 1, 1)(m) if m.dtype == object else m
+
+
 @dataclass(frozen=True, eq=False)
 class HermitianTuple:
     """d Hermitian n-by-n matrices of a uniform scalar kind, immutable: the
@@ -210,7 +220,7 @@ class HermitianTuple:
     _facts: dict = field(init=False, repr=False)
 
     def __init__(self, matrices):
-        mats = read_only(*matrices)
+        mats = read_only(*(_numbers(k, m) for k, m in enumerate(matrices)))
         if not mats:
             raise ContractError("a Hermitian tuple needs at least one matrix")
         kind = check_same_kind(*mats)

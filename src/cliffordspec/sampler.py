@@ -17,11 +17,15 @@ Three indicator fields are supported:
   ``Pencil`` formed by signed moves of the localizer's members and checked
   skew once per grid, and assembled per block of nodes by ``at_rows``.
 
-Every grid from ``sample`` is one on-demand field: an indicator is a
-reducer of matrix stacks (``eigvalsh``, singular values, batched ``det``
-or the stacked Pfaffian) and the pencil whose matrices it reduces, the
-localizer in ``rep_for(d)``, a 4-tuple's reduced localizer or the skew
-pencil, and a node is evaluated when a mesh or a read first needs it.
+Every grid from ``sample`` is one on-demand field: one pencil, a sigma
+kernel and a reducer.  The pencil is the localizer in ``rep_for(d)``, a
+4-tuple's reduced localizer for sigma-min, or the skew pencil for
+pfaffian-sign: L_lambda conjugated by the unitary Q / sqrt(2), Hermitian
+with L_lambda's eigenvalues up to the rounding of its signed moves.  The
+kernel takes sigma_min of its matrices (least |eigenvalue| by ``eigvalsh``,
+or least singular value), and the reducer their value (batched ``det`` or
+the stacked Pfaffian; none for sigma-min, whose value is sigma_min).  A
+node's matrix is assembled once, when a mesh or a read first needs it.
 sigma_min is 1-Lipschitz in lambda, since (sum_j a_j gamma_j)^2 = |a|^2, so
 max_c(sigma(c) - |lambda - lambda_c|) over the solved nodes c of the
 coarse lattice (every 8th index per axis, and the last) bounds
@@ -35,9 +39,10 @@ side of the level a node is on:
   of spectrum, on which sigma_min stays positive.  det L_lambda,
   and Pf((1/2) Q* L_lambda Q), whose matrix is L_lambda conjugated by the
   unitary Q / sqrt(2), is nonzero on that segment and keeps one sign
-  there; the margin also covers the backward error of the factorisations.
-  So the node's value has the sign of the value at c.
-  At any other level the bound proves nothing, and the field is completed.
+  there; the margin also covers the backward error of the factorisations
+  and the rounding of the skew pencil's moves.  So the node's value has
+  the sign of the value at c.  At any other level the bound proves
+  nothing, and the field is completed.
 
 ``extract_isosurface`` therefore runs in two phases.  The first solves
 every node of the coarse lattice, with sigma_min and the value, and then
@@ -52,7 +57,7 @@ field, byte for byte.  The first read of ``SpectrumGrid.values`` evaluates
 every node left in the same blocks; a node's value does not depend on the
 nodes that share its block, so the full field is bit-identical to
 evaluating every node at once.  A det-sign or pfaffian-sign field whose
-values could leave the float range, above or below, reduces its pencil
+values could leave the float range, above or below, reduces its matrices
 scaled by one power of two (``_in_range``), which keeps every sign.  Grid
 steps are at least STEP_BOUND, so no squared node distance of the bounds
 underflows.
@@ -70,9 +75,9 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import threading
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -111,13 +116,14 @@ class AxisSpec:
     count: int
 
     def __post_init__(self):
-        try:
-            operator.index(self.count)
-        except TypeError:
-            what = f"axis {self.index} needs an integer count, got {self.count!r}"
-            raise ContractError(what) from None
+        if isinstance(self.index, bool) or not isinstance(self.index, Integral):
+            raise ContractError(f"axis index must be an int, got {self.index!r}")
+        if not isinstance(self.count, Integral):
+            raise ContractError(f"axis {self.index} needs an integer count, got {self.count!r}")
         if self.count < 2:
             raise ContractError("axis needs at least 2 samples")
+        if not (isinstance(self.lo, Real) and isinstance(self.hi, Real)):
+            raise ContractError(f"axis {self.index} needs real bounds, got {self.lo!r} and {self.hi!r}")
         for name, value in (("lo", self.lo), ("hi", self.hi), ("hi - lo", self.hi - self.lo)):
             if not math.isfinite(value):
                 raise ContractError(f"axis {self.index} needs a finite {name}, got {value}")
@@ -139,25 +145,23 @@ class GridSpec:
 
     def __post_init__(self):
         for i, v in self.fixed:
-            if not math.isfinite(v):
-                raise ContractError(f"fixed lambda {i} must be finite, got {v}")
+            if isinstance(i, bool) or not isinstance(i, Integral):
+                raise ContractError(f"a fixed lambda index must be an int, got {i!r}")
+            if not (isinstance(v, Real) and math.isfinite(v)):
+                raise ContractError(f"fixed lambda {i} must be finite and real, got {v!r}")
             if abs(v) > LAMBDA_BOUND:
                 raise ContractError(f"fixed lambda {i} is beyond the lambda bound {LAMBDA_BOUND:g}")
 
     @staticmethod
     def cube(d: int, lo: float, hi: float, count: int, fixed: dict | None = None) -> "GridSpec":
         fixed = dict(fixed or {})
-        axes = tuple(
-            AxisSpec(i, lo, hi, count) for i in range(d) if i not in fixed
-        )
+        axes = tuple(AxisSpec(i, lo, hi, count) for i in range(d) if i not in fixed)
         return GridSpec(axes, tuple(sorted(fixed.items())))
 
     def validate_for(self, d: int) -> None:
         indices = [a.index for a in self.axes] + [i for i, _ in self.fixed]
         if sorted(indices) != list(range(d)):
-            raise ContractError(
-                f"grid axes plus fixed coordinates must cover lambda 0..{d - 1}"
-            )
+            raise ContractError(f"grid axes plus fixed coordinates must cover lambda 0..{d - 1}")
 
 
 class SpectrumGrid:
@@ -242,26 +246,25 @@ def _sigma_min(m: np.ndarray) -> np.ndarray:
 
 
 class _Field:
-    """An indicator at a grid's nodes, each evaluated when first needed as
-    reduce(source.at_rows(rows)).  It holds sigma_min, sigma(pencil.at_rows(rows)),
-    on the coarse lattice alone (every ``_STRIDE``-th index per axis, and
-    the last), and at every node the value or, where ``at_level`` proved it
-    unread, a placeholder: the node's bound, signed like the value at the
-    coarse node that attains it.  The bounds of a sigma-min field bound its
-    values, so it prunes at every level and its unsolved values lie above
-    ``_floor``."""
+    """An indicator at a grid's nodes, each evaluated when first needed from
+    one assembly m = pencil.at_rows(rows): its value is reduce(m), or
+    sigma(m) itself when reduce is None (sigma-min).  It holds sigma_min,
+    sigma(m) taken before the reducer (Parlett-Reid overwrites m), on the
+    coarse lattice alone (every ``_STRIDE``-th index per axis, and the last),
+    and at every node the value or, where ``at_level`` proved it unread, a
+    placeholder: the node's bound, signed like the value at the coarse node
+    that attains it.  The bounds of a sigma-min field bound its values, so
+    it prunes at every level and its unsolved values lie above ``_floor``."""
 
-    def __init__(self, pencil: Pencil, sigma, source: Pencil, reduce, spec: GridSpec, margin, threads):
+    def __init__(self, pencil: Pencil, sigma, reduce, spec: GridSpec, margin, threads):
         self._pencil = pencil
         self._sigma_of = sigma
-        self._source = source
         self._reduce = reduce
-        self._bounds_values = source is pencil and reduce is sigma
         self._spec = spec
         self._coords = [a.nodes() for a in spec.axes]
         self._coarse = [np.append(np.arange(0, len(x) - 1, _STRIDE), len(x) - 1) for x in self._coords]
         self._threads = threads
-        self._node_bytes = 16 * max(pencil.side, source.side) ** 2  # one complex128 matrix a node
+        self._node_bytes = 16 * pencil.side**2  # one complex128 matrix a node
         self._margin = margin  # the rounding slack of every bound
         size = math.prod(len(x) for x in self._coords)
         self._sigma = np.full([len(c) for c in self._coarse], np.nan)  # sigma_min, coarse lattice
@@ -269,19 +272,6 @@ class _Field:
         self._solved = np.zeros(size, dtype=bool)
         self._floor = -math.inf
         self._lock = threading.Lock()
-
-    def _run(self, rows: np.ndarray) -> np.ndarray:
-        return self._reduce(self._source.at_rows(rows))
-
-    def _run_coarse(self, rows: np.ndarray) -> np.ndarray:
-        """sigma_min and the value at rows, from one assembly when the
-        field reduces the pencil that gives sigma_min."""
-        m = self._pencil.at_rows(rows)
-        sigma = self._sigma_of(m)
-        if self._bounds_values:
-            return np.stack([sigma, sigma])
-        source = m if self._source is self._pencil else self._source.at_rows(rows)
-        return np.stack([sigma, self._reduce(source)])
 
     def _solve(self, flat: np.ndarray, coarse: bool = False):
         """Evaluate the nodes of flat, one block of matrices per worker at a
@@ -292,15 +282,13 @@ class _Field:
         return np.concatenate(sigma) if coarse else None
 
     def _solve_block(self, flat: np.ndarray, coarse: bool):
-        lam = _lambda_grid(self._spec, self._pencil.d, flat)
-        out = self._run_coarse(lam) if coarse else self._run(lam)
-        if not np.all(np.isfinite(out)):
+        m = self._pencil.at_rows(_lambda_grid(self._spec, self._pencil.d, flat))
+        sigma = self._sigma_of(m) if coarse or self._reduce is None else None
+        values = sigma if self._reduce is None else self._reduce(m)
+        if not (np.all(np.isfinite(values)) and (sigma is None or np.all(np.isfinite(sigma)))):
             raise ArithmeticError("indicator field produced non-finite values")
-        if not coarse:
-            self._values[flat] = out
-            return None
-        self._values[flat] = out[1]
-        return out[0]
+        self._values[flat] = values
+        return sigma
 
     def complete(self) -> np.ndarray:
         with self._lock:
@@ -332,14 +320,14 @@ class _Field:
         shape = [len(x) for x in self._coords]
         with self._lock:
             values = self._values.reshape(shape)
-            if (level != 0 and not self._bounds_values) or self._solved.all():
+            if (level != 0 and self._reduce is not None) or self._solved.all():
                 self._solve(np.flatnonzero(~self._solved))
             else:
                 if np.isnan(self._sigma).all():
                     flat = np.ravel_multi_index(np.ix_(*self._coarse), shape).reshape(-1)
                     self._sigma[...] = self._solve(flat, coarse=True).reshape(self._sigma.shape)
                 self._solve(self._place(level + self._margin))
-                if self._bounds_values:
+                if self._reduce is None:
                     self._floor = max(self._floor, level)
             cubes = _candidate_cubes(values, level)
             corners = np.unique(cubes[:, None] + np.ravel_multi_index(_CORNERS.T, shape))
@@ -399,16 +387,16 @@ def sample(
     threads: int | None = None,
 ) -> SpectrumGrid:
     """An indicator field over a grid of lambda values, evaluated on
-    demand (see SpectrumGrid), of the localizer in rep_for(d)."""
+    demand (see SpectrumGrid), of one pencil: the localizer in rep_for(d),
+    a 4-tuple's reduced localizer for sigma-min, or the skew pencil for
+    pfaffian-sign.  Its reference norm is ||L_0||_2 of the localizer."""
     if indicator not in INDICATORS:
         raise ContractError(f"indicator must be one of {INDICATORS}")
     ft = tuple_.as_float()
     d = ft.d
     spec.validate_for(d)
-    pencil, sigma = Pencil.localizer(ft), _sigma_min
+    pencil, sigma, reduce = Pencil.localizer(ft), _sigma_min, None
     ref = operator_norm(pencil.members[0])
-    if d == 4:  # sigma_min(L_lambda) is the least singular value of R_lambda
-        pencil, sigma = Pencil.reduced(ft), lambda m: np.linalg.svd(m, compute_uv=False)[:, -1]
     # the largest |lambda| of the grid is at a corner: each coordinate's
     # largest square, summed in lambda order
     squares = {a.index: np.max(np.square(a.nodes())) for a in spec.axes}
@@ -416,33 +404,33 @@ def sample(
     # ||L_lambda|| <= ref + |lambda| <= reach on the grid
     reach = ref + math.sqrt(np.sum([squares[i] for i in range(d)]))
     margin = SIGMA_MIN_PRUNE_RTOL * reach  # the rounding slack of every bound
-    # each indicator reduces stacks of the sigma_min pencil's matrices, of the
-    # full localizer's for det-sign, or of the skew pencil's for pfaffian-sign
-    source, reduce = pencil, sigma
+    # one pencil per indicator, whose matrices give sigma_min(L_lambda) too
     if indicator == DET_SIGN:
-        source, reduce = Pencil.localizer(ft), lambda m: np.linalg.det(m).real
-    elif indicator == PFAFFIAN_SIGN:
-        source, reduce = ft._held(_self_dual_skew_pencil), lambda m: _pfaffian_parlett_reid(m).real
-    if indicator != SIGMA_MIN:
-        source = _in_range(source, reach)
-    field = _Field(pencil, sigma, source, reduce, spec, margin, threads)
-    return SpectrumGrid(spec, indicator, field, ref)
+        reduce = lambda m: np.linalg.det(m).real
+    elif indicator == PFAFFIAN_SIGN:  # L_lambda conjugated by the unitary Q / sqrt(2)
+        pencil, reduce = ft._held(_self_dual_skew_pencil), lambda m: _pfaffian_parlett_reid(m).real
+    elif d == 4:  # sigma_min(L_lambda) is the least singular value of R_lambda
+        pencil, sigma = Pencil.reduced(ft), lambda m: np.linalg.svd(m, compute_uv=False)[:, -1]
+    if reduce is not None:
+        reduce = _in_range(reduce, pencil.side, reach)
+    return SpectrumGrid(spec, indicator, _Field(pencil, sigma, reduce, spec, margin, threads), ref)
 
 
-def _in_range(pencil: Pencil, reach: float) -> Pencil:
-    """The float pencil itself when reach^side lies within [2^-1020, 2^1020],
-    reach a bound on the norm of the pencil's matrices on the grid, and
-    otherwise scaled by 2^-e for the whole field, e the least integer with
-    (2^-e reach)^side <= 2^1020.  Their determinants and Pfaffians then do
-    not overflow and keep their signs and zero set; scaled up to the top of
-    the range rather than its bottom, they lose no precision near the
-    spectrum, where a value far below the largest would be subnormal, or 0."""
-    log_reach, room = math.log2(reach), 1020 / pencil.side
+def _in_range(reduce, side: int, reach: float):
+    """The reducer of side x side matrices itself when reach^side lies
+    within [2^-1020, 2^1020], reach a bound on their norm on the grid, and
+    otherwise reduce(m * 2^-e) for the whole field, e the least integer with
+    (2^-e reach)^side <= 2^1020.  Determinants and Pfaffians then do not
+    overflow and keep their signs and zero set; scaled up to the top of the
+    range rather than its bottom, they lose no precision near the spectrum,
+    where a value far below the largest would be subnormal, or 0.  A power of
+    two commutes with rounding, so m * 2^-e has the bits of the pencil
+    scaled by 2^-e, but for entries that fall below 2^-1022."""
+    log_reach, room = math.log2(reach), 1020 / side
     if abs(log_reach) <= room:
-        return pencil
-    e = math.ceil(log_reach - room)
-    _, re, im = pencil.gaussian_form
-    return Pencil.from_gaussian_form(2.0**e, re, im)
+        return reduce
+    scale = 2.0 ** -math.ceil(log_reach - room)
+    return lambda m: reduce(m * scale)
 
 
 def slice_4d(
@@ -592,8 +580,9 @@ def extract_isosurface(grid: SpectrumGrid, level: float | None = None) -> Spectr
         raise ContractError("isosurface extraction needs 3 sampled axes")
     if level is None:
         level = default_level(grid)
-    if not math.isfinite(level):
-        raise ContractError(f"isosurface level must be finite, got {level}")
+    if not (isinstance(level, Real) and math.isfinite(level)):
+        raise ContractError(f"isosurface level must be finite and real, got {level!r}")
+    level = float(level)
     held = grid._values
     values, cubes = held.at_level(level) if isinstance(held, _Field) else (held, _candidate_cubes(held, level))
     # every surface-sized index array is int32 when the edge keys fit

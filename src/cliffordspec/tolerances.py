@@ -35,7 +35,8 @@ VARIANCE_RTOL = 1e-10  # variance: past -this * max(1, ||Xv||^2), a negative Var
 # ||L_lambda||) and no gamma relation defect: the float gammas of rep_for(d), with
 # entries 0, +-1 and +-i, meet their relations exactly.  For det-sign and pfaffian-sign
 # it also covers the backward error of the LU and Parlett-Reid factorisations, of the
-# same order as eigvalsh's
+# same order as eigvalsh's; for pfaffian-sign, whose sigma_min is taken from the skew
+# pencil (1/2) Q* L Q, the rounding of that pencil's signed moves, O(eps ||L_lambda||)
 SIGMA_MIN_PRUNE_RTOL = 1e-9
 # _coerce_lambda: the largest |lambda_j| a float query takes; squares and sums
 # of squares of such components, and of the entries of L_lambda, stay finite

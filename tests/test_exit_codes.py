@@ -66,6 +66,11 @@ def test_any_other_error_exits_3_with_its_traceback(monkeypatch, capsys):
     assert err.startswith("Traceback") and err.splitlines()[-1] == "error: KeyError: 'fault'"
 
 
+_BAD_TOL = "tol must be None or a finite real >= 0, got "
+_INDEX_ARCH = ("index", "--example", "self_dual_path", "--kind", "arch")
+_INDEX_GRADED = ("index", "--example", "even_odd", "--kind", "graded")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -76,6 +81,12 @@ def test_any_other_error_exits_3_with_its_traceback(monkeypatch, capsys):
         (("charpoly", "--example", "pauli", "--reduced"), "the reduced characteristic polynomial needs d = 4"),
         (("mesh", "--example", "even_odd", "--res", "5"), "meshing needs exactly 3 sampled axes"),
         (("slice", "--example", "even_odd", "--res", "5"), "slicing needs --fix axis=value"),
+        # a NaN tol printed index=0 inside pauli's unit sphere, and -1 exited 3
+        (("index", "--example", "pauli", "--at", "0.1", "0", "0", "--tol", "nan"), _BAD_TOL + "nan"),
+        (("index", "--example", "pauli", "--at", "0.1", "0", "0", "--tol", "-1"), _BAD_TOL + "-1.0"),
+        (_INDEX_ARCH + ("--at", "0.1", "0", "0", "--tol", "nan"), _BAD_TOL + "nan"),
+        (_INDEX_GRADED + ("--at", "0.1", "0", "0", "0", "--tol", "nan"), _BAD_TOL + "nan"),
+        (_INDEX_GRADED + ("--at", "0.1", "0", "0", "0", "--tol", "inf"), _BAD_TOL + "inf"),
     ],
 )
 def test_input_contracts_exit_2_naming_the_cause(capsys, argv, message):

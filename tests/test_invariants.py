@@ -302,6 +302,105 @@ def test_graded_index_names_a_grading_of_the_wrong_shape():
         graded_index(even_odd(), [0, 0, 0, 0], grading=exact_matrix([[1]]))
 
 
+@pytest.mark.parametrize("grading", [np.eye(4), np.eye(4, dtype=complex)])
+def test_an_exact_tuple_refuses_a_float_grading_by_name(grading):
+    # numpy's object dot raised SystemError around the KindMismatchError
+    profile = SymmetryProfile((frozenset({"even"}),) * 3 + (frozenset({"odd"}),), grading)
+    with pytest.raises(KindMismatchError, match="exact tuple needs a grading of exact numbers"):
+        validate_symmetry(even_odd(), profile)
+    with pytest.raises(KindMismatchError, match="exact tuple needs a grading of exact numbers"):
+        graded_index(even_odd(), [0, 0, 0, 0], grading=grading)
+
+
+def test_a_float_tuple_takes_a_float_or_an_exact_grading():
+    from cliffordspec.gallery import even_odd_grading
+
+    ft = even_odd().as_float()
+    for grading in (even_odd_grading(4), to_float(even_odd_grading(4))):
+        assert graded_index(ft, [0.1, 0, 0, 0], grading=grading).value == -1
+
+
+@pytest.mark.parametrize(
+    "grading, message",
+    [
+        (np.eye(4).tolist(), "grading is a list, not 4 x 4"),
+        (np.eye(3), "grading has shape (3, 3), not 4 x 4"),
+        (np.eye(16).reshape(4, 4, 4, 4), "grading has shape (4, 4, 4, 4), not 4 x 4"),
+    ],
+)
+def test_a_grading_must_be_an_n_by_n_array(grading, message):
+    # a list raised AttributeError, and a wrong shape numpy's ValueError
+    profile = SymmetryProfile((frozenset({"even"}),) * 4, grading)
+    for t in (even_odd(), even_odd().as_float()):
+        with pytest.raises(ContractError, match=re.escape(message)):
+            validate_symmetry(t, profile)
+        with pytest.raises(ContractError, match=re.escape(message)):
+            graded_index(t, [0, 0, 0, 0], grading=grading)
+
+
+_QUERIES_WITH_TOL = [
+    (index, pauli, [0.1, 0, 0]),
+    (archetypal_sign, self_dual_path, [0.1, 0, 0]),
+    (graded_index, even_odd, [0.1, 0, 0, 0]),
+]
+
+
+@pytest.mark.parametrize("query, make, lam", _QUERIES_WITH_TOL)
+@pytest.mark.parametrize("tol", [math.nan, -1.0, -1e-300, math.inf, "1e-8", 1j, True])
+def test_point_queries_refuse_a_tolerance_that_is_not_a_finite_real_at_least_zero(query, make, lam, tol):
+    # a NaN tol gave index 0 inside pauli's unit sphere, where the index is 1
+    with pytest.raises(ContractError, match="tol must be None or a finite real >= 0"):
+        query(make(), lam, tol=tol)
+
+
+@pytest.mark.parametrize("query, make, lam", _QUERIES_WITH_TOL)
+def test_point_queries_take_a_zero_or_a_rational_tolerance(query, make, lam):
+    want = query(make(), lam).value
+    for tol in (0, 0.0, Fraction(1, 10**8), np.float64(1e-8)):
+        assert query(make(), lam, tol=tol).value == want
+
+
+def test_signature_refuses_a_nan_tolerance():
+    from cliffordspec.linalg import signature
+
+    m = to_float(exact_matrix([[1, 0], [0, -1]]))
+    assert signature(m, 0.5) == 0
+    with pytest.raises(ContractError, match="tol must be None or a finite real >= 0"):
+        signature(m, math.nan)
+
+
+@st.composite
+def _self_dual_triples_and_lambda(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = _random_self_dual_float_triple(rng, draw(st.sampled_from([2, 4, 6, 8])))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    return HermitianTuple([m * scale for m in t.matrices]), scale * rng.uniform(-3, 3, size=(16, 3))
+
+
+def _assert_skew_pencil_has_the_localizer_eigenvalues(t, lam):
+    """(1/2) Q* L Q = (Q / sqrt(2))* L (Q / sqrt(2)), Q* Q = 2 I, is Hermitian
+    with L's eigenvalues; its signed moves round by a few eps ||L||."""
+    from cliffordspec.invariants import _self_dual_skew_pencil
+
+    ft = t.as_float()
+    want = np.linalg.eigvalsh(Pencil.localizer(ft).at_rows(lam))
+    got = np.linalg.eigvalsh(ft._held(_self_dual_skew_pencil).at_rows(lam))
+    norm = np.max(np.abs(want), axis=1, keepdims=True)
+    assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * want.shape[1] * norm)
+
+
+@pytest.mark.parametrize("s", [0, Fraction(1, 4), Fraction(1, 2)])
+def test_skew_pencil_eigenvalues_are_the_localizer_eigenvalues_on_self_dual_path(s):
+    lam = np.random.default_rng(7).uniform(-2, 2, size=(200, 3))
+    _assert_skew_pencil_has_the_localizer_eigenvalues(self_dual_path(s), lam)
+
+
+@settings(max_examples=40)
+@given(_self_dual_triples_and_lambda())
+def test_skew_pencil_eigenvalues_are_the_localizer_eigenvalues(case):
+    _assert_skew_pencil_has_the_localizer_eigenvalues(*case)
+
+
 def test_index_report_fields():
     r = index(pauli(), [0, 0, 0])
     assert r.kind == "half-signature"

@@ -119,6 +119,37 @@ def test_tuple_rejects_empty_and_non_2d_matrices():
         HermitianTuple([float_matrix(np.eye(2)), np.zeros(2, dtype=complex)])
 
 
+def test_int_and_fraction_entries_of_object_arrays_become_exact_scalars():
+    # an object array of ints was accepted, and char_poly of it then raised
+    # AttributeError: 'int' object has no attribute 're'
+    from cliffordspec.charpoly import char_poly
+    from cliffordspec.gallery import pauli
+    from cliffordspec.multipoly import to_text
+
+    rows = [[Fraction(1, 2), 3], [3, -1]]
+    t = HermitianTuple([np.array(rows, dtype=object)])
+    assert t.kind == "exact"
+    assert all(isinstance(e, GaussianRational) for e in t.matrices[0].flat)
+    assert to_text(char_poly(t)) == to_text(char_poly(HermitianTuple([exact_matrix(rows)])))
+    # sigma_x and sigma_z as object arrays of Python ints, sigma_y as it is
+    sx, sy, sz = pauli().matrices
+    ints = [np.array([[e.re.numerator for e in row] for row in m], dtype=object) for m in (sx, sz)]
+    assert to_text(char_poly(HermitianTuple([ints[0], sy, ints[1]]))) == to_text(char_poly(pauli()))
+
+
+@pytest.mark.parametrize("entry", [0.5, 1j, "1", None, np.float64(1.0)])
+def test_object_entries_that_are_not_exact_numbers_are_refused_by_name(entry):
+    with pytest.raises(KindMismatchError, match="is not an exact scalar"):
+        HermitianTuple([np.array([[entry]], dtype=object)])
+
+
+@pytest.mark.parametrize("m", [np.array([[True]]), np.array([["1"]]), np.array([[b"1"]])])
+def test_matrices_of_bools_or_strings_are_refused_by_name(m):
+    # they raised a bare TypeError from the Hermitian check
+    with pytest.raises(ContractError, match=f"matrix 1 has entries of dtype {m.dtype}, not numbers"):
+        HermitianTuple([np.eye(1), m])
+
+
 def test_float_entries_beyond_the_bound_are_refused_without_overflow():
     # ||M||_F of entries near 1e300 overflows; the anti-Hermitian m once
     # passed the Hermitian check against an infinite scale

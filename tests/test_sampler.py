@@ -110,6 +110,52 @@ def test_fixed_coordinate_and_level_must_be_finite(value):
         extract_isosurface(grid, value)
 
 
+@pytest.mark.parametrize("index", [0.0, False, True, "0", None])
+def test_axis_index_must_be_an_int(index):
+    # 0.0 raised IndexError once nodes were evaluated, and False ValueError
+    with pytest.raises(ContractError, match=f"axis index must be an int, got {index!r}"):
+        AxisSpec(index, -1.0, 1.0, 5)
+
+
+def test_axis_index_takes_numpy_integers():
+    spec = GridSpec((AxisSpec(np.int64(0), -1, 1, 3), AxisSpec(np.int32(1), -1, 1, 4)), ((2, 0.0),))
+    assert sample(pauli(), spec, SIGMA_MIN).values.shape == (3, 4)
+
+
+@pytest.mark.parametrize("lo, hi", [("-1", 1.0), (-1.0, "1"), (-1.0, 1j), (None, 1.0)])
+def test_axis_bounds_must_be_real(lo, hi):
+    # a string bound raised a bare TypeError
+    with pytest.raises(ContractError, match="axis 2 needs real bounds"):
+        AxisSpec(2, lo, hi, 5)
+
+
+@pytest.mark.parametrize("index", [2.0, True, "2"])
+def test_fixed_lambda_index_must_be_an_int(index):
+    # 2.0 raised IndexError once nodes were evaluated
+    with pytest.raises(ContractError, match="a fixed lambda index must be an int"):
+        GridSpec((AxisSpec(0, -1, 1, 3), AxisSpec(1, -1, 1, 3)), ((index, 0.0),))
+
+
+@pytest.mark.parametrize("value", ["0", 1j])
+def test_fixed_coordinate_and_level_must_be_real(value):
+    # a string or complex fixed value, and a string level, raised a bare TypeError
+    with pytest.raises(ContractError, match="fixed lambda 3 must be finite and real"):
+        GridSpec.cube(4, -1, 1, 5, fixed={3: value})
+    grid = sample(pauli(), GridSpec.cube(3, -1, 1, 5), DET_SIGN)
+    with pytest.raises(ContractError, match="isosurface level must be finite and real"):
+        extract_isosurface(grid, value)
+
+
+def test_grid_bounds_fixed_values_and_levels_take_any_real():
+    spec = GridSpec.cube(4, Fraction(-3, 2), 1, 5, fixed={3: Fraction(1, 3)})
+    grid = sample(even_odd(), spec, SIGMA_MIN)
+    want = sample(even_odd(), GridSpec.cube(4, -1.5, 1.0, 5, fixed={3: 1 / 3}), SIGMA_MIN)
+    assert grid.values.tobytes() == want.values.tobytes()
+    for level in (np.float32(0.1), Fraction(1, 10), np.int64(0)):
+        got = extract_isosurface(grid, level).vertices
+        assert got.tobytes() == extract_isosurface(want, float(level)).vertices.tobytes()
+
+
 def test_sample_fields_basic():
     spec = GridSpec.cube(3, -2, 2, 9)
     g = sample(pauli(), spec, SIGMA_MIN)
@@ -408,6 +454,10 @@ def test_mesh_of_a_grid_near_the_lambda_bound_has_finite_areas():
     assert len(mesh.triangles) and mesh_topology(mesh) == (2, 1)
 
 
+def _scaled(tuple_, s):
+    return HermitianTuple([m * s for m in tuple_.as_float().matrices])
+
+
 def _scaled_pauli_mesh(s, count, indicator=DET_SIGN):
     """pauli times s on [-1.5 s, 1.5 s]^3, its on-demand grid and that grid's mesh."""
     t = HermitianTuple([m * s for m in pauli().as_float().matrices])
@@ -445,6 +495,51 @@ def test_det_sign_fields_of_tiny_tuples_are_scaled_up():
         meshes.append(extract_isosurface(sample(t, GridSpec.cube(3, -1.5 * s, 1.5 * s, 31), DET_SIGN)))
     assert mesh_topology(meshes[1]) == mesh_topology(meshes[0]) == (-1, 1)
     assert np.array_equal(meshes[1].triangles, meshes[0].triangles)
+
+
+def _scaled_pencil_field(tuple_, spec, indicator):
+    """A det-sign or pfaffian-sign field whose values would leave the float
+    range, as the scaled-pencil route computed it: the pencil copied with den
+    2^e, e the least integer with (2^-e reach)^side <= 2^1020, every node
+    reduced from the copy, in chunks of 4,096 (the reference for scaling in
+    the reducer)."""
+    from cliffordspec.invariants import _skew_pencil
+
+    ft = tuple_.as_float()
+    pencil = Pencil.localizer(ft)
+    lam = _lambda_grid(spec, ft.d)
+    reach = operator_norm(pencil.members[0]) + math.sqrt(np.max(np.sum(lam * lam, axis=1)))
+    if indicator == PFAFFIAN_SIGN:
+        pencil, reduce = _skew_pencil(pencil), lambda m: _pfaffian_parlett_reid(m).real
+    else:
+        reduce = lambda m: np.linalg.det(m).real
+    room = 1020 / pencil.side
+    assert abs(math.log2(reach)) > room  # the field is scaled
+    _, re, im = pencil.gaussian_form
+    scaled = Pencil.from_gaussian_form(2.0 ** math.ceil(math.log2(reach) - room), re, im)
+    pieces = [reduce(scaled.at_rows(lam[i : i + 4096])) for i in range(0, len(lam), 4096)]
+    return np.concatenate(pieces).reshape([a.count for a in spec.axes])
+
+
+@pytest.mark.parametrize(
+    "tuple_, spec, indicator",
+    [
+        (_scaled(pauli(), 1e-100), GridSpec.cube(3, -1.5e-100, 1.5e-100, 21), DET_SIGN),
+        (_scaled(pauli(), 1e140), GridSpec.cube(3, -1.5e140, 1.5e140, 21), DET_SIGN),
+        (_at_entry_bound(self_dual_path()), GridSpec.cube(3, -1.0, 1.0, 9), PFAFFIAN_SIGN),
+        (_at_entry_bound(self_dual_path(Fraction(1, 4))), GridSpec.cube(3, -1e149, 1e149, 9), PFAFFIAN_SIGN),
+    ],
+)
+def test_sign_fields_scaled_in_the_reducer_have_the_scaled_pencil_bits(tuple_, spec, indicator):
+    # m * 2^-e is the scaled pencil's matrix bit for bit, before and after
+    # a mesh reads the pruned field
+    want = _scaled_pencil_field(tuple_, spec, indicator)
+    assert sample(tuple_, spec, indicator).values.tobytes() == want.tobytes()
+    grid = sample(tuple_, spec, indicator)
+    values, _ = grid._values.at_level(0.0)
+    solved = grid._values._solved.reshape(values.shape)
+    assert values[solved].tobytes() == want[solved].tobytes()
+    assert grid.values.tobytes() == want.tobytes()
 
 
 def test_grid_steps_are_bounded_below():
@@ -911,7 +1006,7 @@ def _sigma_min_cases(draw):
 
 @settings(max_examples=40)
 @given(_sigma_min_cases())
-def test_pruned_sigma_min_nodes_lie_above_level_plus_edge(case):
+def test_pruned_sigma_min_nodes_lie_above_level(case):
     t, spec, level = case
     grid = sample(t, spec, SIGMA_MIN)
     field = grid._values
@@ -952,7 +1047,7 @@ def test_sigma_min_values_before_and_after_extraction_match_eager_loop():
     assert mesh.vertices.tobytes() == extract_isosurface(before).vertices.tobytes()
 
 
-def test_bad_plot_mesh_solves_a_quarter_of_the_nodes(monkeypatch, tmp_path):
+def test_bad_plot_mesh_solves_under_a_sixth_of_the_nodes(monkeypatch, tmp_path):
     rows = []
     at_rows = Pencil.at_rows
 
